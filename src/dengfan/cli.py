@@ -24,7 +24,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .model import BarrierParams, barrier_top, potential as potential_fn
-from .oracle import (IntegrationConfig, OracleError, OracleResult,
+from .oracle import (IntegrationConfig, OracleError, OracleResult, _default_step,
                      default_config, integrate_scatter)
 from .reference import DEFAULT_PARAMS, TABLE1, TABLE1_ENERGIES
 from .scatter import (MatchMode, ScanEntry, SingularMatchingError, compute_rt,
@@ -329,8 +329,8 @@ def _oracle_config(E: float, params: BarrierParams, args) -> IntegrationConfig:
         return default_config(E, lambda x: potential_fn(x, params),
                               m=params.m, x_max_seed=seed)
     x_max = args.oracle_xmax if args.oracle_xmax is not None else seed
-    k = math.sqrt(2.0 * params.m * E)
-    step = args.oracle_step if args.oracle_step is not None else min(1e-3, 0.02 / k)
+    step = (args.oracle_step if args.oracle_step is not None
+            else _default_step(E, params.m))
     try:
         return IntegrationConfig(x_max=x_max, step=step)
     except ValueError as exc:

@@ -319,7 +319,8 @@ def gauss_2f1(req: Hyp2F1Request) -> complex:
         return value
     try:
         value, est = _connection(a, b, c, z, req.rel_tol, req.max_terms)
-    except ConnectionDegenerateError:
+    except (ConnectionDegenerateError, OverflowError):
+        # a gamma ratio beyond float range counts as a rejected attempt
         value, est = None, math.inf
     if value is not None and est <= max(10.0 * req.rel_tol, _CONNECTION_GATE):
         return value

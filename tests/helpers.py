@@ -1,8 +1,13 @@
-"""Shared test oracles: high-precision brute-force 2F1 and parameter draws."""
+"""Shared test oracles: high-precision brute-force 2F1, step-by-step
+integration marches and parameter draws."""
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import mpmath as mp
+import numpy as np
 
 from dengfan import BarrierParams
 
@@ -40,3 +45,57 @@ def draw_barrier_params(rng, symmetric: bool | None = None) -> BarrierParams:
         q_tilde=q_tilde,
         m=float(rng.uniform(0.5, 1.5)),
     )
+
+
+def _rt_from_state(psi, dpsi, k, x):
+    # plane-wave split psi = A e^{ikx} + B e^{-ikx} at x, then T, R
+    ik = 1j * k
+    A = (psi + dpsi / ik) * np.exp(-ik * x) / 2
+    B = (psi - dpsi / ik) * np.exp(ik * x) / 2
+    return float(1 / abs(A) ** 2), float(abs(B) ** 2 / abs(A) ** 2)
+
+
+def rk4_loop_rt(E, potential, m, cfg):
+    """(T, R) from a step-by-step RK4 march in Python floats; the reference
+    for the package's product of step maps."""
+    L = cfg.x_max
+    k = math.sqrt(2.0 * m * E)
+    n = int(math.ceil(2.0 * L / cfg.step))
+    xs = np.linspace(L, -L, 2 * n + 1)
+    w = (2.0 * m * (np.asarray(potential(xs), dtype=float) - E)).tolist()
+    dt = -2.0 * L / n
+    psi = cmath.exp(1j * k * L)
+    phi = 1j * k * psi
+    for i in range(n):
+        w0, w1, w2 = w[2 * i], w[2 * i + 1], w[2 * i + 2]
+        k1p = phi
+        k1f = w0 * psi
+        k2p = phi + 0.5 * dt * k1f
+        k2f = w1 * (psi + 0.5 * dt * k1p)
+        k3p = phi + 0.5 * dt * k2f
+        k3f = w1 * (psi + 0.5 * dt * k2p)
+        k4p = phi + dt * k3f
+        k4f = w2 * (psi + dt * k3p)
+        psi += dt * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
+        phi += dt * (k1f + 2.0 * (k2f + k3f) + k4f) / 6.0
+    return _rt_from_state(psi, phi, k, -L)
+
+
+def numerov_loop_rt(E, potential, m, cfg, dtype=np.longdouble):
+    """(T, R) from the Numerov recurrence run sample by sample in ``dtype``
+    (long double by default) on the package's double-precision samples."""
+    L = cfg.x_max
+    n = int(math.ceil(2.0 * L / cfg.step))
+    xs = np.linspace(L, -L, n + 1)
+    w = 2.0 * m * (np.asarray(potential(xs), dtype=float) - E)
+    real = np.dtype(dtype).type
+    cplx = np.result_type(real, np.complex64).type
+    d = real(-2.0 * L / n)
+    k = np.sqrt(real(2) * real(m) * real(E))
+    g = (d * d / real(12)) * w.astype(real)
+    p = [np.exp(cplx(1j) * k * real(xs[0])), np.exp(cplx(1j) * k * real(xs[1]))]
+    for i in range(1, n):
+        nxt = ((2 + 10 * g[i]) * p[-1] - (1 - g[i - 1]) * p[-2]) / (1 - g[i + 1])
+        p = p[-4:] + [nxt]
+    dpsi = (25 * p[-1] - 48 * p[-2] + 36 * p[-3] - 16 * p[-4] + 3 * p[-5]) / (12 * d)
+    return _rt_from_state(p[-1], dpsi, k, real(-L))

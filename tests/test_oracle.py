@@ -1,13 +1,17 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dengfan import (BoundaryNotDecayedError, DEFAULT_PARAMS,
-                     IntegrationConfig, StepTooCoarseError, compute_rt,
-                     default_config, integrate_scatter, plane_wave_decompose,
-                     potential)
+                     IntegrationConfig, StepTooCoarseError, TABLE1_ENERGIES,
+                     compute_rt, default_config, integrate_scatter,
+                     plane_wave_decompose, potential)
+from dengfan.oracle import _CHUNK
+
+from helpers import numerov_loop_rt, rk4_loop_rt
 
 # closed-form transmission for the sharp rectangular barrier
 # (v0=2, width 1, E=1, m=1): 1/(1 + sinh^2 sqrt(2))
@@ -142,6 +146,64 @@ def test_numerov_richardson_order_smooth_potential():
     assert 10.0 <= ratio <= 24.0
 
 
+# ---------------------------------------------------------------------------
+# the march as a product of step maps
+# ---------------------------------------------------------------------------
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def _config_with_steps(n, method, x_max=64.0):
+    # a step just above 2 x_max / n, so that ceil(2 x_max / step) == n
+    cfg = IntegrationConfig(x_max=x_max, step=2.0 * x_max / n * (1.0 + 1e-12),
+                            method=method)
+    assert math.ceil(2.0 * x_max / cfg.step) == n
+    return cfg
+
+
+@pytest.mark.parametrize("E", list(TABLE1_ENERGIES) + [0.3, 0.9, 3.0])
+def test_rk4_product_matches_sequential_loop(E):
+    cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
+    res = integrate_scatter(E, barrier, 1.0, cfg)
+    T, R = rk4_loop_rt(E, barrier, 1.0, cfg)
+    assert _rel(res.T, T) <= 1e-13
+    assert _rel(res.R, R) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_rk4_product_around_chunk_size(n):
+    cfg = _config_with_steps(n, "rk4")
+    res = integrate_scatter(0.05, barrier, 1.0, cfg)
+    T, R = rk4_loop_rt(0.05, barrier, 1.0, cfg)
+    assert _rel(res.T, T) <= 1e-13
+    assert _rel(res.R, R) <= 1e-13
+
+
+# n = _CHUNK + 3: the last four steps cross the first chunk boundary;
+# n = _CHUNK + 5: the product part ends exactly on it
+@pytest.mark.parametrize("n", [_CHUNK + 3, _CHUNK + 5])
+def test_numerov_tail_across_chunk_boundary(n):
+    cfg = _config_with_steps(n, "numerov")
+    res = integrate_scatter(0.05, barrier, 1.0, cfg)
+    T, R = numerov_loop_rt(0.05, barrier, 1.0, cfg, dtype=np.float64)
+    # the float64 recurrence itself drifts by ~1e-11 over 8k steps
+    assert _rel(res.T, T) <= 1e-10
+    assert _rel(res.R, R) <= 1e-10
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is plain double on this platform")
+def test_numerov_rounding_against_long_double():
+    # the textbook form (12 - 10 f) p_i cancels most digits of f = 1 - O(h^2)
+    # and lands 1.3e-7 off this reference here; the I + D form about 6e-12
+    cfg = IntegrationConfig(x_max=50.0, step=1e-3, method="numerov")
+    res = integrate_scatter(0.005, barrier, 1.0, cfg)
+    T, R = numerov_loop_rt(0.005, barrier, 1.0, cfg)
+    assert _rel(res.T, T) <= 1e-9
+    assert _rel(res.R, R) <= 1e-9
+
+
 def test_step_too_coarse_raises():
     cfg = IntegrationConfig(x_max=50.0, step=0.2)
     with pytest.raises(StepTooCoarseError):
@@ -154,6 +216,17 @@ def test_unstable_step_raises_cleanly():
     cfg = IntegrationConfig(x_max=50.0, step=0.45)
     with pytest.raises(StepTooCoarseError):
         integrate_scatter(50.0, barrier, 1.0, cfg)
+
+
+@pytest.mark.parametrize("method", ["rk4", "numerov"])
+def test_overflowing_march_raises_cleanly(method):
+    # 889 unstable steps grow the state past float range: the overflow is
+    # reported as StepTooCoarseError, with no numpy RuntimeWarning
+    cfg = IntegrationConfig(x_max=200.0, step=0.45, method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooCoarseError):
+            integrate_scatter(50.0, barrier, 1.0, cfg)
 
 
 def test_boundary_not_decayed_raises():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dengfan import (BarrierParams, DEFAULT_PARAMS, SingularMatchingError,
-                     barrier_top, compute_rt, match_coefficients, scan,
-                     side_coefficients, solve_amplitudes)
+from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error,
+                     SingularMatchingError, barrier_top, compute_rt,
+                     match_coefficients, scan, side_coefficients,
+                     solve_amplitudes)
 
 from helpers import draw_barrier_params, hyp2f1_bruteforce
 
@@ -181,3 +182,11 @@ def test_amplitudes_reconstruct_rt():
     res = compute_rt(0.07, DEFAULT_PARAMS)
     assert abs(res.r_amp) ** 2 == pytest.approx(res.R, rel=1e-14)
     assert abs(res.t_amp) ** 2 == pytest.approx(res.T, rel=1e-14)
+
+
+@pytest.mark.parametrize("E", [0.05, 1.0, 50.0])
+def test_connection_overflow_raises_typed_error(E):
+    # a = 20 drives a gamma ratio of the 1-z connection past float range;
+    # the attempt is rejected and the series fails with a typed error
+    with pytest.raises(Hyp2F1Error):
+        compute_rt(E, BarrierParams(a=20.0))
