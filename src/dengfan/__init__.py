@@ -7,8 +7,8 @@ from .hyp2f1 import (ConnectionDegenerateError, GammaPoleError, Hyp2F1Error,
                      Hyp2F1Request, NoConvergenceError, PoleAtCError,
                      gauss_2f1, gauss_2f1_connection, gauss_2f1_derivative,
                      gauss_2f1_series, lngamma_complex)
-from .model import (BarrierParams, DerivedShape, SideCoefficients, barrier_top,
-                    compute_b, derived_shape, potential, side_coefficients)
+from .model import (BarrierParams, SideCoefficients, barrier_top, compute_b,
+                    potential, side_coefficients)
 from .oracle import (BoundaryNotDecayedError, IntegrationConfig, OracleError,
                      OracleResult, StepTooCoarseError, default_config,
                      integrate_scatter, plane_wave_decompose)
@@ -21,12 +21,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarrierParams",
-    "DerivedShape",
     "SideCoefficients",
     "compute_b",
     "potential",
     "barrier_top",
-    "derived_shape",
     "side_coefficients",
     "Hyp2F1Request",
     "Hyp2F1Error",

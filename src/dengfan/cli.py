@@ -2,14 +2,21 @@
 
 Subcommands
 -----------
-potential   tabulate V(x); list-valued --v0 or --q emit one file per value
+potential   tabulate V(x)
 scatter     tabulate E, E/V_max, T, R (+ oracle columns with --oracle)
 verify      compare the closed-form R/T against the integration oracle and
             report which matching mode reproduces the reference table
 
-Configuration precedence: command-line flags override a --config JSON file,
-which overrides the built-in defaults (the reference-table setup).  Exit
-codes: 0 success, 1 usage error, 2 numerical failure or tolerance breach.
+A list-valued --v0 or --q emits one file per value, <prefix>_v0_<v0>.<format>
+or <prefix>_q_<q>.<format>.  The presets of scatter and verify, held in
+``_PRESETS``, are --table1 (reference-table grid and parameters), --fig3
+(E/V_max in (0, 5], 200 points) and --fig4 (low-energy log grid, one curve
+per v0 in {1.15, 1.25, 1.35}, with a transmission survey on stdout).
+
+``_run_config`` resolves every setting in one order: the built-in defaults
+(the reference-table setup), then a --config JSON file, then the preset, then
+the command-line flags.  Exit codes: 0 success, 1 usage error, 2 numerical
+failure or tolerance breach.
 """
 
 from __future__ import annotations
@@ -18,17 +25,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
-from typing import Literal, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .model import BarrierParams, barrier_top, potential as potential_fn
 from .oracle import (IntegrationConfig, OracleError, OracleResult, _default_step,
                      default_config, integrate_scatter)
-from .reference import DEFAULT_PARAMS, TABLE1, TABLE1_ENERGIES
-from .scatter import (MatchMode, ScanEntry, SingularMatchingError, compute_rt,
-                      scan)
+from .reference import DEFAULT_PARAMS, TABLE1
+from .scatter import MatchMode, SingularMatchingError, compute_rt, scan
 
 OutputFormat = Literal["csv", "json"]
 
@@ -82,39 +88,74 @@ class RunConfig:
         return [float(E) for E in space(self.e_min, self.e_max, self.n_points)]
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    out = asdict(config)
-    out["params"] = asdict(config.params)
-    return out
+def _params(base: BarrierParams, updates: dict) -> BarrierParams:
+    """Overlay parameter values on ``base``.  A q given without q_tilde sets
+    both, whether it comes from a flag or from a config file."""
+    if "q" in updates:
+        updates = {"q_tilde": updates["q"], **updates}
+    try:
+        return replace(base, **updates)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"invalid params: {exc}") from exc
 
 
 def config_from_dict(data: dict, base: RunConfig) -> RunConfig:
     """Overlay a (possibly partial) config mapping onto ``base``."""
     if not isinstance(data, dict):
         raise _UsageError("config must be a JSON object")
-    known = {"params", "e_min", "e_max", "n_points", "mode",
-             "output_format", "oracle_enabled", "log_grid"}
-    unknown = set(data) - known
-    if unknown:
-        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    params = base.params
-    if "params" in data:
-        pdata = data["params"]
-        if not isinstance(pdata, dict):
-            raise _UsageError("config 'params' must be a JSON object")
-        pknown = {"v0", "a", "x_e", "q", "q_tilde", "m"}
-        punknown = set(pdata) - pknown
-        if punknown:
-            raise _UsageError(f"unknown params keys: {sorted(punknown)}")
-        try:
-            params = replace(params, **pdata)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"invalid params in config: {exc}") from exc
-    fields = {key: data[key] for key in known - {"params"} if key in data}
+    pdata = data.get("params", {})
+    if not isinstance(pdata, dict):
+        raise _UsageError("config 'params' must be a JSON object")
+    for what, keys, cls in (("config", data, RunConfig),
+                            ("params", pdata, BarrierParams)):
+        unknown = set(keys) - {f.name for f in fields(cls)}
+        if unknown:
+            raise _UsageError(f"unknown {what} keys: {sorted(unknown)}")
     try:
-        return replace(base, params=params, **fields)
+        return replace(base, **{**data, "params": _params(base.params, pdata)})
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"invalid config: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _Preset:
+    """Everything one preset sets; the empty preset sets nothing."""
+
+    help: str = ""
+    # RunConfig fields
+    settings: dict = field(default_factory=dict)
+    # (V_max, n_points) -> (e_min, e_max), from the final parameters
+    energy_range: Callable[[float, int], tuple[float, float]] | None = None
+    # one curve per v0 unless --v0 is given
+    v0s: tuple[float, ...] = ()
+    # file-name prefix of a multi-curve run; None means the command name
+    prefix: str | None = None
+    # stdout header of a per-curve low-energy transmission survey
+    survey: str | None = None
+
+
+_PRESETS = {
+    "table1": _Preset(
+        help="preset: reference-table grid and parameters",
+        settings=dict(params=DEFAULT_PARAMS, e_min=0.005, e_max=0.100,
+                      n_points=20, log_grid=False),
+    ),
+    "fig3": _Preset(
+        help="preset: E/V_max in (0, 5], 200 points",
+        settings=dict(params=DEFAULT_PARAMS, n_points=200, log_grid=False),
+        energy_range=lambda v_max, n: (5.0 * v_max / n, 5.0 * v_max),
+    ),
+    "fig4": _Preset(
+        help="preset: low-energy log grid, v0 in {1.15, 1.25, 1.35}",
+        settings=dict(params=DEFAULT_PARAMS, n_points=2000, log_grid=True),
+        # a log grid reaching low enough to expose narrow near-zero resonances
+        energy_range=lambda v_max, n: (1e-6 * v_max, 0.5 * v_max),
+        v0s=(1.15, 1.25, 1.35),
+        prefix="fig4",
+        survey="low-energy transmission survey (log grid, E/Vmax in [1e-06, 0.5]):",
+    ),
+}
+_NO_PRESET = _Preset()
 
 
 # ----------------------------------------------------------------------------
@@ -129,43 +170,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, multi_params: bool) -> None:
-    nargs = "+" if multi_params else None
-    sub.add_argument("--v0", type=float, nargs=nargs, default=None,
+def _add_param_flags(sub: argparse.ArgumentParser, nargs: str | None) -> None:
+    sub.add_argument("--v0", type=float, nargs=nargs,
                      help="well depth / dissociation energy")
-    sub.add_argument("--a", type=float, default=None, help="inverse range")
-    sub.add_argument("--xe", type=float, default=None, help="equilibrium distance")
-    sub.add_argument("--q", type=float, nargs=nargs, default=None,
+    sub.add_argument("--a", type=float, help="inverse range")
+    sub.add_argument("--xe", dest="x_e", metavar="XE", type=float,
+                     help="equilibrium distance")
+    sub.add_argument("--q", type=float, nargs=nargs,
                      help="deformation for x < 0"
-                          + (" (list sets q_tilde = q per value)" if multi_params else ""))
-    sub.add_argument("--q-tilde", dest="q_tilde", type=float, default=None,
+                          + (" (list sets q_tilde = q per value)" if nargs else ""))
+    sub.add_argument("--q-tilde", dest="q_tilde", type=float,
                      help="deformation for x >= 0 (defaults to q)")
-    sub.add_argument("--mass", type=float, default=None, help="particle mass")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
+    sub.add_argument("--mass", dest="m", metavar="MASS", type=float,
+                     help="particle mass")
+    sub.add_argument("--config", type=str,
+                     help="JSON config file (a preset and the flags override it)")
+
+
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", dest="output_format", choices=("csv", "json"),
                      help="output format")
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON config file (flags override it)")
-    sub.add_argument("--out", type=str, default=None,
+    sub.add_argument("--out", type=str,
                      help="output file, or filename prefix for multi-curve runs")
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--emin", type=float, default=None, help="lowest energy")
-    sub.add_argument("--emax", type=float, default=None, help="highest energy")
-    sub.add_argument("--n", type=int, default=None, help="number of grid points")
-    sub.add_argument("--mode", choices=("corrected", "paper"), default=None,
+    sub.add_argument("--emin", dest="e_min", metavar="EMIN", type=float,
+                     help="lowest energy")
+    sub.add_argument("--emax", dest="e_max", metavar="EMAX", type=float,
+                     help="highest energy")
+    sub.add_argument("--n", dest="n_points", metavar="N", type=int,
+                     help="number of grid points")
+    sub.add_argument("--mode", choices=("corrected", "paper"),
                      help="derivative-matching convention")
-    sub.add_argument("--oracle", action="store_true",
-                     help="add integration-oracle columns")
-    sub.add_argument("--table1", action="store_true",
-                     help="preset: reference-table grid and parameters")
-    sub.add_argument("--fig3", action="store_true",
-                     help="preset: E/V_max in (0, 5], 200 points")
-    sub.add_argument("--fig4", action="store_true",
-                     help="preset: low-energy log grid, v0 in {1.15, 1.25, 1.35}")
-    sub.add_argument("--oracle-step", dest="oracle_step", type=float, default=None,
+    presets = sub.add_mutually_exclusive_group()
+    for name, preset in _PRESETS.items():
+        presets.add_argument(f"--{name}", dest="preset", action="store_const",
+                             const=name, help=preset.help)
+    sub.add_argument("--oracle-step", dest="oracle_step", type=float,
                      help="override the oracle integration step")
-    sub.add_argument("--oracle-xmax", dest="oracle_xmax", type=float, default=None,
+    sub.add_argument("--oracle-xmax", dest="oracle_xmax", type=float,
                      help="override the oracle half-domain")
 
 
@@ -176,96 +220,111 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     pot = subs.add_parser("potential", help="tabulate V(x)")
-    _add_common_flags(pot, multi_params=True)
-    pot.add_argument("--xmin", type=float, default=None,
+    _add_param_flags(pot, "+")
+    _add_output_flags(pot)
+    pot.add_argument("--xmin", type=float,
                      help="left edge of the x grid (default -10/a)")
-    pot.add_argument("--xmax", type=float, default=None,
+    pot.add_argument("--xmax", type=float,
                      help="right edge of the x grid (default +10/a)")
-    pot.add_argument("--n", type=int, default=None,
+    pot.add_argument("--n", type=int, default=401,
                      help="number of x samples (default 401)")
+    pot.set_defaults(preset=None)
 
     sct = subs.add_parser("scatter", help="tabulate T(E), R(E)")
-    _add_common_flags(sct, multi_params=True)
+    _add_param_flags(sct, "+")
+    _add_output_flags(sct)
     _add_grid_flags(sct)
+    sct.add_argument("--oracle", dest="oracle_enabled", action="store_true",
+                     default=None, help="add integration-oracle columns")
 
     ver = subs.add_parser("verify", help="analytic-vs-oracle verification report")
-    _add_common_flags(ver, multi_params=False)
+    _add_param_flags(ver, None)
     _add_grid_flags(ver)
 
     return parser
 
 
-def _scalar(value, flag: str):
-    """Collapse an nargs='+' value to a scalar where only one is allowed."""
-    if isinstance(value, list):
-        if len(value) != 1:
-            raise _UsageError(f"{flag} takes a single value here")
-        return value[0]
-    return value
+# ----------------------------------------------------------------------------
+# settings
+# ----------------------------------------------------------------------------
+
+def _given(args, cls) -> dict:
+    """The flags given for the fields of ``cls`` (flag dests are field names)."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
 
 
-def _resolve_params(args, base: BarrierParams,
-                    v0=None, q=None) -> BarrierParams:
-    """Apply parameter flags (already scalar) on top of ``base``."""
-    updates = {}
-    if v0 is not None:
-        updates["v0"] = v0
-    if args.a is not None:
-        updates["a"] = args.a
-    if args.xe is not None:
-        updates["x_e"] = args.xe
-    if q is not None:
-        updates["q"] = q
-        if args.q_tilde is None:
-            updates["q_tilde"] = q
-    if args.q_tilde is not None:
-        updates["q_tilde"] = args.q_tilde
-    if args.mass is not None:
-        updates["m"] = args.mass
+def _variants(args, preset_v0s: Sequence[float] = ()) -> list[tuple[str, dict]]:
+    """The parameter flags of each run, tagged ``v0_<v0>`` or ``q_<q>`` when
+    --v0 or --q lists several values (a preset's v0 curves stand in for an
+    absent --v0), else one untagged set."""
+    given = _given(args, BarrierParams)
+    if preset_v0s and "v0" not in given:
+        given["v0"] = list(preset_v0s)
+    lists = {key: value for key, value in given.items() if isinstance(value, list)}
+    given.update((key, value[0]) for key, value in lists.items())
+    multi = [key for key, value in lists.items() if len(value) > 1]
+    if len(multi) > 1:
+        raise _UsageError("only one of --v0 / --q may be list-valued "
+                          "(a preset's v0 curves count as a --v0 list)")
+    if not multi:
+        return [("", given)]
+    key = multi[0]
+    return [(f"{key}_{value:g}", {**given, key: value}) for value in lists[key]]
+
+
+def _run_config(args, variant: dict) -> RunConfig:
+    """Resolve one run's settings: the defaults, then the --config file,
+    then the preset, then the flags, with ``variant`` (from ``_variants``)
+    as the parameter flags."""
+    config = RunConfig(params=DEFAULT_PARAMS)
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise _UsageError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise _UsageError(f"config file is not valid JSON: {exc}") from exc
+        config = config_from_dict(data, config)
+    preset = _PRESETS.get(args.preset, _NO_PRESET)
+    config = replace(config, **preset.settings)
+    params = _params(config.params, variant)
+    flags = _given(args, RunConfig)
+    n_points = flags.get("n_points", config.n_points)
+    if preset.energy_range is not None and n_points >= 1:
+        # the preset's grid follows the final parameters and point count;
+        # --emin/--emax still override it
+        e_range = preset.energy_range(barrier_top(params), n_points)
+        flags = {**dict(zip(("e_min", "e_max"), e_range)), **flags}
     try:
-        return replace(base, **updates)
+        return replace(config, params=params, **flags)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
-def _load_config_file(path: str, base: RunConfig) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_dict(data, base)
-
-
-# ----------------------------------------------------------------------------
-# output helpers
-# ----------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _write_text(text: str, out: str | None) -> None:
+def _write(args, tag: str, header: Sequence[str], rows: Sequence[Sequence[float]],
+           config: RunConfig) -> None:
+    """Write one table, as CSV or as JSON echoing ``config``, to --out or
+    stdout; a tagged run goes to <prefix>_<tag>.<format>, where --out, when
+    given, is the prefix."""
+    if config.output_format == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(f"{v:.9g}" for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        doc = {"config": asdict(config),
+               "rows": [dict(zip(header, row)) for row in rows]}
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    out = args.out
+    if tag:
+        prefix = args.out or _PRESETS.get(args.preset, _NO_PRESET).prefix or args.command
+        out = f"{prefix}_{tag}.{config.output_format}"
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _render(header: Sequence[str], rows: Sequence[Sequence[float]],
-            output_format: OutputFormat, config_echo: dict | None) -> str:
-    if output_format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    doc = {
-        "config": config_echo,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 # ----------------------------------------------------------------------------
@@ -273,49 +332,18 @@ def _render(header: Sequence[str], rows: Sequence[Sequence[float]],
 # ----------------------------------------------------------------------------
 
 def _cmd_potential(args) -> int:
-    base = RunConfig(params=DEFAULT_PARAMS)
-    if args.config:
-        base = _load_config_file(args.config, base)
-    fmt = args.format or base.output_format
-
-    v0_list = args.v0 if isinstance(args.v0, list) else None
-    q_list = args.q if isinstance(args.q, list) else None
-    if v0_list and q_list and len(v0_list) > 1 and len(q_list) > 1:
-        raise _UsageError("only one of --v0 / --q may be list-valued")
-
-    variants: list[tuple[str, BarrierParams]] = []
-    if v0_list and len(v0_list) > 1:
-        q = _scalar(args.q, "--q") if args.q else None
-        for v0 in v0_list:
-            variants.append((f"v0_{v0:g}", _resolve_params(args, base.params, v0, q)))
-    elif q_list and len(q_list) > 1:
-        v0 = _scalar(args.v0, "--v0") if args.v0 else None
-        for q in q_list:
-            variants.append((f"q_{q:g}", _resolve_params(args, base.params, v0, q)))
-    else:
-        v0 = _scalar(args.v0, "--v0") if args.v0 else None
-        q = _scalar(args.q, "--q") if args.q else None
-        variants.append(("", _resolve_params(args, base.params, v0, q)))
-
-    n = args.n if args.n is not None else 401
-    if n < 1:
-        raise _UsageError(f"--n must be >= 1, got {n}")
-
-    for tag, params in variants:
+    if args.n < 1:
+        raise _UsageError(f"--n must be >= 1, got {args.n}")
+    runs = [(tag, _run_config(args, variant)) for tag, variant in _variants(args)]
+    for tag, config in runs:
+        params = config.params
         x_min = args.xmin if args.xmin is not None else -10.0 / params.a
         x_max = args.xmax if args.xmax is not None else 10.0 / params.a
         if x_min > x_max:
             raise _UsageError(f"--xmin {x_min} exceeds --xmax {x_max}")
-        xs = np.linspace(x_min, x_max, n)
+        xs = np.linspace(x_min, x_max, args.n)
         rows = [(float(x), float(potential_fn(float(x), params))) for x in xs]
-        echo = config_to_dict(replace(base, params=params, output_format=fmt))
-        text = _render(("x", "V"), rows, fmt, echo)
-        if len(variants) == 1:
-            _write_text(text, args.out)
-        else:
-            prefix = args.out or "potential"
-            ext = "csv" if fmt == "csv" else "json"
-            _write_text(text, f"{prefix}_{tag}.{ext}")
+        _write(args, tag, ("x", "V"), rows, config)
     return 0
 
 
@@ -342,45 +370,7 @@ def _run_oracle(E: float, params: BarrierParams, args) -> OracleResult:
     return integrate_scatter(E, lambda x: potential_fn(x, params), params.m, cfg)
 
 
-def _apply_presets(args, config: RunConfig) -> tuple[RunConfig, list[float] | None]:
-    """Returns (config, v0_list or None).  fig3/fig4 grids depend on the
-    final parameters, so they are resolved per variant later via log/lin
-    markers plus e_min/e_max recomputation in _variant_config."""
-    if sum(bool(f) for f in (args.table1, args.fig3, args.fig4)) > 1:
-        raise _UsageError("presets --table1/--fig3/--fig4 are mutually exclusive")
-    if args.table1:
-        config = replace(config, params=DEFAULT_PARAMS, e_min=0.005, e_max=0.100,
-                         n_points=20, log_grid=False)
-        return config, None
-    if args.fig3:
-        config = replace(config, params=DEFAULT_PARAMS, n_points=200, log_grid=False)
-        return config, None
-    if args.fig4:
-        config = replace(config, params=DEFAULT_PARAMS, n_points=2000, log_grid=True)
-        return config, [1.15, 1.25, 1.35]
-    return config, None
-
-
-def _variant_config(args, config: RunConfig, params: BarrierParams) -> RunConfig:
-    """Finish grid resolution for one parameter variant."""
-    v_max = barrier_top(params)
-    e_min, e_max = config.e_min, config.e_max
-    if args.fig3:
-        e_min, e_max = 5.0 * v_max / config.n_points, 5.0 * v_max
-    if args.fig4:
-        # log grid reaching low enough to expose narrow near-zero resonances
-        e_min, e_max = 1e-6 * v_max, 0.5 * v_max
-    if args.emin is not None:
-        e_min = args.emin
-    if args.emax is not None:
-        e_max = args.emax
-    try:
-        return replace(config, params=params, e_min=e_min, e_max=e_max)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _scan_rows(config: RunConfig, args, use_oracle: bool):
+def _scan_rows(config: RunConfig, args):
     """Run one scan; returns (rows, errors) with nan-filled failed rows."""
     params = config.params
     v_max = barrier_top(params)
@@ -391,13 +381,13 @@ def _scan_rows(config: RunConfig, args, use_oracle: bool):
         E = entry.E
         e_over = E / v_max if v_max > 0 else math.inf
         if entry.error is not None:
-            width = 8 if use_oracle else 5
+            width = 8 if config.oracle_enabled else 5
             rows.append((E, e_over) + (math.nan,) * (width - 2))
             errors.append((E, entry.error))
             continue
         res = entry.result
         row = (E, e_over, res.T, res.R, res.unitarity_residual)
-        if use_oracle:
+        if config.oracle_enabled:
             try:
                 orc = _run_oracle(E, params, args)
                 row += (orc.T, orc.R, abs(res.T - orc.T))
@@ -408,7 +398,7 @@ def _scan_rows(config: RunConfig, args, use_oracle: bool):
     return rows, errors
 
 
-def _fig4_summary(tag: str, config: RunConfig, rows) -> str:
+def _survey_line(tag: str, config: RunConfig, rows) -> str:
     v_max = barrier_top(config.params)
     ok = [(r[0], r[2]) for r in rows if not math.isnan(r[2])]
     if not ok or v_max <= 0:
@@ -423,63 +413,23 @@ def _fig4_summary(tag: str, config: RunConfig, rows) -> str:
 
 
 def _cmd_scatter(args) -> int:
-    config = RunConfig(params=DEFAULT_PARAMS)
-    if args.config:
-        config = _load_config_file(args.config, config)
-    config, preset_v0 = _apply_presets(args, config)
-
-    v0_values: list[float] | None = None
-    if isinstance(args.v0, list):
-        v0_values = args.v0 if len(args.v0) > 1 else None
-    q = _scalar(args.q, "--q") if args.q else None
-    if v0_values is None and preset_v0 is not None and args.v0 is None:
-        v0_values = preset_v0
-
-    updates = {}
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.format is not None:
-        updates["output_format"] = args.format
-    if args.oracle:
-        updates["oracle_enabled"] = True
-    if args.n is not None:
-        updates["n_points"] = args.n
-    try:
-        config = replace(config, **updates)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-    if v0_values is None:
-        v0 = _scalar(args.v0, "--v0") if args.v0 else None
-        variants = [("", _resolve_params(args, config.params, v0, q))]
-    else:
-        variants = [(f"v0_{v0:g}", _resolve_params(args, config.params, v0, q))
-                    for v0 in v0_values]
-
-    use_oracle = config.oracle_enabled
-    header = (_SCATTER_HEADER_ORACLE if use_oracle else _SCATTER_HEADER).split(",")
+    preset = _PRESETS.get(args.preset, _NO_PRESET)
+    runs = [(tag, _run_config(args, variant))
+            for tag, variant in _variants(args, preset.v0s)]
     any_errors = False
-    summaries = []
-    for tag, params in variants:
-        vconfig = _variant_config(args, config, params)
-        rows, errors = _scan_rows(vconfig, args, use_oracle)
+    survey = []
+    for tag, config in runs:
+        header = _SCATTER_HEADER_ORACLE if config.oracle_enabled else _SCATTER_HEADER
+        rows, errors = _scan_rows(config, args)
         any_errors = any_errors or bool(errors)
         for E, message in errors:
             print(f"dengfan scatter: E={E:g}: {message}", file=sys.stderr)
-        text = _render(header, rows, vconfig.output_format,
-                       config_to_dict(vconfig))
-        if len(variants) == 1:
-            _write_text(text, args.out)
-        else:
-            prefix = args.out or ("fig4" if args.fig4 else "scatter")
-            ext = "csv" if vconfig.output_format == "csv" else "json"
-            _write_text(text, f"{prefix}_{tag}.{ext}")
-        if args.fig4:
-            summaries.append(_fig4_summary(tag or "run", vconfig, rows))
-    if summaries:
-        print("low-energy transmission survey "
-              "(log grid, E/Vmax in [1e-06, 0.5]):")
-        for line in summaries:
+        _write(args, tag, header.split(","), rows, config)
+        if preset.survey:
+            survey.append(_survey_line(tag or "run", config, rows))
+    if preset.survey:
+        print(preset.survey)
+        for line in survey:
             print(line)
     return 2 if any_errors else 0
 
@@ -501,23 +451,8 @@ def _table_check(mode: MatchMode) -> tuple[str, float | None]:
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(params=DEFAULT_PARAMS, oracle_enabled=True)
-    if args.config:
-        config = _load_config_file(args.config, config)
-    config, _ = _apply_presets(args, config)
-    v0 = _scalar(args.v0, "--v0") if args.v0 else None
-    q = _scalar(args.q, "--q") if args.q else None
-    params = _resolve_params(args, config.params, v0, q)
-    updates = {"params": params, "oracle_enabled": True}
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.n is not None:
-        updates["n_points"] = args.n
-    try:
-        config = replace(config, **updates)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    config = _variant_config(args, config, params)
+    [(_, variant)] = _variants(args)
+    config = _run_config(args, variant)
 
     print("mode check against the reference table "
           "(v0=1.25, a=x_e=q=q_tilde=0.8, m=1):")

@@ -31,12 +31,10 @@ SqrtBranch = Literal["plus", "minus"]
 
 __all__ = [
     "BarrierParams",
-    "DerivedShape",
     "SideCoefficients",
     "compute_b",
     "potential",
     "barrier_top",
-    "derived_shape",
     "side_coefficients",
 ]
 
@@ -86,22 +84,10 @@ class BarrierParams:
         if not 0.0 < self.q_tilde < 1.0:
             raise ValueError(f"q_tilde must lie in (0, 1), got {self.q_tilde}")
 
-    def symmetric(self) -> bool:
-        """True iff both regions use the same deformation."""
-        return self.q == self.q_tilde
-
     def deformation(self, side: Side) -> float:
         """Deformation constant of the requested region."""
         _check_side(side)
         return self.q if side == "left" else self.q_tilde
-
-
-@dataclass(frozen=True)
-class DerivedShape:
-    """Shape constants derived from the parameters: b and the barrier top."""
-
-    b: float
-    v_max: float
 
 
 @dataclass(frozen=True)
@@ -163,26 +149,6 @@ def potential(x: Union[float, ArrayLike], params: BarrierParams) -> Union[float,
 def barrier_top(params: BarrierParams) -> float:
     """Barrier maximum V(0)."""
     return float(potential(0.0, params))
-
-
-def derived_shape(params: BarrierParams, n_grid: int = 4001) -> DerivedShape:
-    """Compute b and V(0), verifying numerically that x = 0 is the maximum.
-
-    The peak property is checked on a grid spanning several potential ranges,
-    not assumed; a parameter set whose sampled potential exceeds V(0) raises
-    ValueError.
-    """
-    b = compute_b(params)
-    v_max = barrier_top(params)
-    span = max(20.0 / params.a, 4.0 * params.x_e)
-    xs = np.linspace(-span, span, n_grid)
-    v = potential(xs, params)
-    if np.max(v) > v_max * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(
-            "potential exceeds V(0) on the sampled grid; "
-            "parameters do not form a single central barrier"
-        )
-    return DerivedShape(b=b, v_max=v_max)
 
 
 def side_coefficients(

@@ -233,7 +233,14 @@ def compute_rt(
     tau_branch: BranchChoice = "plus",
     sqrt_branch: SqrtChoice = "plus",
 ) -> ScatteringResult:
-    """Reflection/transmission at a single energy (assemble + solve)."""
+    """Reflection/transmission at a single energy (assemble + solve).
+
+    The energy range has an upper edge.  At the default parameters,
+    E/V_max = 1e4 still returns T = 0.99999999999986 (about 9 ms), while
+    from about E/V_max = 5e4 on (1e5 included) a 2F1 series overflows and
+    ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
+    asymptotic T -> 1 branch.
+    """
     return solve_amplitudes(
         match_coefficients(E, params, tau_branch, sqrt_branch), mode
     )

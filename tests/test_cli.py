@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dengfan import DEFAULT_PARAMS, TABLE1, barrier_top
-from dengfan.cli import RunConfig, config_from_dict, config_to_dict, main
+from dengfan.cli import RunConfig, config_from_dict, main
 
 EXPECTED_HEADER = "E,E_over_Vmax,T,R,unitarity_residual"
 EXPECTED_HEADER_ORACLE = EXPECTED_HEADER + ",T_oracle,R_oracle,delta_T"
@@ -52,7 +53,7 @@ def test_scatter_json_roundtrip(capsys):
     assert set(doc["rows"][0]) == set(EXPECTED_HEADER.split(","))
     # the embedded config must load back through the config reader
     base = RunConfig(params=DEFAULT_PARAMS)
-    loaded = config_to_dict(config_from_dict(doc["config"], base))
+    loaded = asdict(config_from_dict(doc["config"], base))
     assert loaded == doc["config"]
 
 
@@ -121,6 +122,32 @@ def test_scatter_multi_v0_files(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "curve_v0_1.25.csv").exists()
 
 
+def test_scatter_multi_q_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(["scatter", "--q", "0.6", "0.7", "--n", "2",
+                      "--format", "json"], capsys)
+    assert code == 0
+    for q in (0.6, 0.7):
+        doc = json.loads((tmp_path / f"scatter_q_{q:g}.json").read_text())
+        assert doc["config"]["params"]["q"] == q
+        assert doc["config"]["params"]["q_tilde"] == q
+        assert len(doc["rows"]) == 2
+
+
+@pytest.mark.parametrize("params, q_tilde", [
+    ({"q": 0.6}, 0.6),                   # q_tilde follows q, as with --q
+    ({"q": 0.6, "q_tilde": 0.7}, 0.7),
+    ({"q_tilde": 0.7}, 0.7),
+])
+def test_config_file_q_sets_q_tilde(params, q_tilde, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"params": params, "n_points": 1}))
+    code, out, _ = run(["scatter", "--config", str(cfg), "--format", "json"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["params"]["q_tilde"] == q_tilde
+
+
 @pytest.mark.parametrize("argv", [
     ["scatter", "--n", "0", "--emin", "0.1", "--emax", "1.0"],
     ["scatter", "--emin", "0.5", "--emax", "0.1"],
@@ -128,6 +155,10 @@ def test_scatter_multi_v0_files(tmp_path, monkeypatch, capsys):
     ["scatter", "--q", "1.5"],
     ["scatter", "--table1", "--fig3"],
     ["potential", "--v0", "1.1", "1.2", "--q", "0.6", "0.7"],
+    # verify always runs the oracle and prints only its report
+    ["verify", "--oracle"],
+    ["verify", "--format", "json"],
+    ["verify", "--out", "report.txt"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, _, err = run(argv, capsys)
@@ -235,3 +266,6 @@ def test_verify_free_particle(capsys):
                         "--n", "2"], capsys)
     assert code == 0
     assert "PASS" in out
+    # with no barrier both R vanish to rounding (--v0 0 must not be dropped)
+    dr = float(out.split("max |R_analytic - R_oracle| = ")[1].split()[0])
+    assert dr < 1e-20

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dengfan import (BarrierParams, DEFAULT_PARAMS, barrier_top, compute_b,
-                     derived_shape, potential, side_coefficients)
+                     potential, side_coefficients)
 
 from helpers import draw_barrier_params
 
@@ -69,10 +69,15 @@ def test_potential_monotone_beyond_well_minimum():
         assert np.all(v <= 0)
 
 
-def test_derived_shape_checks_peak_on_grid():
-    shape = derived_shape(DEFAULT_PARAMS)
-    assert shape.b == pytest.approx(B_TABLE, abs=1e-15)
-    assert shape.v_max == pytest.approx(VMAX_TABLE, rel=1e-12)
+def test_barrier_top_is_peak_on_grid():
+    assert compute_b(DEFAULT_PARAMS) == pytest.approx(B_TABLE, abs=1e-15)
+    v_max = barrier_top(DEFAULT_PARAMS)
+    assert v_max == pytest.approx(VMAX_TABLE, rel=1e-12)
+    # x = 0 is the maximum on a grid spanning several potential ranges
+    p = DEFAULT_PARAMS
+    span = max(20.0 / p.a, 4.0 * p.x_e)
+    v = potential(np.linspace(-span, span, 4001), p)
+    assert np.max(v) <= v_max * (1.0 + 1e-12)
 
 
 def test_side_coefficients_frozen_values():
@@ -147,10 +152,8 @@ def test_sides_identical_for_symmetric_barrier():
         assert getattr(left, field) == getattr(right, field)
 
 
-def test_symmetric_predicate_and_deformation():
-    assert DEFAULT_PARAMS.symmetric()
+def test_deformation_per_side():
     p = BarrierParams(q=0.8, q_tilde=0.6)
-    assert not p.symmetric()
     assert p.deformation("left") == 0.8
     assert p.deformation("right") == 0.6
 
