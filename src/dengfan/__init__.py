@@ -6,7 +6,7 @@ plus an independent ODE-integration oracle.
 from .hyp2f1 import (ConnectionDegenerateError, GammaPoleError, Hyp2F1Error,
                      Hyp2F1Request, NoConvergenceError, PoleAtCError,
                      gauss_2f1, gauss_2f1_connection, gauss_2f1_derivative,
-                     gauss_2f1_series, lngamma_complex)
+                     gauss_2f1_lanes, gauss_2f1_series, lngamma_complex)
 from .model import (BarrierParams, SideCoefficients, barrier_top, compute_b,
                     potential, side_coefficients)
 from .oracle import (BoundaryNotDecayedError, IntegrationConfig, OracleError,
@@ -33,6 +33,7 @@ __all__ = [
     "ConnectionDegenerateError",
     "GammaPoleError",
     "gauss_2f1",
+    "gauss_2f1_lanes",
     "gauss_2f1_series",
     "gauss_2f1_connection",
     "gauss_2f1_derivative",

@@ -34,7 +34,8 @@ from .model import BarrierParams, barrier_top, potential as potential_fn
 from .oracle import (IntegrationConfig, OracleError, OracleResult, _default_step,
                      default_config, integrate_scatter)
 from .reference import DEFAULT_PARAMS, TABLE1
-from .scatter import MatchMode, SingularMatchingError, compute_rt, scan
+# compute_rt stays a name of this module: benchmarks/worker.py wraps it here
+from .scatter import MatchMode, compute_rt, scan  # noqa: F401
 
 OutputFormat = Literal["csv", "json"]
 
@@ -342,7 +343,7 @@ def _cmd_potential(args) -> int:
         if x_min > x_max:
             raise _UsageError(f"--xmin {x_min} exceeds --xmax {x_max}")
         xs = np.linspace(x_min, x_max, args.n)
-        rows = [(float(x), float(potential_fn(float(x), params))) for x in xs]
+        rows = list(zip(xs.tolist(), potential_fn(xs, params).tolist()))
         _write(args, tag, ("x", "V"), rows, config)
     return 0
 
@@ -439,15 +440,13 @@ def _cmd_scatter(args) -> int:
 # ----------------------------------------------------------------------------
 
 def _table_check(mode: MatchMode) -> tuple[str, float | None]:
-    """Max |dT| against the reference table, or the failure description."""
-    worst = 0.0
-    try:
-        for E, t_ref, r_ref in TABLE1:
-            res = compute_rt(E, DEFAULT_PARAMS, mode)
-            worst = max(worst, abs(res.T - t_ref), abs(res.R - r_ref))
-    except SingularMatchingError as exc:
-        return f"{type(exc).__name__}: {exc}", None
-    return "", worst
+    """Max |dT| against the reference table, or the first failure."""
+    entries = scan([E for E, _, _ in TABLE1], DEFAULT_PARAMS, mode)
+    failure = next((entry.error for entry in entries if entry.error), "")
+    if failure:
+        return failure, None
+    return "", max(max(abs(e.result.T - t_ref), abs(e.result.R - r_ref))
+                   for e, (_, t_ref, r_ref) in zip(entries, TABLE1))
 
 
 def _cmd_verify(args) -> int:
@@ -473,11 +472,10 @@ def _cmd_verify(args) -> int:
     energies = config.energies()
     max_dt = max_dr = max_uni = 0.0
     offenders: list[tuple[float, str]] = []
-    for E in energies:
-        try:
-            res = compute_rt(E, config.params, config.mode)
-        except Exception as exc:
-            offenders.append((E, f"analytic: {type(exc).__name__}: {exc}"))
+    for entry in scan(energies, config.params, config.mode):
+        E, res = entry.E, entry.result
+        if entry.error:
+            offenders.append((E, f"analytic: {entry.error}"))
             continue
         max_uni = max(max_uni, res.unitarity_residual)
         try:

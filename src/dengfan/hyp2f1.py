@@ -1,11 +1,13 @@
 """Gauss hypergeometric function 2F1 for complex parameters, plus complex
-log-gamma.
+log-gamma, evaluated lane-wise over numpy arrays.
 
-Evaluation follows the classical toolbox (see Abramowitz & Stegun ch. 15 and
-DLMF ch. 15):
+``gauss_2f1_lanes`` takes 1-D arrays a, b, c, z, one function per lane, and
+picks each lane's path from the classical toolbox (see Abramowitz & Stegun
+ch. 15 and DLMF ch. 15):
 
 * direct power series  sum_n (a)_n (b)_n / ((c)_n n!) z^n  for |z| < 1,
-  stopped when the term drops below ``rel_tol`` relative to the partial sum;
+  summed in blocks of terms and stopped per lane once two consecutive terms
+  drop below ``rel_tol`` relative to the partial sum;
 * the 1-z connection formula as an optional acceleration for 0.7 <= |z| < 1,
   valid when c - a - b is not an integer.  Its two terms can lose precision
   (internal term growth, outer cancellation), so the automatic path accepts
@@ -15,28 +17,23 @@ DLMF ch. 15):
 * log-gamma via the Lanczos approximation (g = 7, 9 coefficients) with a
   branch-tracked reflection formula for Re(z) < 1/2.
 
-All arithmetic is double precision; no arbitrary-precision escape hatch.
+A failing lane records its typed error and the others go on; the scalar
+entry points are batches of one that raise it.  A lane's value depends on
+its own inputs alone, bit for bit, whatever the batch around it.  All
+arithmetic is double precision; no arbitrary-precision escape hatch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "Hyp2F1Error",
-    "PoleAtCError",
-    "NoConvergenceError",
-    "ConnectionDegenerateError",
-    "GammaPoleError",
-    "Hyp2F1Request",
-    "gauss_2f1",
-    "gauss_2f1_series",
-    "gauss_2f1_connection",
-    "gauss_2f1_derivative",
-    "lngamma_complex",
-]
+import numpy as np
+
+__all__ = ["Hyp2F1Error", "PoleAtCError", "NoConvergenceError",
+           "ConnectionDegenerateError", "GammaPoleError", "Hyp2F1Request",
+           "gauss_2f1", "gauss_2f1_lanes", "gauss_2f1_series",
+           "gauss_2f1_connection", "gauss_2f1_derivative", "lngamma_complex"]
 
 _EPS = 2.220446049250313e-16
 
@@ -44,6 +41,10 @@ _EPS = 2.220446049250313e-16
 # relative error (or 10 * rel_tol if the caller asked for less accuracy);
 # physics users of this module need ~1e-12, so 5e-14 leaves a wide margin
 _CONNECTION_GATE = 5e-14
+
+# lanes x terms of one series block (128 KB per complex temporary) unless 8
+# terms per lane need more; block sizes never change a value
+_BLOCK_CELLS = 1 << 13
 
 
 class Hyp2F1Error(Exception):
@@ -88,15 +89,9 @@ class Hyp2F1Request:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
-
-
-def _ordered(a: complex, b: complex) -> tuple[complex, complex]:
-    # canonical (a, b) order so results are bit-identical under a <-> b
-    if (b.real, b.imag) < (a.real, a.imag):
-        return b, a
-    return a, b
+def _nonpositive_integer(z: np.ndarray) -> np.ndarray:
+    r = z.real
+    return (z.imag == 0.0) & (r <= 0.0) & (r == np.rint(r))
 
 
 # ----------------------------------------------------------------------------
@@ -104,236 +99,322 @@ def _ordered(a: complex, b: complex) -> tuple[complex, complex]:
 # ----------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+_LANCZOS_C = np.array([
+    0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+    771.32342877765313, -176.61502916214059, 12.507343278686905,
+    -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7])
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))
 _LN_SQRT_2PI = 0.9189385332046727
+_LOG_HALF_I = complex(math.log(0.5), 0.5 * math.pi)  # log(i/2)
 
 
-def _lngamma_right(z: complex) -> complex:
-    # Lanczos sum, valid for Re(z) >= 0.5
-    w = z - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(s)
-
-
-def lngamma_complex(z: complex) -> complex:
-    """Principal-branch log-gamma for complex z.
+def lngamma_complex(z):
+    """Principal-branch log-gamma for complex z, elementwise over arrays.
 
     Matches the analytic continuation from the positive real axis (the
     convention of scipy.special.loggamma); exp of the result is Gamma(z).
-    Raises GammaPoleError at zero and the negative integers.
+    A scalar gives a complex.  Raises GammaPoleError when any z is zero or
+    a negative integer.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.reshape(-1)
+    if np.count_nonzero(np.isfinite(z)) < z.size:
         raise ValueError(f"z must have finite components, got {z!r}")
-    if _is_nonpositive_integer(z):
+    if np.count_nonzero(_nonpositive_integer(z)):
         raise GammaPoleError(f"log-gamma pole at z = {z}")
-    if z.real >= 0.5:
-        return _lngamma_right(z)
-    if z.imag < 0:
-        return lngamma_complex(z.conjugate()).conjugate()
-    # Reflection for Re(z) < 1/2, Im(z) >= 0.  The continuous branch of
-    # log sin(pi z) is carried by the linear term of
-    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}),  |e^{2 i pi z}| <= 1.
-    if z.imag == 0.0:
-        log_sin = cmath.log(cmath.sin(cmath.pi * z))
-    else:
-        log_sin = (cmath.log(0.5j) - 1j * cmath.pi * z
-                   + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z)))
-    return math.log(math.pi) - log_sin - lngamma_complex(1.0 - z)
+    out = _lngamma(z)
+    return out.reshape(shape) if shape else complex(out[0])
 
 
-def _inv_gamma_ln(z: complex) -> complex | None:
-    """lngamma(z), or None when 1/Gamma(z) is exactly zero (pole of Gamma)."""
-    if _is_nonpositive_integer(z):
-        return None
-    return lngamma_complex(z)
+def _lngamma(z):
+    """log-gamma of the 1-D array z, which holds no poles."""
+    # Re(z) < 1/2 reflects to 1 - w, where w is z or, for Im(z) < 0, its
+    # conjugate (and the result is conjugated back)
+    left = z.real < 0.5
+    flip = left & (z.imag < 0)
+    w = np.conjugate(z, out=z.copy(), where=flip) if np.count_nonzero(flip) else z
+    x = w - 1.0
+    np.negative(w, out=x, where=left)
+    # Lanczos sum for Gamma(x + 1), Re(x + 1) >= 0.5, accumulated term by term
+    terms = np.empty((x.size, _LANCZOS_C.size), dtype=complex)
+    terms[:, 0] = _LANCZOS_C[0]
+    np.divide(_LANCZOS_C[1:], x[:, None] + _LANCZOS_K, out=terms[:, 1:])
+    t = x + (_LANCZOS_G + 0.5)
+    out = (_LN_SQRT_2PI + (x + 0.5) * np.log(t) - t
+           + np.log(np.add.accumulate(terms, axis=1)[:, -1]))
+    if np.count_nonzero(left):
+        # the continuous branch of log sin(pi w), Im(w) >= 0, is carried by
+        # the linear term of sin(pi w) = (i/2) e^{-i pi w} (1 - e^{2 i pi w})
+        wl = w[left]
+        ipw = (1j * math.pi) * wl
+        log_sin = _LOG_HALF_I - ipw + np.log(1.0 - np.exp(ipw + ipw))
+        # on the real axis log(sin) itself is the accurate form
+        real = wl.imag == 0.0
+        if np.count_nonzero(real):
+            log_sin[real] = np.log(np.sin(np.pi * wl[real]))
+        out[left] = math.log(math.pi) - log_sin - out[left]
+        if w is not z:
+            np.conjugate(out, out=out, where=flip)
+    return out
+
+
+def _lngammas(*rows, den: int):
+    """log-gamma of every row in one call; the rows from ``den`` on are
+    denominators, +inf at a pole of Gamma (so that exp(-lngamma) = 1/Gamma
+    = 0 there).  The other rows hold no poles."""
+    args = np.concatenate(rows).reshape(len(rows), -1)
+    pole = args[den:].imag == 0.0
+    if np.count_nonzero(pole):
+        pole = _nonpositive_integer(args[den:])
+        args[den:][pole] = 1.0
+    out = _lngamma(args.reshape(-1)).reshape(len(rows), -1)
+    if np.count_nonzero(pole):
+        out[den:][pole] = np.inf
+    return out
 
 
 # ----------------------------------------------------------------------------
-# power series
+# lane evaluation
 # ----------------------------------------------------------------------------
 
-def _series(a: complex, b: complex, c: complex, z: complex,
-            rel_tol: float, max_terms: int) -> tuple[complex, float]:
-    """Sum the defining series; returns (value, peak) where peak is the
-    largest |term| encountered, used for rounding-error estimates."""
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    peak = 1.0
-    streak = 0
+def _failure(what: str, a, b, c, z, r: int) -> NoConvergenceError:
+    return NoConvergenceError(f"2F1 series {what} (a={complex(a[r, 0])}, b={complex(b[r, 0])}, "
+                              f"c={complex(c[r, 0])}, z={complex(z[r, 0])})")
+
+
+def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False):
+    """Sum the defining series on every lane.  Returns (values, peaks,
+    errors): errors maps a lane to its NoConvergenceError, and peaks, if
+    asked for, holds each lane's largest L1 term magnitude (for
+    rounding-error estimates).  Terms are made and summed in blocks, each
+    lane's in the order one scalar loop takes them; converged lanes drop
+    out between blocks.
+    """
+    n_lanes, values, peaks, errors = a.size, None, None, {}
+    lanes, az = np.arange(n_lanes), np.abs(z)
     # term ratios approach |z|, so the dropped tail is about
-    # tail_factor * |last term|; fold that into the stopping rule
-    az = abs(z)
-    tail_factor = max(az / (1.0 - az), 1.0)
-    for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        total += term
-        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-            raise NoConvergenceError(
-                f"2F1 series overflowed after {n + 1} terms "
-                f"(a={a}, b={b}, c={c}, z={z})"
-            )
-        # L1 magnitudes: within sqrt(2) of |.| and immune to abs() overflow
-        mag = abs(term.real) + abs(term.imag)
-        if mag > peak:
-            peak = mag
-        # two consecutive small terms: complex parameters can produce a
-        # single accidentally tiny term mid-series
-        if mag * tail_factor <= rel_tol * (abs(total.real) + abs(total.imag)):
-            streak += 1
-            if streak >= 2:
-                return total, peak
-        else:
-            streak = 0
-    raise NoConvergenceError(
-        f"2F1 series did not converge in {max_terms} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
+    # tail_factor * |last term|; fold that (over rel_tol) into the stopping rule
+    tail = (np.maximum(az / (1.0 - az), 1.0) / rel_tol)[:, None]
+    # the first block ends a little past where |z|^n reaches rel_tol, plus
+    # the terms' growth phase, longer for larger |a|, |b| and |z|
+    zmax = min(max(az.max(), 0.05), 0.999)
+    size = 6 + int(1.1 * math.log(rel_tol) / math.log(zmax)
+                   + min(3.0 * np.abs(np.concatenate((a, b))).max() * zmax / (1.0 - zmax),
+                         max_terms))
+    # every complex product below is between whole arrays or has a real
+    # factor, so numpy rounds it alike whatever the batch's shape
+    a, b, c, z, bz = a[:, None], b[:, None], c[:, None], z[:, None], (b * z)[:, None]
+    n, term, total, prev, peak = 0, 1.0, 1.0, False, 1.0
+    while True:
+        k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), max_terms - n),
+                      dtype=float)
+        # column 0 carries the previous block's last term into the product
+        t = np.empty((lanes.size, k.size + 1), dtype=complex)
+        t[:, :1] = term
+        np.divide((a + k) * (bz + k * z), (c + k) * (k + 1.0), out=t[:, 1:])
+        t = np.multiply.accumulate(t, axis=1, out=t)[:, 1:]
+        # the running sum goes on from the previous total, so a lane's
+        # rounding never depends on where its blocks start
+        s = t.copy()
+        s[:, :1] += total
+        np.add.accumulate(s, axis=1, out=s)
+        # L1 magnitudes: within sqrt(2) of |.|; two consecutive small terms
+        # stop a lane (complex parameters can make one term accidentally
+        # tiny), and so does a non-finite sum, as an overflow
+        mag = np.abs(t.real) + np.abs(t.imag)
+        small = mag * tail <= np.abs(s.real) + np.abs(s.imag)
+        stop = small.copy()
+        stop[:, 1:] &= small[:, :-1]
+        stop[:, :1] &= prev
+        stop |= ~np.isfinite(s)
+        done = np.logical_or.reduce(stop, axis=1)
+        rows = done.nonzero()[0]
+        if want_peaks:
+            np.maximum.accumulate(mag, axis=1, out=mag)
+        if rows.size:
+            cols = (stop[rows] if rows.size < lanes.size else stop).argmax(axis=1)
+            got = s[rows, cols]
+            top = np.maximum(peak if n == 0 else peak[rows], mag[rows, cols]) if want_peaks else None
+            finite = np.isfinite(got)
+            for i in (~finite).nonzero()[0].tolist() if np.count_nonzero(finite) < got.size else ():
+                errors[int(lanes[rows[i]])] = _failure(
+                    f"overflowed after {n + int(cols[i]) + 1} terms", a, b, c, z, int(rows[i]))
+            if values is None and rows.size == n_lanes:
+                return got, top, errors
+            if values is None:
+                values, peaks = np.empty(n_lanes, dtype=complex), np.empty(n_lanes)
+            values[lanes[rows]] = got
+            if want_peaks:
+                peaks[lanes[rows]] = top
+            if rows.size == lanes.size:
+                return values, peaks, errors
+        if want_peaks:
+            peak = np.maximum(peak, mag[:, -1])
+        n += k.size
+        keep = ~done
+        if n >= max_terms:
+            if values is None:
+                values, peaks = np.empty(n_lanes, dtype=complex), np.empty(n_lanes)
+            for r in keep.nonzero()[0].tolist():
+                errors[int(lanes[r])] = _failure(
+                    f"did not converge in {max_terms} terms", a, b, c, z, r)
+            return values, peaks, errors
+        term, total, prev = t[:, -1:], s[:, -1:], small[:, -1:]
+        if rows.size:
+            a, b, c, z, bz, tail, lanes, term, total, prev = (
+                v[keep] for v in (a, b, c, z, bz, tail, lanes, term, total, prev))
+            peak = peak[keep] if want_peaks else peak
+        size = max(size, n)
+
+
+def _connection(a, b, c, s, ca, cb, u, f, peak):
+    """1-z connection values and their relative rounding-error estimates,
+    from f = (F(a, b; 1-s; u), F(c-a, c-b; 1+s; u)) and their series' peak
+    terms, where s = c - a - b, ca = c - a, cb = c - b and u = 1 - z."""
+    m, su = a.size, s * np.log(u)
+    lg = _lngammas(c, s, -s, ca, cb, a, b, den=3)
+    terms = np.exp(np.concatenate((lg[0] + lg[1] - lg[3] - lg[4],
+                                   lg[0] + lg[2] - lg[5] - lg[6] + su))) * f
+    value = terms[:m] + terms[m:]
+    # rounding-error model: each term inherits the peak/|f| growth of its
+    # series plus the gamma-argument penalty (log-gamma loses roughly
+    # eps * |argument|, which exp turns into relative error); outer
+    # cancellation amplifies everything by (|t1| + |t2|) / |t1 + t2|
+    pen = 1.2 * np.add.accumulate(np.abs(np.concatenate((c, s, ca, cb, a, b, su)))
+                                  .reshape(7, m), axis=0)[-1]
+    grown = (((peak / np.maximum(np.abs(f), 1e-300) + 2.0).reshape(2, m) + pen)
+             * np.abs(terms).reshape(2, m))
+    return value, (grown[0] + grown[1]) / np.abs(value) * _EPS
+
+
+def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
+                    path: str = "auto"):
+    """Evaluate 2F1(a, b; c; z) on every lane of the 1-D arrays a, b, c, z.
+
+    Returns (values, errors): errors maps a failed lane to its
+    ``Hyp2F1Error``, and that lane's value is nan.  The path of a lane on
+    ``auto``: Gauss summation at z = 1; the series for |z| < 0.7; for
+    0.7 <= |z| < 1 the 1-z connection formula when it is non-degenerate
+    and its error estimate meets 10 * rel_tol, else the series.
+    ``series`` and ``connection`` force one path.  An argument outside the
+    disk raises ValueError for the whole batch.
+    """
+    a, b, c, z = (np.array(v, dtype=complex, ndmin=1, copy=None) for v in (a, b, c, z))
+    # canonical (a, b) order so results are bit-identical under a <-> b
+    swap = b < a
+    if np.count_nonzero(swap):
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+    az, u = np.abs(z), 1.0 - z
+    if path == "auto":
+        conn = (az >= 0.7) & (np.abs(u) < 1.0)
+    else:
+        conn = (z != 0) & (path == "connection")
+        if np.count_nonzero(conn & (np.abs(u) >= 1.0)):
+            raise ValueError(f"connection path requires |1 - z| < 1, got z = {z}")
+    values, errors, direct = np.empty(a.size, dtype=complex), {}, ~conn
+    with np.errstate(all="ignore"):
+        if np.count_nonzero((az >= 1.0) | (c.imag == 0.0)):
+            # the rare lanes: z = 1 (Gauss summation) and poles in c
+            one = (z == 1.0) & (path == "auto")
+            if np.count_nonzero((az >= 1.0) & ~one):
+                raise ValueError(f"|z| must be < 1 (or z exactly 1 on the automatic "
+                                 f"path), got z = {z}")
+            pole = _nonpositive_integer(c)
+            errors.update((i, PoleAtCError(f"c = {complex(c[i])} is zero or a negative integer"))
+                          for i in pole.nonzero()[0].tolist())
+            conn &= ~(pole | one)
+            direct = ~(pole | one | conn)
+            idx = (one & ~pole).nonzero()[0]
+            if idx.size:
+                s = c[idx] - a[idx] - b[idx]
+                errors.update((int(i), NoConvergenceError(
+                    f"2F1 at z = 1 diverges unless Re(c - a - b) > 0, got {complex(si)}"))
+                    for i, si in zip(idx, s) if si.real <= 0)
+                lg = _lngammas(c[idx], s, c[idx] - a[idx], c[idx] - b[idx], den=2)
+                values[idx] = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
+        ic, idx = conn.nonzero()[0], direct.nonzero()[0]
+        m, ns = ic.size, idx.size
+        if ns + m:
+            # one series call: the direct lanes, and both series of every
+            # connection attempt, F(a, b; 1-s; 1-z) and F(c-a, c-b; 1+s; 1-z)
+            ac, bc, cc, uc = (a, b, c, u) if m == a.size else (a[ic], b[ic], c[ic], u[ic])
+            ca, cb = cc - ac, cc - bc
+            s = ca - bc
+            f, peak, failed = _series(
+                *(np.concatenate((x[idx], y, w) if ns else (y, w)) for x, y, w in
+                  ((a, ac, ca), (b, bc, cb), (c, 1.0 - s, 1.0 + s), (z, uc, uc))),
+                rel_tol, max_terms, m > 0)
+            if ns:
+                values[idx] = f[:ns]
+            if m:
+                value, est = _connection(ac, bc, cc, s, ca, cb, uc, f[ns:], peak[ns:])
+                degenerate = np.abs(s - np.rint(s.real)) < 1e-6
+                ok = ~degenerate
+                if path == "auto":
+                    # a degenerate or rejected attempt falls back to the series
+                    ok &= np.isfinite(value) & (est <= max(10.0 * rel_tol, _CONNECTION_GATE))
+                    retry = ~ok
+                else:
+                    retry = np.zeros(m, dtype=bool)
+                    errors.update((int(ic[j]), ConnectionDegenerateError(
+                        f"c - a - b = {complex(s[j])} is (near-)integer; connection "
+                        "formula degenerate")) for j in degenerate.nonzero()[0].tolist())
+            for j in sorted(failed):
+                if j < ns:
+                    errors[int(idx[j])] = failed[j]
+                elif not degenerate[(j - ns) % m]:
+                    # a series failure inside the attempt fails the lane
+                    errors.setdefault(int(ic[(j - ns) % m]), failed[j])
+                    ok[(j - ns) % m] = retry[(j - ns) % m] = False
+            if m and np.count_nonzero(ok) == a.size:
+                values = value
+            elif m:
+                values[ic[ok]] = value[ok]
+                idx = ic[retry]
+                if idx.size:
+                    value, _, failed = _series(a[idx], b[idx], c[idx], z[idx],
+                                               rel_tol, max_terms)
+                    values[idx] = value
+                    errors.update((int(idx[j]), exc) for j, exc in failed.items())
+    if errors:
+        values[list(errors)] = np.nan
+    return values, errors
+
+
+# ----------------------------------------------------------------------------
+# batch-of-one entry points
+# ----------------------------------------------------------------------------
+
+def _one(req: Hyp2F1Request, path: str) -> complex:
+    values, errors = gauss_2f1_lanes(req.a, req.b, req.c, req.z,
+                                     req.rel_tol, req.max_terms, path)
+    if errors:
+        raise errors[0]
+    return complex(values[0])
+
+
+def gauss_2f1(req: Hyp2F1Request) -> complex:
+    """Evaluate 2F1(a, b; c; z) to the requested relative tolerance (one
+    lane of ``gauss_2f1_lanes`` on its automatic path)."""
+    return _one(req, "auto")
 
 
 def gauss_2f1_series(req: Hyp2F1Request) -> complex:
     """2F1 by direct power series; requires |z| < 1."""
-    a, b = _ordered(complex(req.a), complex(req.b))
-    c, z = complex(req.c), complex(req.z)
-    if _is_nonpositive_integer(c):
-        raise PoleAtCError(f"c = {c} is zero or a negative integer")
-    if z == 0:
-        return 1.0 + 0.0j
-    if abs(z) >= 1.0:
-        raise ValueError(f"series path requires |z| < 1, got |z| = {abs(z)}")
-    value, _ = _series(a, b, c, z, req.rel_tol, req.max_terms)
-    return value
-
-
-# ----------------------------------------------------------------------------
-# 1 - z connection
-# ----------------------------------------------------------------------------
-
-def _connection(a: complex, b: complex, c: complex, z: complex,
-                rel_tol: float, max_terms: int) -> tuple[complex, float]:
-    """Connection-formula value and a relative rounding-error estimate."""
-    s = c - a - b
-    if abs(s - round(s.real)) < 1e-6:
-        raise ConnectionDegenerateError(
-            f"c - a - b = {s} is (near-)integer; connection formula degenerate"
-        )
-    u = 1.0 - z
-    f1, peak1 = _series(a, b, a + b - c + 1.0, u, rel_tol, max_terms)
-    f2, peak2 = _series(c - a, c - b, s + 1.0, u, rel_tol, max_terms)
-
-    # log-gamma loses roughly eps * |argument| absolute accuracy, which exp
-    # turns into relative error; accumulate the argument magnitudes
-    arg_pen = (abs(c) + abs(s) + abs(c - a) + abs(c - b) + abs(a) + abs(b)
-               + abs(s * cmath.log(u)))
-    ln_c = lngamma_complex(c)
-    term1 = 0.0 + 0.0j
-    g1 = _inv_gamma_ln(c - a)
-    g2 = _inv_gamma_ln(c - b)
-    if g1 is not None and g2 is not None:
-        term1 = cmath.exp(ln_c + lngamma_complex(s) - g1 - g2) * f1
-    term2 = 0.0 + 0.0j
-    g3 = _inv_gamma_ln(a)
-    g4 = _inv_gamma_ln(b)
-    if g3 is not None and g4 is not None:
-        term2 = cmath.exp(ln_c + lngamma_complex(-s) - g3 - g4 + s * cmath.log(u)) * f2
-
-    value = term1 + term2
-    if value == 0:
-        return value, math.inf
-    # rounding-error model: each term inherits the peak/|f| growth of its
-    # series plus the gamma-argument penalty; outer cancellation amplifies
-    # everything by (|t1| + |t2|) / |t1 + t2|
-    grow1 = peak1 / max(abs(f1), 1e-300) + 2.0 + 1.2 * arg_pen
-    grow2 = peak2 / max(abs(f2), 1e-300) + 2.0 + 1.2 * arg_pen
-    est = (grow1 * abs(term1) + grow2 * abs(term2)) / abs(value) * _EPS
-    return value, est
+    return _one(req, "series")
 
 
 def gauss_2f1_connection(req: Hyp2F1Request) -> complex:
-    """2F1 through the 1-z connection formula.
-
-    Intended for 0.7 <= |z| < 1 where the direct series is slow.  Raises
-    ConnectionDegenerateError when c - a - b is an integer.
-    """
-    a, b = _ordered(complex(req.a), complex(req.b))
-    c, z = complex(req.c), complex(req.z)
-    if _is_nonpositive_integer(c):
-        raise PoleAtCError(f"c = {c} is zero or a negative integer")
-    if z == 0:
-        return 1.0 + 0.0j
-    if abs(1.0 - z) >= 1.0:
-        raise ValueError(f"connection path requires |1 - z| < 1, got z = {z}")
-    value, _ = _connection(a, b, c, z, req.rel_tol, req.max_terms)
-    return value
-
-
-def _gauss_at_one(a: complex, b: complex, c: complex) -> complex:
-    s = c - a - b
-    if s.real <= 0:
-        raise NoConvergenceError(
-            f"2F1 at z = 1 diverges unless Re(c - a - b) > 0, got {s}"
-        )
-    g1 = _inv_gamma_ln(c - a)
-    g2 = _inv_gamma_ln(c - b)
-    if g1 is None or g2 is None:
-        return 0.0 + 0.0j
-    return cmath.exp(lngamma_complex(c) + lngamma_complex(s) - g1 - g2)
-
-
-# ----------------------------------------------------------------------------
-# public evaluator
-# ----------------------------------------------------------------------------
-
-def gauss_2f1(req: Hyp2F1Request) -> complex:
-    """Evaluate 2F1(a, b; c; z) to the requested relative tolerance.
-
-    Strategy: Gauss summation at z = 1; the direct series for |z| < 0.7; for
-    0.7 <= |z| < 1 the 1-z connection formula when it is non-degenerate and
-    its error estimate meets 10 * rel_tol, else the series.
-    """
-    a, b = _ordered(complex(req.a), complex(req.b))
-    c, z = complex(req.c), complex(req.z)
-    if _is_nonpositive_integer(c):
-        raise PoleAtCError(f"c = {c} is zero or a negative integer")
-    if z == 0:
-        return 1.0 + 0.0j
-    if z == 1:
-        return _gauss_at_one(a, b, c)
-    if abs(z) >= 1.0:
-        raise ValueError(f"|z| must be < 1 (or z exactly 1), got z = {z}")
-    if abs(z) < 0.7 or abs(1.0 - z) >= 1.0:
-        value, _ = _series(a, b, c, z, req.rel_tol, req.max_terms)
-        return value
-    try:
-        value, est = _connection(a, b, c, z, req.rel_tol, req.max_terms)
-    except (ConnectionDegenerateError, OverflowError):
-        # a gamma ratio beyond float range counts as a rejected attempt
-        value, est = None, math.inf
-    if value is not None and est <= max(10.0 * req.rel_tol, _CONNECTION_GATE):
-        return value
-    value, _ = _series(a, b, c, z, req.rel_tol, req.max_terms)
-    return value
+    """2F1 through the 1-z connection formula, meant for 0.7 <= |z| < 1;
+    raises ConnectionDegenerateError when c - a - b is an integer."""
+    return _one(req, "connection")
 
 
 def gauss_2f1_derivative(a: complex, b: complex, c: complex, z: complex,
-                         rel_tol: float = 1e-15,
-                         max_terms: int = 20000) -> complex:
+                         rel_tol: float = 1e-15, max_terms: int = 20000) -> complex:
     """d/dz 2F1(a, b; c; z) = (a b / c) 2F1(a+1, b+1; c+1; z)."""
     c = complex(c)
-    if _is_nonpositive_integer(c):
+    if _nonpositive_integer(np.asarray(c)):
         raise PoleAtCError(f"c = {c} is zero or a negative integer")
     shifted = Hyp2F1Request(a=complex(a) + 1, b=complex(b) + 1, c=c + 1,
                             z=complex(z), rel_tol=rel_tol, max_terms=max_terms)

@@ -17,7 +17,6 @@ computes every scalar entering those solutions.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal, Union
@@ -92,7 +91,8 @@ class BarrierParams:
 
 @dataclass(frozen=True)
 class SideCoefficients:
-    """Every scalar feeding one region's hypergeometric solution.
+    """Every scalar feeding one region's hypergeometric solution, at one
+    energy or, field by field, at an array of energies.
 
     For the right region the chi values play the role that chi4..chi6 play
     in the left region; they are stored in the same slots.
@@ -152,20 +152,23 @@ def barrier_top(params: BarrierParams) -> float:
 
 
 def side_coefficients(
-    E: float,
+    E,
     params: BarrierParams,
     side: Side = "left",
     tau_branch: TauBranch = "plus",
     sqrt_branch: SqrtBranch = "plus",
 ) -> SideCoefficients:
-    """Derive the per-region scalars for scattering energy E > 0.
+    """Derive the per-region scalars for scattering energies E > 0.
 
-    chi1 is recovered by negating the combination
+    E is one energy or a 1-D array of them; every field but ``side`` then
+    has E's shape (numpy scalars for one energy).  chi1 is recovered by
+    negating the combination
 
         -chi1 = -2mE/a^2 + 2mV0 b^2/(a^2 q^2) + 4mV0 b/(a^2 q)
 
     (with q_tilde in place of q on the right).  epsilon = chi1 + chi2 + chi3
-    collapses algebraically to -2mV0 b^2/(a^2 q^2) and is independent of E.
+    collapses algebraically to -2mV0 b^2/(a^2 q^2) and is independent of E
+    (it is summed all the same, keeping tau consistent with chi1 to the bit).
     sigma = ik/a encodes the asymptotic plane wave, tau solves
     tau^2 - tau + epsilon = 0 on the requested branch, and
 
@@ -174,8 +177,12 @@ def side_coefficients(
     sqrt_branch flips the sign of sqrt(-chi1), exchanging alpha and beta;
     physical outputs must not depend on either branch choice.
     """
-    if not (math.isfinite(E) and E > 0.0):
-        raise ValueError(f"scattering requires E > 0, got {E!r}")
+    # every value is computed on a 1-D array, so one energy rounds exactly
+    # as it does inside a batch
+    shape = np.shape(E)
+    E = np.array(E, dtype=float, ndmin=1, copy=None)
+    if np.count_nonzero((E > 0.0) & (E < math.inf)) < E.size:
+        raise ValueError(f"scattering requires finite E > 0, got {E}")
     _check_side(side)
     if tau_branch not in ("plus", "minus"):
         raise ValueError(f"tau_branch must be 'plus' or 'minus', got {tau_branch!r}")
@@ -187,26 +194,28 @@ def side_coefficients(
     a2 = params.a * params.a
     two_m = 2.0 * params.m
 
-    chi3 = two_m * E / a2
+    chi3 = (two_m / a2) * E
     well = two_m * params.v0 * b * b / (a2 * qs * qs)
     cross = 2.0 * two_m * params.v0 * b / (a2 * qs)
-    chi1 = chi3 - well - cross
-    chi2 = cross - 2.0 * chi3
+    chi1 = chi3 - (well + cross)
+    chi2 = cross - (chi3 + chi3)
     epsilon = chi1 + chi2 + chi3
 
-    k = math.sqrt(two_m * E)
-    sigma = 1j * k / params.a
-    disc = math.sqrt(1.0 - 4.0 * epsilon)  # epsilon <= 0 for v0 >= 0
-    tau = 0.5 + 0.5 * disc if tau_branch == "plus" else 0.5 - 0.5 * disc
-    root = cmath.sqrt(complex(-chi1, 0.0))
+    k = np.sqrt(two_m * E)
+    sigma = k * (1j / params.a)
+    # 0.5 * sqrt(1 - 4 epsilon), bit for bit (epsilon <= 0 for v0 >= 0)
+    disc = np.sqrt(0.25 - epsilon)
+    tau = 0.5 + disc if tau_branch == "plus" else 0.5 - disc
+    root = np.sqrt(-chi1, dtype=complex)
     if sqrt_branch == "minus":
         root = -root
-    alpha = sigma + tau - root
-    beta = sigma + tau + root
+    shifted = sigma + tau
+    alpha = shifted - root
+    beta = shifted + root
     gamma = 1.0 + 2.0 * sigma
 
-    return SideCoefficients(
-        side=side, E=E, k=k,
-        chi1=chi1, chi2=chi2, chi3=chi3, epsilon=epsilon,
-        sigma=sigma, tau=tau, alpha=alpha, beta=beta, gamma=gamma,
-    )
+    fields = dict(E=E, k=k, chi1=chi1, chi2=chi2, chi3=chi3, epsilon=epsilon,
+                  sigma=sigma, tau=tau, alpha=alpha, beta=beta, gamma=gamma)
+    if not shape:
+        fields = {name: value[0] for name, value in fields.items()}
+    return SideCoefficients(side=side, **fields)

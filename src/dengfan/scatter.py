@@ -28,11 +28,14 @@ Two derivative-matching conventions are provided:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Literal, Sequence, Union
 
-from .hyp2f1 import Hyp2F1Request, gauss_2f1
+import numpy as np
+
+# gauss_2f1 stays a name of this module: benchmarks/worker.py wraps it here
+from .hyp2f1 import gauss_2f1, gauss_2f1_lanes  # noqa: F401
 from .model import (BarrierParams, Side, SqrtBranch, TauBranch,
                     side_coefficients)
 
@@ -40,19 +43,13 @@ MatchMode = Literal["corrected", "paper"]
 BranchChoice = Union[TauBranch, tuple[TauBranch, TauBranch]]
 SqrtChoice = Union[SqrtBranch, tuple[SqrtBranch, SqrtBranch]]
 
-__all__ = [
-    "MatchMode",
-    "MatchCoefficients",
-    "ScatteringResult",
-    "ScanEntry",
-    "SingularMatchingError",
-    "match_coefficients",
-    "solve_amplitudes",
-    "compute_rt",
-    "scan",
-]
+__all__ = ["MatchMode", "MatchCoefficients", "ScatteringResult", "ScanEntry",
+           "SingularMatchingError", "match_coefficients", "solve_amplitudes",
+           "compute_rt", "scan"]
 
 _DET_FLOOR = 1e-300
+# energies per batch in scan; bounds the batch's memory, never a value
+_CHUNK = 256
 
 
 class SingularMatchingError(Exception):
@@ -61,7 +58,9 @@ class SingularMatchingError(Exception):
 
 @dataclass(frozen=True)
 class MatchCoefficients:
-    """All quantities entering the x = 0 matching system at one energy."""
+    """All quantities entering the x = 0 matching system, at one energy or,
+    field by field, at an array of energies.  ``errors`` maps the index of
+    a failed energy of an array to its error; its fields there are nan."""
 
     E: float
     rho1: float
@@ -83,11 +82,13 @@ class MatchCoefficients:
     c4: complex
     c5: complex
     c6: complex
+    errors: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Amplitude ratios and coefficients for one energy."""
+    """Amplitude ratios and coefficients for one energy or, field by field,
+    for an array of energies with ``errors`` as in MatchCoefficients."""
 
     E: float
     r_amp: complex
@@ -96,6 +97,7 @@ class ScatteringResult:
     T: float
     unitarity_residual: float
     mode: MatchMode
+    errors: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -116,114 +118,144 @@ def _pair(choice, name: str) -> tuple[str, str]:
     return left, right
 
 
+def _product(x, y):
+    """x * y rounded as complex scalars round it (no fused multiply-add), so
+    a lambda equals its expression evaluated on one energy's scalars."""
+    out = np.empty(np.shape(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _rho_constants(rho1: float, rho3: float) -> np.ndarray:
+    """Per row of the matching basis: y, then +-log(y), +-1/y, log(1-y) and
+    1/(1-y) at y = rho (the signs those of y^{+-sigma})."""
+    y = np.array([rho1, rho1, rho3])
+    out = np.array([y, np.log(y) * [1, -1, -1], [1, -1, -1] / y, np.log(1 - y), 1 / (1 - y)])
+    out.flags.writeable = False
+    return out
+
+
+def _one_or_batch(E, fields: dict, errors: dict) -> dict:
+    """Batch-of-one unwrapping: one energy raises its error or gets scalar
+    fields; an array of energies keeps its arrays."""
+    if np.ndim(E):
+        return fields
+    if errors:
+        raise errors[0]
+    return {name: value[0] for name, value in fields.items()}
+
+
 def match_coefficients(
-    E: float,
+    E,
     params: BarrierParams,
     tau_branch: BranchChoice = "plus",
     sqrt_branch: SqrtChoice = "plus",
     rel_tol: float = 1e-15,
     max_terms: int = 20000,
 ) -> MatchCoefficients:
-    """Assemble the matching coefficients at energy E.
+    """Assemble the matching coefficients at energy E, or lane-wise at a 1-D
+    array of energies.
 
     ``tau_branch`` and ``sqrt_branch`` select the basis on both sides, or
     per side when given as a (left, right) pair; R and T do not depend on
     these choices.  zeta6 uses the derivative-shifted parameter set
     (alpha~+2-gamma~, beta~+2-gamma~; 3-gamma~), the shift pattern every
-    derivative term follows.
+    derivative term follows.  One ``gauss_2f1_lanes`` call carries every
+    zeta of every energy; with q == q_tilde and one tau branch on both
+    sides that is four per energy, as zeta3 = zeta2 and zeta6 = zeta5.
+    One energy raises its first failing zeta's error; an array records it.
     """
     tb_l, tb_r = _pair(tau_branch, "tau_branch")
     sb_l, sb_r = _pair(sqrt_branch, "sqrt_branch")
-    left = side_coefficients(E, params, "left", tb_l, sb_l)
-    right = side_coefficients(E, params, "right", tb_r, sb_r)
-
+    es = np.array(E, dtype=float, ndmin=1, copy=None)
+    left = side_coefficients(es, params, "left", tb_l, sb_l)
+    # the right basis is the left one (a sqrt-branch flip only swaps alpha
+    # and beta, which no value below tells apart)
+    mirror = params.q == params.q_tilde and tb_l == tb_r
+    right = left if mirror else side_coefficients(es, params, "right", tb_r, sb_r)
     rho1, rho2 = params.q, 1.0 - params.q
     rho3, rho4 = params.q_tilde, 1.0 - params.q_tilde
 
-    def f(a: complex, b: complex, c: complex, z: float) -> complex:
-        return gauss_2f1(Hyp2F1Request(a=a, b=b, c=c, z=z,
-                                       rel_tol=rel_tol, max_terms=max_terms))
+    # one row per basis function at x = 0: y^{+sigma}, y^{-sigma} on the
+    # left, y^{-sigma} on the right (sigma = ik/a on both; no third row when
+    # the sides mirror).  Row r holds zeta_r's parameters (a, b, c), and
+    # zeta_r+3, its derivative's hypergeometric factor, takes them plus one.
+    n_rows, n = 2 if mirror else 3, es.size
+    lane = np.empty((3, 2 * n_rows, n), dtype=complex)
+    gl = left.gamma
+    lane[:, 0] = left.alpha, left.beta, gl
+    lane[:2, 1] = lane[:2, 0] + 1 - gl
+    lane[2, 1] = 2 - gl
+    if not mirror:
+        gr = right.gamma
+        lane[:, 2] = right.alpha + 1 - gr, right.beta + 1 - gr, 2 - gr
+    np.add(lane[:, :n_rows], 1, out=lane[:, n_rows:])
+    # lanes in zeta order: an energy's first failing lane is its first zeta
+    consts = _rho_constants(rho1, rho3)
+    values, failed = gauss_2f1_lanes(
+        *lane.reshape(3, -1), np.concatenate((consts[0, :n_rows],) * 2).repeat(n),
+        rel_tol, max_terms)
+    errors: dict[int, Exception] = {}
+    for k in sorted(failed):
+        errors.setdefault(k % n, failed[k])
+    zv, zd = values.reshape(2, n_rows, n)
+    lam = _product(lane[0, :n_rows], lane[1, :n_rows]) / lane[2, :n_rows]
 
-    al, bl, gl = left.alpha, left.beta, left.gamma
-    ar, br, gr = right.alpha, right.beta, right.gamma
+    # each row's basis factor y^{+-sigma} (1-y)^tau and the coefficient
+    # +-sigma/y - tau/(1-y) of its y-derivative, at y = rho
+    sign_log, sign_inv, log_1m, inv_1m = consts[1:, :n_rows, None]
+    sigma, tau = left.sigma, np.array((left.tau, left.tau, right.tau)[:n_rows])
+    basis = np.exp(sigma * sign_log + tau * log_1m)
+    cv = basis * zv
+    cd = basis * ((sigma * sign_inv - tau * inv_1m) * zv + lam * zd)
 
-    zeta1 = f(al, bl, gl, rho1)
-    zeta2 = f(al + 1 - gl, bl + 1 - gl, 2 - gl, rho1)
-    zeta3 = f(ar + 1 - gr, br + 1 - gr, 2 - gr, rho3)
-    zeta4 = f(al + 1, bl + 1, gl + 1, rho1)
-    zeta5 = f(al + 2 - gl, bl + 2 - gl, 3 - gl, rho1)
-    zeta6 = f(ar + 2 - gr, br + 2 - gr, 3 - gr, rho3)
-
-    lambda1 = al * bl / gl
-    lambda2 = (al + 1 - gl) * (bl + 1 - gl) / (2 - gl)
-    lambda3 = (ar + 1 - gr) * (br + 1 - gr) / (2 - gr)
-
-    sl, tl = left.sigma, left.tau
-    sr, tr = right.sigma, right.tau
-    p1s = complex(rho1) ** sl        # rho1^sigma_L
-    p1ms = complex(rho1) ** (-sl)    # rho1^(-sigma_L)
-    p2t = rho2 ** tl
-    p3ms = complex(rho3) ** (-sr)
-    p4t = rho4 ** tr
-
-    c1 = p1s * p2t * zeta1
-    c2 = p1ms * p2t * zeta2
-    c3 = p3ms * p4t * zeta3
-    c4 = (sl * p1s / rho1 * p2t * zeta1
-          - tl * p1s * p2t / rho2 * zeta1
-          + p1s * p2t * lambda1 * zeta4)
-    c5 = (-sl * p1ms / rho1 * p2t * zeta2
-          - tl * p1ms * p2t / rho2 * zeta2
-          + p1ms * p2t * lambda2 * zeta5)
-    c6 = (-sr * p3ms / rho3 * p4t * zeta3
-          - tr * p3ms * p4t / rho4 * zeta3
-          + p3ms * p4t * lambda3 * zeta6)
-
-    return MatchCoefficients(
-        E=E,
-        rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4,
-        zeta1=zeta1, zeta2=zeta2, zeta3=zeta3,
-        zeta4=zeta4, zeta5=zeta5, zeta6=zeta6,
-        lambda1=lambda1, lambda2=lambda2, lambda3=lambda3,
-        c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6,
-    )
+    # row -1 is the right side's, which is row 1 when the sides mirror
+    fields = dict(E=es, zeta1=zv[0], zeta2=zv[1], zeta3=zv[-1], zeta4=zd[0],
+                  zeta5=zd[1], zeta6=zd[-1], lambda1=lam[0], lambda2=lam[1],
+                  lambda3=lam[-1], c1=cv[0], c2=cv[1], c3=cv[-1], c4=cd[0],
+                  c5=cd[1], c6=cd[-1])
+    return MatchCoefficients(rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4,
+                             errors=errors, **_one_or_batch(E, fields, errors))
 
 
 def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> ScatteringResult:
-    """Solve the 2x2 matching system for (A2/A1, A4/A1) and form R, T.
+    """Solve the 2x2 matching system for (A2/A1, A4/A1) and form R, T, at
+    one energy or lane-wise over the energies of ``mc``.
 
     The mode fixes the derivative-matching row: ``corrected`` applies the
     chain-rule factors (+rho1 on the left derivatives, -rho3 on the right),
     ``paper`` equates the y-derivatives as printed.  A determinant below
-    1e-300 in magnitude raises SingularMatchingError.
+    1e-300 in magnitude is a SingularMatchingError (raised or recorded).
     """
     if mode not in ("corrected", "paper"):
         raise ValueError(f"mode must be 'corrected' or 'paper', got {mode!r}")
+    E, c1, c2, c3, c4, c5, c6 = (mc.E, mc.c1, mc.c2, mc.c3, mc.c4, mc.c5, mc.c6)
+    if not np.ndim(E):
+        E, c1, c2, c3, c4, c5, c6 = np.atleast_1d(E, c1, c2, c3, c4, c5, c6)
     # value row:      c1 + r*c2 - t*c3 = 0
     # derivative row: corrected  rho1*c4 + r*rho1*c5 + t*rho3*c6 = 0
     #                 paper      c4 + r*c5 - t*c6 = 0
-    m00, m01 = mc.c2, -mc.c3
-    b0 = -mc.c1
+    # with the derivative row written as r*m10 + t*m11 = b1
     if mode == "corrected":
-        m10, m11 = mc.rho1 * mc.c5, mc.rho3 * mc.c6
-        b1 = -mc.rho1 * mc.c4
+        m10, m11, b1 = mc.rho1 * c5, mc.rho3 * c6, -mc.rho1 * c4
     else:
-        m10, m11 = mc.c5, -mc.c6
-        b1 = -mc.c4
-    det = m00 * m11 - m01 * m10
-    if abs(det) < _DET_FLOOR:
-        raise SingularMatchingError(
-            f"matching determinant {det!r} below {_DET_FLOOR} at E={mc.E} "
-            f"(mode={mode})"
-        )
-    r_amp = (b0 * m11 - m01 * b1) / det
-    t_amp = (m00 * b1 - b0 * m10) / det
-    R = r_amp.real * r_amp.real + r_amp.imag * r_amp.imag
-    T = t_amp.real * t_amp.real + t_amp.imag * t_amp.imag
-    return ScatteringResult(
-        E=mc.E, r_amp=r_amp, t_amp=t_amp, R=R, T=T,
-        unitarity_residual=abs(R + T - 1.0), mode=mode,
-    )
+        m10, m11, b1 = c5, -c6, -c4
+    with np.errstate(all="ignore"):
+        det = c2 * m11 + c3 * m10
+        r_amp = (c3 * b1 - c1 * m11) / det
+        t_amp = (c2 * b1 + c1 * m10) / det
+        R = (r_amp * r_amp.conjugate()).real
+        T = (t_amp * t_amp.conjugate()).real
+        residual = np.abs(R + T - 1.0)
+    errors = dict(mc.errors)
+    for i in (np.abs(det) < _DET_FLOOR).nonzero()[0].tolist():
+        errors.setdefault(i, SingularMatchingError(
+            f"matching determinant {complex(det[i])!r} below {_DET_FLOOR} "
+            f"at E={float(E[i])} (mode={mode})"))
+    fields = dict(E=E, r_amp=r_amp, t_amp=t_amp, R=R, T=T, unitarity_residual=residual)
+    return ScatteringResult(mode=mode, errors=errors, **_one_or_batch(mc.E, fields, errors))
 
 
 def compute_rt(
@@ -233,17 +265,21 @@ def compute_rt(
     tau_branch: BranchChoice = "plus",
     sqrt_branch: SqrtChoice = "plus",
 ) -> ScatteringResult:
-    """Reflection/transmission at a single energy (assemble + solve).
+    """Reflection/transmission at a single energy (assemble + solve), a
+    batch of one of the lane-wise path ``scan`` takes.
 
     The energy range has an upper edge.  At the default parameters,
-    E/V_max = 1e4 still returns T = 0.99999999999986 (about 9 ms), while
+    E/V_max = 1e4 still returns T = 0.99999999999986 (about 2 ms), while
     from about E/V_max = 5e4 on (1e5 included) a 2F1 series overflows and
     ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
     asymptotic T -> 1 branch.
     """
-    return solve_amplitudes(
-        match_coefficients(E, params, tau_branch, sqrt_branch), mode
-    )
+    res = solve_amplitudes(match_coefficients(
+        np.array([E], dtype=float), params, tau_branch, sqrt_branch), mode)
+    if res.errors:
+        raise res.errors[0]
+    return ScatteringResult(res.E[0], res.r_amp[0], res.t_amp[0], res.R[0], res.T[0],
+                            res.unitarity_residual[0], mode)
 
 
 def scan(
@@ -253,21 +289,27 @@ def scan(
     tau_branch: BranchChoice = "plus",
     sqrt_branch: SqrtChoice = "plus",
 ) -> list[ScanEntry]:
-    """Evaluate R/T over a strictly increasing positive energy grid.
+    """Evaluate R/T over a strictly increasing positive energy grid, in
+    batches of ``_CHUNK`` energies; every result equals ``compute_rt`` at
+    its energy bit for bit, in input order.
 
-    Per-point failures are recorded inline (ScanEntry.error) without
-    aborting the remaining energies; output order equals input order.
+    A point that fails with a ``Hyp2F1Error`` or ``SingularMatchingError``
+    is recorded inline (ScanEntry.error, "TypeName: message") and the scan
+    goes on; any other exception propagates.
     """
-    es = [float(E) for E in energies]
-    if any(not (math.isfinite(E) and E > 0) for E in es):
+    es = np.array(energies, dtype=float, ndmin=1)
+    if not np.all((es > 0.0) & (es < np.inf)):
         raise ValueError("all energies must be finite and > 0")
-    if any(e2 <= e1 for e1, e2 in zip(es, es[1:])):
+    if np.any(np.diff(es) <= 0):
         raise ValueError("energies must be strictly increasing")
     out: list[ScanEntry] = []
-    for E in es:
-        try:
-            out.append(ScanEntry(E=E, result=compute_rt(
-                E, params, mode, tau_branch, sqrt_branch)))
-        except Exception as exc:  # inline per-point error, scan continues
-            out.append(ScanEntry(E=E, error=f"{type(exc).__name__}: {exc}"))
+    for start in range(0, es.size, _CHUNK):
+        res = solve_amplitudes(match_coefficients(
+            es[start:start + _CHUNK], params, tau_branch, sqrt_branch), mode)
+        rows = zip(res.E.tolist(), res.r_amp.tolist(), res.t_amp.tolist(),
+                   res.R.tolist(), res.T.tolist(), res.unitarity_residual.tolist())
+        for i, row in enumerate(rows):
+            exc = res.errors.get(i)
+            out.append(ScanEntry(E=row[0], error=f"{type(exc).__name__}: {exc}")
+                       if exc else ScanEntry(E=row[0], result=ScatteringResult(*row, mode)))
     return out
