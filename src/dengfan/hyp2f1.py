@@ -30,10 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Hyp2F1Error", "PoleAtCError", "NoConvergenceError",
-           "ConnectionDegenerateError", "GammaPoleError", "Hyp2F1Request",
-           "gauss_2f1", "gauss_2f1_lanes", "gauss_2f1_series",
-           "gauss_2f1_connection", "gauss_2f1_derivative", "lngamma_complex"]
+__all__ = [
+    "Hyp2F1Error",
+    "PoleAtCError",
+    "NoConvergenceError",
+    "ConnectionDegenerateError",
+    "GammaPoleError",
+    "Hyp2F1Request",
+    "gauss_2f1",
+    "gauss_2f1_lanes",
+    "gauss_2f1_series",
+    "gauss_2f1_connection",
+    "gauss_2f1_derivative",
+    "lngamma_complex",
+]
 
 _EPS = 2.220446049250313e-16
 
@@ -411,7 +421,8 @@ def gauss_2f1_connection(req: Hyp2F1Request) -> complex:
 
 
 def gauss_2f1_derivative(a: complex, b: complex, c: complex, z: complex,
-                         rel_tol: float = 1e-15, max_terms: int = 20000) -> complex:
+                         rel_tol: float = 1e-15,
+                         max_terms: int = 20000) -> complex:
     """d/dz 2F1(a, b; c; z) = (a b / c) 2F1(a+1, b+1; c+1; z)."""
     c = complex(c)
     if _nonpositive_integer(np.asarray(c)):

@@ -89,7 +89,7 @@ class BarrierParams:
         return self.q if side == "left" else self.q_tilde
 
 
-@dataclass(frozen=True)
+@dataclass
 class SideCoefficients:
     """Every scalar feeding one region's hypergeometric solution, at one
     energy or, field by field, at an array of energies.
@@ -160,27 +160,23 @@ def side_coefficients(
 ) -> SideCoefficients:
     """Derive the per-region scalars for scattering energies E > 0.
 
-    E is one energy or a 1-D array of them; every field but ``side`` then
-    has E's shape (numpy scalars for one energy).  chi1 is recovered by
-    negating the combination
+    E is one energy or a 1-D array of them, and every field that depends on
+    E is a numpy scalar or an array of E's shape; the two round alike.
+    chi1 is recovered by negating the combination
 
         -chi1 = -2mE/a^2 + 2mV0 b^2/(a^2 q^2) + 4mV0 b/(a^2 q)
 
     (with q_tilde in place of q on the right).  epsilon = chi1 + chi2 + chi3
-    collapses algebraically to -2mV0 b^2/(a^2 q^2) and is independent of E
-    (it is summed all the same, keeping tau consistent with chi1 to the bit).
-    sigma = ik/a encodes the asymptotic plane wave, tau solves
-    tau^2 - tau + epsilon = 0 on the requested branch, and
+    collapses algebraically to -2mV0 b^2/(a^2 q^2) and is independent of E;
+    it and tau are floats.  sigma = ik/a encodes the asymptotic plane wave,
+    tau solves tau^2 - tau + epsilon = 0 on the requested branch, and
 
         alpha, beta = sigma + tau -/+ sqrt(-chi1),   gamma = 1 + 2*sigma.
 
     sqrt_branch flips the sign of sqrt(-chi1), exchanging alpha and beta;
     physical outputs must not depend on either branch choice.
     """
-    # every value is computed on a 1-D array, so one energy rounds exactly
-    # as it does inside a batch
-    shape = np.shape(E)
-    E = np.array(E, dtype=float, ndmin=1, copy=None)
+    E = np.float64(E) if np.isscalar(E) else np.array(E, dtype=float, ndmin=1, copy=None)
     if np.count_nonzero((E > 0.0) & (E < math.inf)) < E.size:
         raise ValueError(f"scattering requires finite E > 0, got {E}")
     _check_side(side)
@@ -189,33 +185,30 @@ def side_coefficients(
     if sqrt_branch not in ("plus", "minus"):
         raise ValueError(f"sqrt_branch must be 'plus' or 'minus', got {sqrt_branch!r}")
 
-    qs = params.deformation(side)
+    qs = params.q if side == "left" else params.q_tilde
     b = compute_b(params)
     a2 = params.a * params.a
     two_m = 2.0 * params.m
 
-    chi3 = (two_m / a2) * E
     well = two_m * params.v0 * b * b / (a2 * qs * qs)
     cross = 2.0 * two_m * params.v0 * b / (a2 * qs)
+    epsilon = -well
+    disc = 0.5 * math.sqrt(1.0 - 4.0 * epsilon)  # epsilon <= 0 for v0 >= 0
+    tau = 0.5 + disc if tau_branch == "plus" else 0.5 - disc
+
+    chi3 = (two_m / a2) * E
     chi1 = chi3 - (well + cross)
     chi2 = cross - (chi3 + chi3)
-    epsilon = chi1 + chi2 + chi3
-
     k = np.sqrt(two_m * E)
     sigma = k * (1j / params.a)
-    # 0.5 * sqrt(1 - 4 epsilon), bit for bit (epsilon <= 0 for v0 >= 0)
-    disc = np.sqrt(0.25 - epsilon)
-    tau = 0.5 + disc if tau_branch == "plus" else 0.5 - disc
     root = np.sqrt(-chi1, dtype=complex)
     if sqrt_branch == "minus":
         root = -root
     shifted = sigma + tau
     alpha = shifted - root
     beta = shifted + root
-    gamma = 1.0 + 2.0 * sigma
-
-    fields = dict(E=E, k=k, chi1=chi1, chi2=chi2, chi3=chi3, epsilon=epsilon,
-                  sigma=sigma, tau=tau, alpha=alpha, beta=beta, gamma=gamma)
-    if not shape:
-        fields = {name: value[0] for name, value in fields.items()}
-    return SideCoefficients(side=side, **fields)
+    # 1 + 2*sigma, bit for bit (sigma is imaginary, so doubling is exact)
+    gamma = 1.0 + k * (2j / params.a)
+    return SideCoefficients(side=side, E=E, k=k, chi1=chi1, chi2=chi2, chi3=chi3,
+                            epsilon=epsilon, sigma=sigma, tau=tau, alpha=alpha,
+                            beta=beta, gamma=gamma)

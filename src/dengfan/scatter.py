@@ -28,7 +28,7 @@ Two derivative-matching conventions are provided:
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence, Union
 
@@ -43,9 +43,17 @@ MatchMode = Literal["corrected", "paper"]
 BranchChoice = Union[TauBranch, tuple[TauBranch, TauBranch]]
 SqrtChoice = Union[SqrtBranch, tuple[SqrtBranch, SqrtBranch]]
 
-__all__ = ["MatchMode", "MatchCoefficients", "ScatteringResult", "ScanEntry",
-           "SingularMatchingError", "match_coefficients", "solve_amplitudes",
-           "compute_rt", "scan"]
+__all__ = [
+    "MatchMode",
+    "MatchCoefficients",
+    "ScatteringResult",
+    "ScanEntry",
+    "SingularMatchingError",
+    "match_coefficients",
+    "solve_amplitudes",
+    "compute_rt",
+    "scan",
+]
 
 _DET_FLOOR = 1e-300
 # energies per batch in scan; bounds the batch's memory, never a value
@@ -56,7 +64,7 @@ class SingularMatchingError(Exception):
     """The matching system is numerically singular (degenerate parameters)."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class MatchCoefficients:
     """All quantities entering the x = 0 matching system, at one energy or,
     field by field, at an array of energies.  ``errors`` maps the index of
@@ -85,7 +93,7 @@ class MatchCoefficients:
     errors: dict = field(default_factory=dict, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScatteringResult:
     """Amplitude ratios and coefficients for one energy or, field by field,
     for an array of energies with ``errors`` as in MatchCoefficients."""
@@ -119,28 +127,21 @@ def _pair(choice, name: str) -> tuple[str, str]:
 
 
 def _product(x, y):
-    """x * y rounded as complex scalars round it (no fused multiply-add), so
-    a lambda equals its expression evaluated on one energy's scalars."""
-    out = np.empty(np.shape(x), dtype=complex)
+    """x * y as complex scalars round it: numpy fuses a multiply-add into
+    complex array products but not into scalar ones, so one energy rounds
+    as it does in a batch."""
+    if not np.ndim(x):
+        return x * y
+    out = np.empty(x.shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _rho_constants(rho1: float, rho3: float) -> np.ndarray:
-    """Per row of the matching basis: y, then +-log(y), +-1/y, log(1-y) and
-    1/(1-y) at y = rho (the signs those of y^{+-sigma})."""
-    y = np.array([rho1, rho1, rho3])
-    out = np.array([y, np.log(y) * [1, -1, -1], [1, -1, -1] / y, np.log(1 - y), 1 / (1 - y)])
-    out.flags.writeable = False
     return out
 
 
 def _one_or_batch(E, fields: dict, errors: dict) -> dict:
     """Batch-of-one unwrapping: one energy raises its error or gets scalar
     fields; an array of energies keeps its arrays."""
-    if np.ndim(E):
+    if isinstance(E, np.ndarray):
         return fields
     if errors:
         raise errors[0]
@@ -169,12 +170,11 @@ def match_coefficients(
     """
     tb_l, tb_r = _pair(tau_branch, "tau_branch")
     sb_l, sb_r = _pair(sqrt_branch, "sqrt_branch")
-    es = np.array(E, dtype=float, ndmin=1, copy=None)
-    left = side_coefficients(es, params, "left", tb_l, sb_l)
+    left = side_coefficients(E, params, "left", tb_l, sb_l)
     # the right basis is the left one (a sqrt-branch flip only swaps alpha
     # and beta, which no value below tells apart)
     mirror = params.q == params.q_tilde and tb_l == tb_r
-    right = left if mirror else side_coefficients(es, params, "right", tb_r, sb_r)
+    right = left if mirror else side_coefficients(E, params, "right", tb_r, sb_r)
     rho1, rho2 = params.q, 1.0 - params.q
     rho3, rho4 = params.q_tilde, 1.0 - params.q_tilde
 
@@ -182,21 +182,21 @@ def match_coefficients(
     # left, y^{-sigma} on the right (sigma = ik/a on both; no third row when
     # the sides mirror).  Row r holds zeta_r's parameters (a, b, c), and
     # zeta_r+3, its derivative's hypergeometric factor, takes them plus one.
-    n_rows, n = 2 if mirror else 3, es.size
+    n_rows, n = 2 if mirror else 3, left.E.size
     lane = np.empty((3, 2 * n_rows, n), dtype=complex)
     gl = left.gamma
-    lane[:, 0] = left.alpha, left.beta, gl
+    lane[0, 0], lane[1, 0], lane[2, 0] = left.alpha, left.beta, gl
     lane[:2, 1] = lane[:2, 0] + 1 - gl
     lane[2, 1] = 2 - gl
     if not mirror:
         gr = right.gamma
-        lane[:, 2] = right.alpha + 1 - gr, right.beta + 1 - gr, 2 - gr
+        lane[0, 2], lane[1, 2], lane[2, 2] = right.alpha + 1 - gr, right.beta + 1 - gr, 2 - gr
     np.add(lane[:, :n_rows], 1, out=lane[:, n_rows:])
+    # per row: y, the sign of sigma in y^{+-sigma}, and tau
+    rows = ((rho1, 1.0, left.tau), (rho1, -1.0, left.tau), (rho3, -1.0, right.tau))[:n_rows]
     # lanes in zeta order: an energy's first failing lane is its first zeta
-    consts = _rho_constants(rho1, rho3)
     values, failed = gauss_2f1_lanes(
-        *lane.reshape(3, -1), np.concatenate((consts[0, :n_rows],) * 2).repeat(n),
-        rel_tol, max_terms)
+        *lane.reshape(3, -1), np.repeat([y for y, _, _ in rows] * 2, n), rel_tol, max_terms)
     errors: dict[int, Exception] = {}
     for k in sorted(failed):
         errors.setdefault(k % n, failed[k])
@@ -205,19 +205,22 @@ def match_coefficients(
 
     # each row's basis factor y^{+-sigma} (1-y)^tau and the coefficient
     # +-sigma/y - tau/(1-y) of its y-derivative, at y = rho
-    sign_log, sign_inv, log_1m, inv_1m = consts[1:, :n_rows, None]
-    sigma, tau = left.sigma, np.array((left.tau, left.tau, right.tau)[:n_rows])
-    basis = np.exp(sigma * sign_log + tau * log_1m)
+    sign_log, sign_inv, pow_1m, tau_inv = np.array(
+        [f for y, sg, tau in rows
+         for f in (sg * math.log(y), sg / y, (1.0 - y) ** tau, tau / (1.0 - y))]
+    ).reshape(n_rows, 4, 1).transpose(1, 0, 2)
+    sigma = left.sigma
+    basis = np.exp(sigma * sign_log) * pow_1m
     cv = basis * zv
-    cd = basis * ((sigma * sign_inv - tau * inv_1m) * zv + lam * zd)
+    cd = basis * ((sigma * sign_inv - tau_inv) * zv + lam * zd)
 
     # row -1 is the right side's, which is row 1 when the sides mirror
-    fields = dict(E=es, zeta1=zv[0], zeta2=zv[1], zeta3=zv[-1], zeta4=zd[0],
+    fields = dict(zeta1=zv[0], zeta2=zv[1], zeta3=zv[-1], zeta4=zd[0],
                   zeta5=zd[1], zeta6=zd[-1], lambda1=lam[0], lambda2=lam[1],
                   lambda3=lam[-1], c1=cv[0], c2=cv[1], c3=cv[-1], c4=cd[0],
                   c5=cd[1], c6=cd[-1])
-    return MatchCoefficients(rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4,
-                             errors=errors, **_one_or_batch(E, fields, errors))
+    return MatchCoefficients(E=left.E, rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4,
+                             errors=errors, **_one_or_batch(left.E, fields, errors))
 
 
 def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> ScatteringResult:
@@ -232,8 +235,6 @@ def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> Sc
     if mode not in ("corrected", "paper"):
         raise ValueError(f"mode must be 'corrected' or 'paper', got {mode!r}")
     E, c1, c2, c3, c4, c5, c6 = (mc.E, mc.c1, mc.c2, mc.c3, mc.c4, mc.c5, mc.c6)
-    if not np.ndim(E):
-        E, c1, c2, c3, c4, c5, c6 = np.atleast_1d(E, c1, c2, c3, c4, c5, c6)
     # value row:      c1 + r*c2 - t*c3 = 0
     # derivative row: corrected  rho1*c4 + r*rho1*c5 + t*rho3*c6 = 0
     #                 paper      c4 + r*c5 - t*c6 = 0
@@ -243,19 +244,20 @@ def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> Sc
     else:
         m10, m11, b1 = c5, -c6, -c4
     with np.errstate(all="ignore"):
-        det = c2 * m11 + c3 * m10
-        r_amp = (c3 * b1 - c1 * m11) / det
-        t_amp = (c2 * b1 + c1 * m10) / det
-        R = (r_amp * r_amp.conjugate()).real
-        T = (t_amp * t_amp.conjugate()).real
+        det = _product(c2, m11) + _product(c3, m10)
+        r_amp = (_product(c3, b1) - _product(c1, m11)) / det
+        t_amp = (_product(c2, b1) + _product(c1, m10)) / det
+        R = r_amp.real * r_amp.real + r_amp.imag * r_amp.imag
+        T = t_amp.real * t_amp.real + t_amp.imag * t_amp.imag
         residual = np.abs(R + T - 1.0)
     errors = dict(mc.errors)
-    for i in (np.abs(det) < _DET_FLOOR).nonzero()[0].tolist():
+    for i in np.ravel(np.abs(det) < _DET_FLOOR).nonzero()[0].tolist():
         errors.setdefault(i, SingularMatchingError(
-            f"matching determinant {complex(det[i])!r} below {_DET_FLOOR} "
-            f"at E={float(E[i])} (mode={mode})"))
-    fields = dict(E=E, r_amp=r_amp, t_amp=t_amp, R=R, T=T, unitarity_residual=residual)
-    return ScatteringResult(mode=mode, errors=errors, **_one_or_batch(mc.E, fields, errors))
+            f"matching determinant {complex(np.ravel(det)[i])!r} below {_DET_FLOOR} "
+            f"at E={float(np.ravel(E)[i])} (mode={mode})"))
+    if errors and not isinstance(E, np.ndarray):
+        raise errors[0]
+    return ScatteringResult(E, r_amp, t_amp, R, T, residual, mode, errors)
 
 
 def compute_rt(
@@ -274,12 +276,9 @@ def compute_rt(
     ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
     asymptotic T -> 1 branch.
     """
-    res = solve_amplitudes(match_coefficients(
-        np.array([E], dtype=float), params, tau_branch, sqrt_branch), mode)
-    if res.errors:
-        raise res.errors[0]
-    return ScatteringResult(res.E[0], res.r_amp[0], res.t_amp[0], res.R[0], res.T[0],
-                            res.unitarity_residual[0], mode)
+    return solve_amplitudes(
+        match_coefficients(E, params, tau_branch, sqrt_branch), mode
+    )
 
 
 def scan(

@@ -60,24 +60,21 @@ def test_scan_equals_compute_rt_bit_for_bit(name, params, grid):
         assert "NoConvergenceError" in got and isinstance(got[0], tuple)
 
 
-def test_lane_paths_against_bruteforce():
-    # the matching step's parameter families at z = 0.8 on fig3 energies,
-    # where the connection is accepted below E/V_max = 3.3 and rejected
-    # above, plus the same families at |z| < 0.7.  Accepted connection
-    # values between E/V_max = 1 and 3.3 are off by up to 3e-13 (the
-    # estimate behind the gate runs low there, as it did before lanes),
-    # so the accepted lanes here stay below E/V_max = 1.
+def _lane_errors(energies_over_vmax, zs):
+    """The matching step's parameter families (zeta1 and zeta2 at default
+    parameters) at the given E/V_max and z, evaluated as one batch: each
+    lane's path and its relative error against the 40-digit series."""
     v = barrier_top(DEFAULT_PARAMS)
     lanes = []
-    for E in np.concatenate([np.linspace(0.05, 0.9, 5), np.linspace(3.6, 5.0, 5)]) * v:
+    for E in np.asarray(energies_over_vmax) * v:
         sc = side_coefficients(float(E), DEFAULT_PARAMS)
         al, bl, gl = complex(sc.alpha), complex(sc.beta), complex(sc.gamma)
         for a, b, c in ((al, bl, gl), (al + 1 - gl, bl + 1 - gl, 2 - gl)):
-            lanes += [(a, b, c, 0.8), (a, b, c, 0.45)]
+            lanes += [(a, b, c, z) for z in zs]
     a, b, c, z = (np.array(col) for col in zip(*lanes))
     values, errors = gauss_2f1_lanes(a, b, c, z)
     assert not errors
-    paths = []
+    out = []
     for (ai, bi, ci, zi), value in zip(lanes, values):
         req = Hyp2F1Request(a=ai, b=bi, c=ci, z=zi)
         if abs(zi) < 0.7:
@@ -88,11 +85,31 @@ def test_lane_paths_against_bruteforce():
         else:
             path = "connection rejected -> series"
             assert value == gauss_2f1_series(req)
-        paths.append(path)
         ref = hyp2f1_bruteforce(ai, bi, ci, zi)
-        assert abs(value - ref) <= 1e-13 * abs(ref), path
-    assert set(paths) == {"series |z| < 0.7", "connection accepted",
-                          "connection rejected -> series"}
+        out.append((path, abs(value - ref) / abs(ref)))
+    return out
+
+
+def test_lane_paths_against_bruteforce():
+    # at z = 0.8 on fig3 energies the connection is accepted below
+    # E/V_max = 3.3 and rejected above; z = 0.45 takes the series.  The
+    # accepted lanes between E/V_max = 1 and 3.3 are the next test's.
+    lanes = _lane_errors(np.concatenate([np.linspace(0.05, 0.9, 5),
+                                         np.linspace(3.6, 5.0, 5)]), (0.8, 0.45))
+    for path, err in lanes:
+        assert err <= 1e-13, path
+    assert {path for path, _ in lanes} == {
+        "series |z| < 0.7", "connection accepted", "connection rejected -> series"}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the connection's rounding-error estimate runs low here: accepted values "
+    "are off by up to 3e-13 (CHANGES.md, FOUND: hyp2f1.py _connection)"))
+def test_accepted_connection_between_1_and_3_3_vmax():
+    lanes = _lane_errors(np.linspace(1.0, 3.2, 12), (0.8,))
+    accepted = [err for path, err in lanes if path == "connection accepted"]
+    assert accepted
+    assert max(accepted) <= 1e-13
 
 
 def test_failing_lane_leaves_batch_unchanged():
