@@ -30,12 +30,15 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+# potential_fn, default_config and integrate_scatter (called with cfg as its
+# 4th positional argument) stay names of this module: benchmarks/worker.py
+# wraps them here
 from .model import BarrierParams, barrier_top, potential as potential_fn
-from .oracle import (IntegrationConfig, OracleError, OracleResult, _default_step,
-                     default_config, integrate_scatter)
+from .oracle import (IntegrationConfig, OracleError, _default_step, default_config,
+                     integrate_scatter)
 from .reference import DEFAULT_PARAMS, TABLE1
 # compute_rt stays a name of this module: benchmarks/worker.py wraps it here
-from .scatter import MatchMode, compute_rt, scan  # noqa: F401
+from .scatter import MatchMode, ScanEntry, compute_rt, scan  # noqa: F401
 
 OutputFormat = Literal["csv", "json"]
 
@@ -304,6 +307,23 @@ def _run_config(args, variant: dict) -> RunConfig:
         raise _UsageError(str(exc)) from exc
 
 
+# a flat row as json.dumps(indent=2) lays it out two levels deep, but by the
+# C encoder: any indent selects the pure-Python one
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=True,
+                                separators=(",\n      ", ": "))
+
+
+def _json_text(config: dict, rows: list[dict]) -> str:
+    """json.dumps({"config": config, "rows": rows}, indent=2, sort_keys=True,
+    allow_nan=True) plus a newline, byte for byte, for rows of scalars."""
+    head = json.dumps(config, indent=2, sort_keys=True, allow_nan=True)
+    body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
+                          for row in rows)
+    body = "[\n    " + body + "\n  ]" if rows else "[]"
+    return ('{\n  "config": ' + head.replace("\n", "\n  ")
+            + ',\n  "rows": ' + body + "\n}\n")
+
+
 def _write(args, tag: str, header: Sequence[str], rows: Sequence[Sequence[float]],
            config: RunConfig) -> None:
     """Write one table, as CSV or as JSON echoing ``config``, to --out or
@@ -314,9 +334,7 @@ def _write(args, tag: str, header: Sequence[str], rows: Sequence[Sequence[float]
         lines += [",".join(f"{v:.9g}" for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        doc = {"config": asdict(config),
-               "rows": [dict(zip(header, row)) for row in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+        text = _json_text(asdict(config), [dict(zip(header, row)) for row in rows])
     out = args.out
     if tag:
         prefix = args.out or _PRESETS.get(args.preset, _NO_PRESET).prefix or args.command
@@ -366,9 +384,25 @@ def _oracle_config(E: float, params: BarrierParams, args) -> IntegrationConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _run_oracle(E: float, params: BarrierParams, args) -> OracleResult:
-    cfg = _oracle_config(E, params, args)
-    return integrate_scatter(E, lambda x: potential_fn(x, params), params.m, cfg)
+def _oracle_runs(entries: Sequence[ScanEntry], params: BarrierParams,
+                 args) -> dict[int, tuple[float, float] | OracleError]:
+    """Oracle (T, R), or the OracleError, by index of each successful scan
+    entry: one integrate_scatter call per IntegrationConfig shared."""
+    out: dict = {}
+    groups: dict[IntegrationConfig, list[int]] = {}
+    for i, entry in enumerate(entries):
+        if entry.error is not None:
+            continue
+        try:
+            groups.setdefault(_oracle_config(entry.E, params, args), []).append(i)
+        except OracleError as exc:
+            out[i] = exc
+    for cfg, idx in groups.items():
+        res = integrate_scatter(np.array([entries[i].E for i in idx]),
+                                lambda x: potential_fn(x, params), params.m, cfg)
+        for j, i in enumerate(idx):
+            out[i] = res.errors.get(j) or (float(res.T[j]), float(res.R[j]))
+    return out
 
 
 def _scan_rows(config: RunConfig, args):
@@ -376,9 +410,10 @@ def _scan_rows(config: RunConfig, args):
     params = config.params
     v_max = barrier_top(params)
     entries = scan(config.energies(), params, config.mode)
+    oracle = _oracle_runs(entries, params, args) if config.oracle_enabled else {}
     rows = []
     errors: list[tuple[float, str]] = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         E = entry.E
         e_over = E / v_max if v_max > 0 else math.inf
         if entry.error is not None:
@@ -389,12 +424,12 @@ def _scan_rows(config: RunConfig, args):
         res = entry.result
         row = (E, e_over, res.T, res.R, res.unitarity_residual)
         if config.oracle_enabled:
-            try:
-                orc = _run_oracle(E, params, args)
-                row += (orc.T, orc.R, abs(res.T - orc.T))
-            except OracleError as exc:
+            orc = oracle[i]
+            if isinstance(orc, OracleError):
                 row += (math.nan, math.nan, math.nan)
-                errors.append((E, f"{type(exc).__name__}: {exc}"))
+                errors.append((E, f"{type(orc).__name__}: {orc}"))
+            else:
+                row += (orc[0], orc[1], abs(res.T - orc[0]))
         rows.append(row)
     return rows, errors
 
@@ -470,20 +505,21 @@ def _cmd_verify(args) -> int:
     print()
 
     energies = config.energies()
+    entries = scan(energies, config.params, config.mode)
+    oracle = _oracle_runs(entries, config.params, args)
     max_dt = max_dr = max_uni = 0.0
     offenders: list[tuple[float, str]] = []
-    for entry in scan(energies, config.params, config.mode):
+    for i, entry in enumerate(entries):
         E, res = entry.E, entry.result
         if entry.error:
             offenders.append((E, f"analytic: {entry.error}"))
             continue
         max_uni = max(max_uni, res.unitarity_residual)
-        try:
-            orc = _run_oracle(E, config.params, args)
-        except OracleError as exc:
-            offenders.append((E, f"oracle: {type(exc).__name__}: {exc}"))
+        orc = oracle[i]
+        if isinstance(orc, OracleError):
+            offenders.append((E, f"oracle: {type(orc).__name__}: {orc}"))
             continue
-        dt, dr = abs(res.T - orc.T), abs(res.R - orc.R)
+        dt, dr = abs(res.T - orc[0]), abs(res.R - orc[1])
         max_dt, max_dr = max(max_dt, dt), max(max_dr, dr)
         if dt > _DT_TOL or dr > _DR_TOL:
             offenders.append((E, f"|dT|={dt:.3g}, |dR|={dr:.3g}"))

@@ -16,22 +16,28 @@ family served by this package has one at the origin) degrade Numerov to
 
 The march is a product of step maps.  w = 2m(V - E) is real, so a step of
 either method is a real 2x2 map of the complex state: (psi, psi') for RK4,
-(p_i, (p_i - p_{i-1})/d) on the Numerov grid.  Each chunk's maps are built
-as numpy arrays from one sampling of w and multiplied pairwise (a tree);
-the chunk products advance the state in order.  A map is I + O(h), so it is
+(p_i, (p_i - p_{i-1})/d) on the Numerov grid.  A map is I + O(h), so it is
 kept as D = M - I and pairs combine as (I + B)(I + A) = I + (A + B + BA):
 I + D itself would round off the O(h) part (about 1e-12 relative in T), and
-Numerov never forms the cancelling 12 - 10 f of its usual form.  Chunking
-keeps the map arrays small next to the grid.  Numerov's last four steps run
-one at a time for its five-sample end derivative.  As with a step-by-step
-march, the flux residual |R + T - 1| is checked and reported on every run.
+Numerov never forms the cancelling 12 - 10 f of its usual form.
+
+One call integrates an array of energies that share a grid.  V is sampled
+once; the energies march in blocks of ``_LANES`` lanes, and for each chunk
+of ``_CHUNK`` steps w and the maps are formed with a lane axis, multiplied
+pairwise (a tree) and applied to the states in order, so memory stays at
+lanes x chunk cells next to the grid.  Every operation is elementwise in
+the lanes, so each energy rounds exactly as it does alone.  Numerov's last
+four steps run one at a time for its five-sample end derivative.  The
+boundary check (its bound grows with E) and the flux residual |R + T - 1|
+are checked per energy on every run; a failed energy leaves the others
+unchanged.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -45,6 +51,7 @@ __all__ = ["OracleError", "BoundaryNotDecayedError", "StepTooCoarseError",
 
 _FLUX_TOL = 1e-6
 _CHUNK = 8192  # steps per tree product; amortizes numpy's per-call cost
+_LANES = 4     # energies per march; lanes x _CHUNK cells bound the map arrays
 
 
 class OracleError(Exception):
@@ -84,12 +91,15 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """R, T from direct integration plus integration diagnostics."""
+    """R, T from direct integration plus integration diagnostics, for one
+    energy or, field by field, for an array of energies with ``errors``
+    mapping the index of a failed energy to its OracleError."""
 
     R: float
     T: float
     flux_residual: float
     boundary_potential: float
+    errors: dict = field(default_factory=dict, repr=False)
 
 
 def default_config(E: float, potential: Potential, m: float = 1.0,
@@ -149,9 +159,9 @@ def _eval_potential(potential: Potential, xs: np.ndarray) -> np.ndarray:
 
 
 def _rk4_maps(w: np.ndarray, h: float) -> np.ndarray:
-    # D = M - I of the RK4 steps on (psi, psi'), shape (2, 2, n), from w on
-    # the half-step grid (2n + 1 samples)
-    w0, w1, w2 = w[:-2:2], w[1::2], w[2::2]
+    # D = M - I of the RK4 steps on (psi, psi'), shape (2, 2, lanes, n), from
+    # w on the half-step grid (lanes, 2n + 1)
+    w0, w1, w2 = w[..., :-2:2], w[..., 1::2], w[..., 2::2]
     h2 = h * h
     return np.array([[h2 / 6.0 * (w0 + 2.0 * w1) + h2 * h2 / 24.0 * w0 * w1,
                       h + h2 * h / 6.0 * w1],
@@ -162,74 +172,104 @@ def _rk4_maps(w: np.ndarray, h: float) -> np.ndarray:
 def _numerov_maps(g: np.ndarray, d: float) -> np.ndarray:
     # D = M - I of p_{i+1} (1 - g_{i+1}) = (2 + 10 g_i) p_i - (1 - g_{i-1})
     # p_{i-1} on (p_i, (p_i - p_{i-1})/d), g = d^2 w / 12, one per inner g_i
-    gm, g0, gp = g[:-2], g[1:-1], g[2:]
+    gm, g0, gp = g[..., :-2], g[..., 1:-1], g[..., 2:]
     fp = 1.0 - gp
     up = (gm + 10.0 * g0 + gp) / (d * fp)
     uu = (gp - gm) / fp
     return np.array([[d * up, d + d * uu], [up, uu]])
 
 
+def _apply(dev: np.ndarray, state: np.ndarray) -> np.ndarray:
+    # state + D @ state per lane; rounds as the 2x2 matmul of one lane does
+    return state + (dev[:, 0] * state[0] + dev[:, 1] * state[1])
+
+
 def _march(maps: Callable[[int, int], np.ndarray], n: int, state: np.ndarray):
-    # steps 0..n-1 applied to state in order; maps(lo, hi) gives their D
+    # steps 0..n-1 applied in order to the (2, lanes) state; maps(lo, hi)
+    # gives their D, shape (2, 2, lanes, hi - lo)
     for lo in range(0, n, _CHUNK):
         dev = maps(lo, min(lo + _CHUNK, n))
         while dev.shape[-1] > 1:
             a, b = dev[..., 0:-1:2], dev[..., 1::2]
             ba = a + b + b[:, :1] * a[:1] + b[:, 1:] * a[1:]
-            dev = np.concatenate((ba, dev[..., 2 * b.shape[-1]:]), axis=-1)
-        state = state + dev[..., 0] @ state
+            dev = np.concatenate((ba, dev[..., -1:]), axis=-1) if dev.shape[-1] % 2 else ba
+        state = _apply(dev[..., 0], state)
     return state
 
 
-def integrate_scatter(E: float, potential: Potential, m: float,
+def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
                       cfg: IntegrationConfig) -> OracleResult:
     """Integrate backward across [-x_max, x_max] and extract R and T.
 
     The start state at +x_max is the transmitted wave psi = e^{ikx},
-    psi' = ik e^{ikx}.  Raises BoundaryNotDecayedError when the potential
-    has not decayed at the edges and StepTooCoarseError when the resulting
-    flux residual exceeds 1e-6 (e.g. an unstable step for the energy).
+    psi' = ik e^{ikx}.  ``E`` is one energy or a 1-D array of energies that
+    share ``cfg``.  A lane fails with BoundaryNotDecayedError when the
+    potential has not decayed at the edges and with StepTooCoarseError when
+    its flux residual exceeds 1e-6 (e.g. an unstable step for the energy).
+    One energy returns floats and raises its error; an array returns arrays
+    of R, T and flux_residual, nan at a failed lane, with ``errors`` mapping
+    each failed lane's index to its error.
     """
-    if not (math.isfinite(E) and E > 0):
+    es = np.array(E, dtype=float, ndmin=1)
+    if es.ndim != 1 or not np.all((es > 0.0) & (es < np.inf)):
         raise ValueError(f"E must be > 0, got {E!r}")
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
     L = cfg.x_max
     boundary = float(np.max(np.abs(_eval_potential(potential, np.array([-L, L])))))
-    if boundary > cfg.decay_tol * max(E, 1.0):
-        raise BoundaryNotDecayedError(
-            f"|V(+-{L:g})| = {boundary:g} exceeds decay_tol*max(E,1) = "
-            f"{cfg.decay_tol * max(E, 1.0):g}; enlarge x_max")
-    k = math.sqrt(2.0 * m * E)
+    energies = es.tolist()
+    errors: dict[int, OracleError] = {}
+    for i, e in enumerate(energies):
+        if boundary > cfg.decay_tol * max(e, 1.0):
+            errors[i] = BoundaryNotDecayedError(
+                f"|V(+-{L:g})| = {boundary:g} exceeds decay_tol*max(E,1) = "
+                f"{cfg.decay_tol * max(e, 1.0):g}; enlarge x_max")
+    lanes = [i for i in range(es.size) if i not in errors]
+    R, T, flux = np.full((3, es.size), math.nan)
     n = int(math.ceil(2.0 * L / cfg.step))
     rk4 = cfg.method == "rk4"
-    xs = np.linspace(L, -L, 2 * n + 1 if rk4 else n + 1)
-    w = 2.0 * m * (_eval_potential(potential, xs) - E)
+    xs = np.linspace(L, -L, 2 * n + 1 if rk4 else n + 1) if lanes else None
+    v = _eval_potential(potential, xs) if lanes else None
     d = -2.0 * L / n
-    p0 = cmath.exp(1j * k * L)
-    # an unstable step overflows; the flux check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rk4:
-            psi, dpsi = _march(lambda lo, hi: _rk4_maps(w[2 * lo:2 * hi + 1], d),
-                               n, np.array([p0, 1j * k * p0]))
-        else:
-            g = (d * d / 12.0) * w
-            p1 = cmath.exp(1j * k * xs[1])
-            state = _march(lambda lo, hi: _numerov_maps(g[lo:hi + 2], d),
-                           n - 5, np.array([p1, (p1 - p0) / d]))
-            tail = np.moveaxis(_numerov_maps(g[n - 5:], d), -1, 0)
-            u = [(state := state + dev @ state)[1] for dev in tail]
-            # 4th-order one-sided derivative from the last five samples' u
-            psi = state[0]
-            dpsi = (25.0 * u[3] - 23.0 * u[2] + 13.0 * u[1] - 3.0 * u[0]) / 12.0
-    A, B = plane_wave_decompose(complex(psi), complex(dpsi), k, -L)
-    aa = A.real * A.real + A.imag * A.imag
-    bb = B.real * B.real + B.imag * B.imag
-    T = 1.0 / aa if aa > 0 else math.inf
-    R = bb / aa if aa > 0 else math.inf
-    flux = abs(R + T - 1.0)
-    if not flux <= _FLUX_TOL:
-        raise StepTooCoarseError(
-            f"flux residual {flux:g} exceeds {_FLUX_TOL:g} at E={E} "
-            f"(step={cfg.step}, method={cfg.method}); reduce the step")
-    return OracleResult(R=R, T=T, flux_residual=flux, boundary_potential=boundary)
+    for start in range(0, len(lanes), _LANES):
+        block = lanes[start:start + _LANES]
+        eb = es[block, None]
+        ks = [math.sqrt(2.0 * m * energies[i]) for i in block]
+        p0 = [cmath.exp(1j * k * L) for k in ks]
+        # an unstable step overflows; the flux check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rk4:
+                psi, dpsi = _march(
+                    lambda lo, hi: _rk4_maps((2.0 * m) * (v[2 * lo:2 * hi + 1] - eb), d),
+                    n, np.array([p0, [1j * k * p for k, p in zip(ks, p0)]]))
+            else:
+                def g(lo, hi):
+                    return (d * d / 12.0) * ((2.0 * m) * (v[lo:hi] - eb))
+                p1 = [cmath.exp(1j * k * xs[1]) for k in ks]
+                state = _march(lambda lo, hi: _numerov_maps(g(lo, hi + 2), d), n - 5,
+                               np.array([p1, [(b - a) / d for a, b in zip(p0, p1)]]))
+                tail = _numerov_maps(g(n - 5, n + 1), d)
+                u = [(state := _apply(tail[..., j], state))[1] for j in range(4)]
+                # 4th-order one-sided derivative from the last five samples' u
+                psi = state[0]
+                dpsi = (25.0 * u[3] - 23.0 * u[2] + 13.0 * u[1] - 3.0 * u[0]) / 12.0
+        for j, (i, k) in enumerate(zip(block, ks)):
+            A, B = plane_wave_decompose(complex(psi[j]), complex(dpsi[j]), k, -L)
+            aa = A.real * A.real + A.imag * A.imag
+            bb = B.real * B.real + B.imag * B.imag
+            t = 1.0 / aa if aa > 0 else math.inf
+            r = bb / aa if aa > 0 else math.inf
+            residual = abs(r + t - 1.0)
+            if residual <= _FLUX_TOL:
+                R[i], T[i], flux[i] = r, t, residual
+            else:
+                errors[i] = StepTooCoarseError(
+                    f"flux residual {residual:g} exceeds {_FLUX_TOL:g} at E={energies[i]} "
+                    f"(step={cfg.step}, method={cfg.method}); reduce the step")
+    if np.ndim(E) == 0:
+        if errors:
+            raise errors[0]
+        return OracleResult(R=float(R[0]), T=float(T[0]), flux_residual=float(flux[0]),
+                            boundary_potential=boundary)
+    return OracleResult(R=R, T=T, flux_residual=flux, boundary_potential=boundary,
+                        errors=dict(sorted(errors.items())))

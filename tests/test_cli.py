@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dengfan import DEFAULT_PARAMS, TABLE1, barrier_top
-from dengfan.cli import RunConfig, config_from_dict, main
+from dengfan.cli import RunConfig, _json_text, config_from_dict, main
 
 EXPECTED_HEADER = "E,E_over_Vmax,T,R,unitarity_residual"
 EXPECTED_HEADER_ORACLE = EXPECTED_HEADER + ",T_oracle,R_oracle,delta_T"
@@ -55,6 +55,18 @@ def test_scatter_json_roundtrip(capsys):
     base = RunConfig(params=DEFAULT_PARAMS)
     loaded = asdict(config_from_dict(doc["config"], base))
     assert loaded == doc["config"]
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"E": 0.5, "T": math.nan, "R": math.inf, "delta_T": -math.inf}],
+    [{"T": 1e-300, "E": 2.0, "R": 0.1 + 0.2}, {"T": 5e20, "E": 3, "R": -0.0}],
+], ids=["no-rows", "nan-inf", "two-rows"])
+def test_json_writer_matches_indented_dumps(rows):
+    config = asdict(RunConfig(params=DEFAULT_PARAMS))
+    doc = {"config": config, "rows": rows}
+    expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert _json_text(config, rows) == expected
 
 
 def test_scatter_oracle_columns(capsys):

@@ -2,9 +2,10 @@
 
 Each case runs ``dengfan.cli.main`` in an empty directory and compares its
 stdout, stderr and every file it writes with ``tests/data/cli/<case>/``.
-The fixtures pin the exact text the presets, the paper mode, the multi-q
-files, the JSON config echo and config-file precedence produce.  After an
-intended output change, rewrite them with ``python tests/test_cli_golden.py``.
+The fixtures pin the exact text the presets, the paper mode, the oracle
+columns, the multi-q files, the JSON config echo and config-file precedence
+produce.  After an intended output change, rewrite them with
+``python tests/test_cli_golden.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ CASES = {
     "scatter_table1": (["scatter", "--table1"], 0),
     "scatter_fig4": (["scatter", "--fig4", "--n", "30"], 0),
     "scatter_paper_mode": (["scatter", "--table1", "--mode", "paper"], 2),
+    # every digit of the oracle's T and R, one batched call for the 20 energies
+    "scatter_table1_oracle": (["scatter", "--table1", "--oracle", "--format", "json"], 0),
     "potential_multi_q": (["potential", "--q", "0.6", "0.7", "--n", "5",
                            "--format", "json"], 0),
     "scatter_config_fig3": (["scatter", "--config", "{cfg}", "--fig3",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from dengfan import (BoundaryNotDecayedError, DEFAULT_PARAMS,
                      IntegrationConfig, StepTooCoarseError, TABLE1_ENERGIES,
                      compute_rt, default_config, integrate_scatter,
                      plane_wave_decompose, potential)
-from dengfan.oracle import _CHUNK
+from dengfan.oracle import _CHUNK, _LANES
 
 from helpers import numerov_loop_rt, rk4_loop_rt
 
@@ -286,3 +287,86 @@ def test_scalar_potential_callback_supported():
     res = integrate_scatter(0.05, scalar_only, 1.0, cfg)
     ana = compute_rt(0.05, DEFAULT_PARAMS)
     assert abs(res.T - ana.T) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# energy lanes: one call for an array of energies sharing a config
+# ---------------------------------------------------------------------------
+
+def _assert_lanes_equal_scalar_calls(res, energies, pot, cfg, failed=()):
+    for i, E in enumerate(energies):
+        if i in failed:
+            assert math.isnan(res.T[i]) and math.isnan(res.R[i])
+            continue
+        one = integrate_scatter(E, pot, 1.0, cfg)
+        assert type(one.T) is float
+        assert (res.T[i], res.R[i], res.flux_residual[i]) == (
+            one.T, one.R, one.flux_residual)
+
+
+@pytest.mark.parametrize("method", ["rk4", "numerov"])
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK + 5])
+@pytest.mark.parametrize("count", [_LANES - 1, _LANES, _LANES + 1])
+def test_batch_equals_scalar_calls_bit_for_bit(method, n, count):
+    cfg = _config_with_steps(n, method)
+    energies = np.linspace(0.02, 0.6, count).tolist()
+    res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
+    assert res.errors == {}
+    _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg)
+
+
+@pytest.mark.parametrize("method", ["rk4", "numerov"])
+def test_coarse_lanes_fail_alone(method):
+    # a step of 0.02 resolves E <= 2 but not E = 10; E = 20000 (k h = 4)
+    # overflows, with no numpy RuntimeWarning
+    cfg = IntegrationConfig(x_max=50.0, step=0.02, method=method)
+    energies = [0.05, 0.1, 10.0, 0.5, 20000.0, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
+    assert sorted(res.errors) == [2, 4]
+    assert all(isinstance(exc, StepTooCoarseError) for exc in res.errors.values())
+    assert "at E=10.0 " in str(res.errors[2])
+    _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg, failed=(2, 4))
+    with pytest.raises(StepTooCoarseError):
+        integrate_scatter(10.0, barrier, 1.0, cfg)
+
+
+def test_boundary_check_per_lane():
+    # the bound decay_tol * max(E, 1) passes E >= 2 only
+    edge = abs(float(barrier(np.array([30.0]))[0]))
+    cfg = IntegrationConfig(x_max=30.0, step=0.01, decay_tol=edge / 2.0)
+    energies = [0.5, 3.0, 1.5, 4.0]
+    res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
+    assert sorted(res.errors) == [0, 2]
+    assert all(isinstance(exc, BoundaryNotDecayedError) for exc in res.errors.values())
+    assert res.boundary_potential == edge
+    _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg, failed=(0, 2))
+    with pytest.raises(BoundaryNotDecayedError):
+        integrate_scatter(0.5, barrier, 1.0, cfg)
+
+
+def test_batch_rejects_bad_energies():
+    cfg = IntegrationConfig(x_max=10.0, step=0.01)
+    for bad in ([0.1, 0.0], [0.1, math.inf], [[0.1, 0.2]]):
+        with pytest.raises(ValueError):
+            integrate_scatter(np.array(bad), barrier, 1.0, cfg)
+
+
+def _peak_bytes(E, cfg):
+    tracemalloc.start()
+    try:
+        integrate_scatter(E, barrier, 1.0, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_is_bounded_by_lane_blocks():
+    # 8.0 MB for one energy and for the 20 Table-1 energies in blocks of
+    # _LANES, mostly the sampling of V on 200,001 points; 16.3 MB when all
+    # 20 lanes march at once
+    cfg = default_config(0.05, barrier, m=1.0, x_max_seed=50.0)
+    one = _peak_bytes(0.05, cfg)
+    batch = _peak_bytes(np.array(TABLE1_ENERGIES), cfg)
+    assert batch <= one + 1_000_000
