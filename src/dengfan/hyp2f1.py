@@ -1,24 +1,24 @@
-"""Gauss hypergeometric function 2F1 for complex parameters, plus complex
-log-gamma, evaluated lane-wise over numpy arrays.
+"""Gauss hypergeometric function 2F1 and its derivative for complex
+parameters, plus complex log-gamma, evaluated lane-wise over numpy arrays.
 
 ``gauss_2f1_lanes`` takes 1-D arrays a, b, c, z, one function per lane, and
-picks each lane's path from the classical toolbox (see Abramowitz & Stegun
-ch. 15 and DLMF ch. 15):
+returns F = 2F1(a, b; c; z) and F' = dF/dz from one pass per lane, on a path
+from the classical toolbox (Abramowitz & Stegun ch. 15, DLMF ch. 15):
 
-* direct power series  sum_n (a)_n (b)_n / ((c)_n n!) z^n  for |z| < 1,
-  summed in blocks of terms and stopped per lane once two consecutive terms
-  drop below ``rel_tol`` relative to the partial sum;
-* the 1-z connection formula as an optional acceleration for 0.7 <= |z| < 1,
-  valid when c - a - b is not an integer.  Its two terms can lose precision
-  (internal term growth, outer cancellation), so the automatic path accepts
-  the connection value only when a running error estimate stays within
-  10 * rel_tol and falls back to the series otherwise;
-* Gauss summation at z = 1 when Re(c - a - b) > 0;
+* the power series F = sum t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n, and
+  z F' = sum n t_n for |z| < 1, summed together in blocks of terms until
+  two consecutive terms of both drop below ``rel_tol`` of their sums;
+* the 1-z connection formula, differentiated term by term for F', as an
+  optional acceleration for 0.7 <= |z| < 1 when c - a - b is not an
+  integer.  Its two terms can lose precision (internal term growth, outer
+  cancellation), so the automatic path accepts it only when the error
+  estimates of F and F' both stay within 10 * rel_tol, and falls back to
+  the series for both otherwise;
 * log-gamma via the Lanczos approximation (g = 7, 9 coefficients) with a
   branch-tracked reflection formula for Re(z) < 1/2.
 
 A failing lane records its typed error and the others go on; the scalar
-entry points are batches of one that raise it.  A lane's value depends on
+entry points are batches of one that raise it.  A lane's values depend on
 its own inputs alone, bit for bit, whatever the batch around it.  All
 arithmetic is double precision; no arbitrary-precision escape hatch.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "gauss_2f1_lanes",
     "gauss_2f1_series",
     "gauss_2f1_connection",
-    "gauss_2f1_derivative",
     "lngamma_complex",
 ]
 
@@ -193,18 +192,21 @@ def _failure(what: str, a, b, c, z, r: int) -> NoConvergenceError:
 
 
 def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False):
-    """Sum the defining series on every lane.  Returns (values, peaks,
-    errors): errors maps a lane to its NoConvergenceError, and peaks, if
-    asked for, holds each lane's largest L1 term magnitude (for
-    rounding-error estimates).  Terms are made and summed in blocks, each
-    lane's in the order one scalar loop takes them; converged lanes drop
-    out between blocks.
+    """Sum the defining series F = sum t_n and, in the same blocks, z F' =
+    sum n t_n on every lane.  Returns (sums, peaks, errors): sums[:, 0] is F
+    and sums[:, 1] is z F', errors maps a lane to its NoConvergenceError,
+    and peaks, if asked for, holds the largest L1 term magnitude of each
+    sum (for rounding-error estimates).  Terms are made and summed in
+    blocks, each lane's in the order one scalar loop takes them; converged
+    lanes drop out between blocks.
     """
-    n_lanes, values, peaks, errors = a.size, None, None, {}
+    n_lanes, errors = a.size, {}
+    sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_lanes, 2))
     lanes, az = np.arange(n_lanes), np.abs(z)
     # term ratios approach |z|, so the dropped tail is about
-    # tail_factor * |last term|; fold that (over rel_tol) into the stopping rule
-    tail = (np.maximum(az / (1.0 - az), 1.0) / rel_tol)[:, None]
+    # tail_factor * |last term| (n times that for z F', whose terms are
+    # n t_n); fold that (over rel_tol) into the stopping rule
+    tail = (np.maximum(az / (1.0 - az), 1.0) / rel_tol)[:, None, None]
     # the first block ends a little past where |z|^n reaches rel_tol, plus
     # the terms' growth phase, longer for larger |a|, |b| and |z|
     zmax = min(max(az.max(), 0.05), 0.999)
@@ -214,62 +216,68 @@ def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False
     # every complex product below is between whole arrays or has a real
     # factor, so numpy rounds it alike whatever the batch's shape
     a, b, c, z, bz = a[:, None], b[:, None], c[:, None], z[:, None], (b * z)[:, None]
-    n, term, total, prev, peak = 0, 1.0, 1.0, False, 1.0
+    # both sums start from term 0: t_0 = 1 and 0 * t_0
+    n, term, prev, peak = 0, 1.0, False, np.array([1.0, 0.0])
+    total = peak[:, None]
     while True:
         k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), max_terms - n),
                       dtype=float)
         # column 0 carries the previous block's last term into the product
         t = np.empty((lanes.size, k.size + 1), dtype=complex)
         t[:, :1] = term
-        np.divide((a + k) * (bz + k * z), (c + k) * (k + 1.0), out=t[:, 1:])
+        # column j of t is term number w = n + j + 1
+        w = k + 1.0
+        np.divide((a + k) * (bz + k * z), (c + k) * w, out=t[:, 1:])
         t = np.multiply.accumulate(t, axis=1, out=t)[:, 1:]
-        # the running sum goes on from the previous total, so a lane's
+        # the running sums go on from the previous totals, so a lane's
         # rounding never depends on where its blocks start
-        s = t.copy()
-        s[:, :1] += total
-        np.add.accumulate(s, axis=1, out=s)
-        # L1 magnitudes: within sqrt(2) of |.|; two consecutive small terms
-        # stop a lane (complex parameters can make one term accidentally
-        # tiny), and so does a non-finite sum, as an overflow
-        mag = np.abs(t.real) + np.abs(t.imag)
+        s = np.empty((lanes.size, 2, k.size), dtype=complex)
+        s[:, 0] = t
+        np.multiply(t, w, out=s[:, 1])
+        s[:, :, :1] += total
+        np.add.accumulate(s, axis=2, out=s)
+        # L1 magnitudes: within sqrt(2) of |.|; two consecutive terms small
+        # in both sums stop a lane (complex parameters can make one term
+        # accidentally tiny), and so does a non-finite sum, as an overflow
+        mag = np.empty(s.shape)
+        np.add(np.abs(t.real), np.abs(t.imag), out=mag[:, 0])
+        np.multiply(mag[:, 0], w, out=mag[:, 1])
         small = mag * tail <= np.abs(s.real) + np.abs(s.imag)
+        small = small[:, 0] & small[:, 1]
         stop = small.copy()
         stop[:, 1:] &= small[:, :-1]
         stop[:, :1] &= prev
-        stop |= ~np.isfinite(s)
+        stop |= ~np.isfinite(s).all(axis=1)
         done = np.logical_or.reduce(stop, axis=1)
         rows = done.nonzero()[0]
         if want_peaks:
-            np.maximum.accumulate(mag, axis=1, out=mag)
+            np.maximum.accumulate(mag, axis=2, out=mag)
         if rows.size:
             cols = (stop[rows] if rows.size < lanes.size else stop).argmax(axis=1)
-            got = s[rows, cols]
-            top = np.maximum(peak if n == 0 else peak[rows], mag[rows, cols]) if want_peaks else None
-            finite = np.isfinite(got)
-            for i in (~finite).nonzero()[0].tolist() if np.count_nonzero(finite) < got.size else ():
+            got = s[rows, :, cols]
+            top = (np.maximum(peak if n == 0 else peak[rows], mag[rows, :, cols])
+                   if want_peaks else None)
+            finite = np.isfinite(got).all(axis=1)
+            for i in (~finite).nonzero()[0].tolist() if np.count_nonzero(finite) < rows.size else ():
                 errors[int(lanes[rows[i]])] = _failure(
                     f"overflowed after {n + int(cols[i]) + 1} terms", a, b, c, z, int(rows[i]))
-            if values is None and rows.size == n_lanes:
+            if rows.size == n_lanes:
                 return got, top, errors
-            if values is None:
-                values, peaks = np.empty(n_lanes, dtype=complex), np.empty(n_lanes)
-            values[lanes[rows]] = got
+            sums[lanes[rows]] = got
             if want_peaks:
                 peaks[lanes[rows]] = top
             if rows.size == lanes.size:
-                return values, peaks, errors
+                return sums, peaks, errors
         if want_peaks:
-            peak = np.maximum(peak, mag[:, -1])
+            peak = np.maximum(peak, mag[:, :, -1])
         n += k.size
         keep = ~done
         if n >= max_terms:
-            if values is None:
-                values, peaks = np.empty(n_lanes, dtype=complex), np.empty(n_lanes)
             for r in keep.nonzero()[0].tolist():
                 errors[int(lanes[r])] = _failure(
                     f"did not converge in {max_terms} terms", a, b, c, z, r)
-            return values, peaks, errors
-        term, total, prev = t[:, -1:], s[:, -1:], small[:, -1:]
+            return sums, peaks, errors
+        term, total, prev = t[:, -1:], s[:, :, -1:], small[:, -1:]
         if rows.size:
             a, b, c, z, bz, tail, lanes, term, total, prev = (
                 v[keep] for v in (a, b, c, z, bz, tail, lanes, term, total, prev))
@@ -278,36 +286,52 @@ def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False
 
 
 def _connection(a, b, c, s, ca, cb, u, f, peak):
-    """1-z connection values and their relative rounding-error estimates,
-    from f = (F(a, b; 1-s; u), F(c-a, c-b; 1+s; u)) and their series' peak
-    terms, where s = c - a - b, ca = c - a, cb = c - b and u = 1 - z."""
+    """1-z connection values F and F' and the larger of their relative
+    rounding-error estimates, from the series sums and peak terms f, peak
+    of (F(a, b; 1-s; u), F(c-a, c-b; 1+s; u)), each with u times its
+    derivative, where s = c - a - b, ca = c - a, cb = c - b and u = 1 - z."""
     m, su = a.size, s * np.log(u)
     lg = _lngammas(c, s, -s, ca, cb, a, b, den=3)
-    terms = np.exp(np.concatenate((lg[0] + lg[1] - lg[3] - lg[4],
-                                   lg[0] + lg[2] - lg[5] - lg[6] + su))) * f
-    value = terms[:m] + terms[m:]
-    # rounding-error model: each term inherits the peak/|f| growth of its
-    # series plus the gamma-argument penalty (log-gamma loses roughly
-    # eps * |argument|, which exp turns into relative error); outer
-    # cancellation amplifies everything by (|t1| + |t2|) / |t1 + t2|
-    pen = 1.2 * np.add.accumulate(np.abs(np.concatenate((c, s, ca, cb, a, b, su)))
-                                  .reshape(7, m), axis=0)[-1]
-    grown = (((peak / np.maximum(np.abs(f), 1e-300) + 2.0).reshape(2, m) + pen)
-             * np.abs(terms).reshape(2, m))
-    return value, (grown[0] + grown[1]) / np.abs(value) * _EPS
+    g = np.exp(np.concatenate((lg[0] + lg[1] - lg[3] - lg[4],
+                               lg[0] + lg[2] - lg[5] - lg[6] + su))).reshape(2, m, 1)
+    # terms[i] = g_i (f_i, u f_i'), where g_2 holds u^s; then F = g_1 f_1 +
+    # g_2 f_2 and -u F' = g_1 u f_1' + g_2 (s f_2 + u f_2')
+    terms = g * f.reshape(2, m, 2)
+    out = terms[0] + terms[1]
+    out[:, 1] += s * terms[1, :, 0]
+    # rounding-error model: a series sum is off by eps times its peak term
+    # plus 2 eps of itself, each term by the gamma-argument penalty (log-gamma
+    # loses about eps * |argument|, which exp makes relative); relative to
+    # |F| and |u F'|, outer cancellation of the two terms amplifies it all
+    pen = 2.0 + 1.2 * np.add.accumulate(np.abs(np.concatenate((c, s, ca, cb, a, b, su)))
+                                        .reshape(7, m), axis=0)[-1]
+    err = np.abs(g) * (peak.reshape(2, m, 2) + np.abs(f).reshape(2, m, 2) * pen[:, None])
+    err[1, :, 1] += np.abs(s) * err[1, :, 0]
+    est = (err[0] + err[1]) / np.abs(out)
+    return out[:, 0], out[:, 1] / -u, np.maximum(est[:, 0], est[:, 1]) * _EPS
+
+
+def _store(values, derivs, idx, f, a, b, c, z) -> None:
+    """Series sums (F, z F') of the lanes idx into values and derivs (F' =
+    ab/c at z = 0, where z F' says nothing)."""
+    zero = idx[z[idx] == 0]
+    values[idx], derivs[idx] = f[:, 0], f[:, 1] / z[idx]
+    if zero.size:
+        derivs[zero] = a[zero] * b[zero] / c[zero]
 
 
 def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
                     path: str = "auto"):
-    """Evaluate 2F1(a, b; c; z) on every lane of the 1-D arrays a, b, c, z.
+    """Evaluate F = 2F1(a, b; c; z) and F' = dF/dz on every lane of the 1-D
+    arrays a, b, c, z.
 
-    Returns (values, errors): errors maps a failed lane to its
-    ``Hyp2F1Error``, and that lane's value is nan.  The path of a lane on
-    ``auto``: Gauss summation at z = 1; the series for |z| < 0.7; for
-    0.7 <= |z| < 1 the 1-z connection formula when it is non-degenerate
-    and its error estimate meets 10 * rel_tol, else the series.
+    Returns (values, derivs, errors): errors maps a failed lane to its
+    ``Hyp2F1Error``, and that lane's F and F' are nan.  The path of a lane
+    on ``auto``: the series for |z| < 0.7; for 0.7 <= |z| < 1 the 1-z
+    connection formula when it is non-degenerate and the error estimates
+    of F and F' both meet 10 * rel_tol, else the series for both.
     ``series`` and ``connection`` force one path.  An argument outside the
-    disk raises ValueError for the whole batch.
+    open unit disk, z = 1 included, raises ValueError for the whole batch.
     """
     a, b, c, z = (np.array(v, dtype=complex, ndmin=1, copy=None) for v in (a, b, c, z))
     # canonical (a, b) order so results are bit-identical under a <-> b
@@ -315,33 +339,23 @@ def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
     if np.count_nonzero(swap):
         a, b = np.where(swap, b, a), np.where(swap, a, b)
     az, u = np.abs(z), 1.0 - z
+    if np.count_nonzero(az >= 1.0):
+        raise ValueError(f"|z| must be < 1, got z = {z}")
     if path == "auto":
         conn = (az >= 0.7) & (np.abs(u) < 1.0)
     else:
         conn = (z != 0) & (path == "connection")
         if np.count_nonzero(conn & (np.abs(u) >= 1.0)):
             raise ValueError(f"connection path requires |1 - z| < 1, got z = {z}")
-    values, errors, direct = np.empty(a.size, dtype=complex), {}, ~conn
+    values, derivs, errors = np.empty(a.size, dtype=complex), np.empty(a.size, dtype=complex), {}
+    direct = ~conn
     with np.errstate(all="ignore"):
-        if np.count_nonzero((az >= 1.0) | (c.imag == 0.0)):
-            # the rare lanes: z = 1 (Gauss summation) and poles in c
-            one = (z == 1.0) & (path == "auto")
-            if np.count_nonzero((az >= 1.0) & ~one):
-                raise ValueError(f"|z| must be < 1 (or z exactly 1 on the automatic "
-                                 f"path), got z = {z}")
+        if np.count_nonzero(c.imag == 0.0):
             pole = _nonpositive_integer(c)
             errors.update((i, PoleAtCError(f"c = {complex(c[i])} is zero or a negative integer"))
                           for i in pole.nonzero()[0].tolist())
-            conn &= ~(pole | one)
-            direct = ~(pole | one | conn)
-            idx = (one & ~pole).nonzero()[0]
-            if idx.size:
-                s = c[idx] - a[idx] - b[idx]
-                errors.update((int(i), NoConvergenceError(
-                    f"2F1 at z = 1 diverges unless Re(c - a - b) > 0, got {complex(si)}"))
-                    for i, si in zip(idx, s) if si.real <= 0)
-                lg = _lngammas(c[idx], s, c[idx] - a[idx], c[idx] - b[idx], den=2)
-                values[idx] = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
+            conn &= ~pole
+            direct = ~(pole | conn)
         ic, idx = conn.nonzero()[0], direct.nonzero()[0]
         m, ns = ic.size, idx.size
         if ns + m:
@@ -355,14 +369,15 @@ def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
                   ((a, ac, ca), (b, bc, cb), (c, 1.0 - s, 1.0 + s), (z, uc, uc))),
                 rel_tol, max_terms, m > 0)
             if ns:
-                values[idx] = f[:ns]
+                _store(values, derivs, idx, f[:ns], a, b, c, z)
             if m:
-                value, est = _connection(ac, bc, cc, s, ca, cb, uc, f[ns:], peak[ns:])
+                value, deriv, est = _connection(ac, bc, cc, s, ca, cb, uc, f[ns:], peak[ns:])
                 degenerate = np.abs(s - np.rint(s.real)) < 1e-6
                 ok = ~degenerate
                 if path == "auto":
                     # a degenerate or rejected attempt falls back to the series
-                    ok &= np.isfinite(value) & (est <= max(10.0 * rel_tol, _CONNECTION_GATE))
+                    ok &= (np.isfinite(value) & np.isfinite(deriv)
+                           & (est <= max(10.0 * rel_tol, _CONNECTION_GATE)))
                     retry = ~ok
                 else:
                     retry = np.zeros(m, dtype=bool)
@@ -377,18 +392,17 @@ def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
                     errors.setdefault(int(ic[(j - ns) % m]), failed[j])
                     ok[(j - ns) % m] = retry[(j - ns) % m] = False
             if m and np.count_nonzero(ok) == a.size:
-                values = value
+                values, derivs = value, deriv
             elif m:
-                values[ic[ok]] = value[ok]
+                values[ic[ok]], derivs[ic[ok]] = value[ok], deriv[ok]
                 idx = ic[retry]
                 if idx.size:
-                    value, _, failed = _series(a[idx], b[idx], c[idx], z[idx],
-                                               rel_tol, max_terms)
-                    values[idx] = value
+                    f, _, failed = _series(a[idx], b[idx], c[idx], z[idx], rel_tol, max_terms)
+                    _store(values, derivs, idx, f, a, b, c, z)
                     errors.update((int(idx[j]), exc) for j, exc in failed.items())
     if errors:
-        values[list(errors)] = np.nan
-    return values, errors
+        values[list(errors)] = derivs[list(errors)] = np.nan
+    return values, derivs, errors
 
 
 # ----------------------------------------------------------------------------
@@ -396,8 +410,8 @@ def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
 # ----------------------------------------------------------------------------
 
 def _one(req: Hyp2F1Request, path: str) -> complex:
-    values, errors = gauss_2f1_lanes(req.a, req.b, req.c, req.z,
-                                     req.rel_tol, req.max_terms, path)
+    values, _, errors = gauss_2f1_lanes(req.a, req.b, req.c, req.z,
+                                        req.rel_tol, req.max_terms, path)
     if errors:
         raise errors[0]
     return complex(values[0])
@@ -418,15 +432,3 @@ def gauss_2f1_connection(req: Hyp2F1Request) -> complex:
     """2F1 through the 1-z connection formula, meant for 0.7 <= |z| < 1;
     raises ConnectionDegenerateError when c - a - b is an integer."""
     return _one(req, "connection")
-
-
-def gauss_2f1_derivative(a: complex, b: complex, c: complex, z: complex,
-                         rel_tol: float = 1e-15,
-                         max_terms: int = 20000) -> complex:
-    """d/dz 2F1(a, b; c; z) = (a b / c) 2F1(a+1, b+1; c+1; z)."""
-    c = complex(c)
-    if _nonpositive_integer(np.asarray(c)):
-        raise PoleAtCError(f"c = {c} is zero or a negative integer")
-    shifted = Hyp2F1Request(a=complex(a) + 1, b=complex(b) + 1, c=c + 1,
-                            z=complex(z), rel_tol=rel_tol, max_terms=max_terms)
-    return complex(a) * complex(b) / c * gauss_2f1(shifted)

@@ -6,8 +6,9 @@ reflected and transmitted amplitudes relative to the incident one.  The
 matching data is condensed into
 
     rho1 = q, rho2 = 1 - q, rho3 = q_tilde, rho4 = 1 - q_tilde,
-    zeta1..zeta6  (hypergeometric values at rho1 / rho3),
-    lambda1..lambda3  (derivative prefactors a*b/c),
+    zeta1..zeta3  (the hypergeometric factors of the three basis functions
+                   at y = rho1, rho1, rho3),
+    dzeta1..dzeta3  (their y-derivatives),
     c1..c6  (the assembled matching coefficients),
 
 from which a 2x2 linear system yields A2/A1 and A4/A1 and then
@@ -68,7 +69,11 @@ class SingularMatchingError(Exception):
 class MatchCoefficients:
     """All quantities entering the x = 0 matching system, at one energy or,
     field by field, at an array of energies.  ``errors`` maps the index of
-    a failed energy of an array to its error; its fields there are nan."""
+    a failed energy of an array to its error; its fields there are nan.
+    zeta_r and dzeta_r are the 2F1 factor of basis function r at x = 0 and
+    its y-derivative, c_r and c_{r+3} the function's value and y-derivative:
+    r = 1, 2 are the left y^{+sigma} and y^{-sigma} functions, r = 3 the
+    right y^{-sigma} one."""
 
     E: float
     rho1: float
@@ -78,12 +83,9 @@ class MatchCoefficients:
     zeta1: complex
     zeta2: complex
     zeta3: complex
-    zeta4: complex
-    zeta5: complex
-    zeta6: complex
-    lambda1: complex
-    lambda2: complex
-    lambda3: complex
+    dzeta1: complex
+    dzeta2: complex
+    dzeta3: complex
     c1: complex
     c2: complex
     c3: complex
@@ -161,47 +163,42 @@ def match_coefficients(
 
     ``tau_branch`` and ``sqrt_branch`` select the basis on both sides, or
     per side when given as a (left, right) pair; R and T do not depend on
-    these choices.  zeta6 uses the derivative-shifted parameter set
-    (alpha~+2-gamma~, beta~+2-gamma~; 3-gamma~), the shift pattern every
-    derivative term follows.  One ``gauss_2f1_lanes`` call carries every
-    zeta of every energy; with q == q_tilde and one tau branch on both
-    sides that is four per energy, as zeta3 = zeta2 and zeta6 = zeta5.
-    One energy raises its first failing zeta's error; an array records it.
+    these choices.  One ``gauss_2f1_lanes`` call gives each 2F1 factor and
+    its derivative: one lane per energy (zeta1) when q == q_tilde and one
+    tau branch serves both sides, two (zeta1, zeta3) otherwise.  The left
+    y^{-sigma} function needs none: for E > 0 sigma is imaginary and tau
+    real, so its (alpha+1-gamma, beta+1-gamma; 2-gamma) is (conj(alpha),
+    conj(beta); conj(gamma)) up to order, and zeta2, dzeta2, c2 and c5 are
+    the conjugates of zeta1, dzeta1, c1 and c4.  One energy raises its
+    first failing zeta's error; an array records it.
     """
     tb_l, tb_r = _pair(tau_branch, "tau_branch")
     sb_l, sb_r = _pair(sqrt_branch, "sqrt_branch")
     left = side_coefficients(E, params, "left", tb_l, sb_l)
-    # the right basis is the left one (a sqrt-branch flip only swaps alpha
-    # and beta, which no value below tells apart)
+    # a sqrt-branch flip only swaps alpha and beta, which no value below
+    # tells apart
     mirror = params.q == params.q_tilde and tb_l == tb_r
     right = left if mirror else side_coefficients(E, params, "right", tb_r, sb_r)
     rho1, rho2 = params.q, 1.0 - params.q
     rho3, rho4 = params.q_tilde, 1.0 - params.q_tilde
 
-    # one row per basis function at x = 0: y^{+sigma}, y^{-sigma} on the
-    # left, y^{-sigma} on the right (sigma = ik/a on both; no third row when
-    # the sides mirror).  Row r holds zeta_r's parameters (a, b, c), and
-    # zeta_r+3, its derivative's hypergeometric factor, takes them plus one.
-    n_rows, n = 2 if mirror else 3, left.E.size
-    lane = np.empty((3, 2 * n_rows, n), dtype=complex)
-    gl = left.gamma
-    lane[0, 0], lane[1, 0], lane[2, 0] = left.alpha, left.beta, gl
-    lane[:2, 1] = lane[:2, 0] + 1 - gl
-    lane[2, 1] = 2 - gl
+    # one row of (a, b, c) per evaluated function: the left y^{+sigma} one,
+    # and the right y^{-sigma} one unless the sides mirror (sigma = ik/a on both)
+    n_rows, n = 1 if mirror else 2, left.E.size
+    lane = np.empty((3, n_rows, n), dtype=complex)
+    lane[0, 0], lane[1, 0], lane[2, 0] = left.alpha, left.beta, left.gamma
     if not mirror:
         gr = right.gamma
-        lane[0, 2], lane[1, 2], lane[2, 2] = right.alpha + 1 - gr, right.beta + 1 - gr, 2 - gr
-    np.add(lane[:, :n_rows], 1, out=lane[:, n_rows:])
+        lane[0, 1], lane[1, 1], lane[2, 1] = right.alpha + 1 - gr, right.beta + 1 - gr, 2 - gr
     # per row: y, the sign of sigma in y^{+-sigma}, and tau
-    rows = ((rho1, 1.0, left.tau), (rho1, -1.0, left.tau), (rho3, -1.0, right.tau))[:n_rows]
+    rows = ((rho1, 1.0, left.tau), (rho3, -1.0, right.tau))[:n_rows]
     # lanes in zeta order: an energy's first failing lane is its first zeta
-    values, failed = gauss_2f1_lanes(
-        *lane.reshape(3, -1), np.repeat([y for y, _, _ in rows] * 2, n), rel_tol, max_terms)
+    values, derivs, failed = gauss_2f1_lanes(
+        *lane.reshape(3, -1), np.repeat([y for y, _, _ in rows], n), rel_tol, max_terms)
     errors: dict[int, Exception] = {}
     for k in sorted(failed):
         errors.setdefault(k % n, failed[k])
-    zv, zd = values.reshape(2, n_rows, n)
-    lam = _product(lane[0, :n_rows], lane[1, :n_rows]) / lane[2, :n_rows]
+    zv, zd = values.reshape(n_rows, n), derivs.reshape(n_rows, n)
 
     # each row's basis factor y^{+-sigma} (1-y)^tau and the coefficient
     # +-sigma/y - tau/(1-y) of its y-derivative, at y = rho
@@ -212,13 +209,14 @@ def match_coefficients(
     sigma = left.sigma
     basis = np.exp(sigma * sign_log) * pow_1m
     cv = basis * zv
-    cd = basis * ((sigma * sign_inv - tau_inv) * zv + lam * zd)
+    cd = basis * ((sigma * sign_inv - tau_inv) * zv + zd)
 
-    # row -1 is the right side's, which is row 1 when the sides mirror
-    fields = dict(zeta1=zv[0], zeta2=zv[1], zeta3=zv[-1], zeta4=zd[0],
-                  zeta5=zd[1], zeta6=zd[-1], lambda1=lam[0], lambda2=lam[1],
-                  lambda3=lam[-1], c1=cv[0], c2=cv[1], c3=cv[-1], c4=cd[0],
-                  c5=cd[1], c6=cd[-1])
+    # rows 1, 2, 3: the left y^{+sigma} row, its conjugate (the left
+    # y^{-sigma} row) and the right row, which is the second when the sides mirror
+    zv, zd, cv, cd = ((v[0], conj, conj if mirror else v[1])
+                      for v in (zv, zd, cv, cd) for conj in (np.conj(v[0]),))
+    fields = dict(zeta1=zv[0], zeta2=zv[1], zeta3=zv[2], dzeta1=zd[0], dzeta2=zd[1],
+                  dzeta3=zd[2], c1=cv[0], c2=cv[1], c3=cv[2], c4=cd[0], c5=cd[1], c6=cd[2])
     return MatchCoefficients(E=left.E, rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4,
                              errors=errors, **_one_or_batch(left.E, fields, errors))
 
@@ -271,8 +269,8 @@ def compute_rt(
     batch of one of the lane-wise path ``scan`` takes.
 
     The energy range has an upper edge.  At the default parameters,
-    E/V_max = 1e4 still returns T = 0.99999999999986 (about 2 ms), while
-    from about E/V_max = 5e4 on (1e5 included) a 2F1 series overflows and
+    E/V_max = 4e4 still returns T = 0.999999999999998 (about 2 ms), while
+    from E/V_max = 4.01e4 on (1e5 included) a 2F1 series overflows and
     ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
     asymptotic T -> 1 branch.
     """

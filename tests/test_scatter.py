@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dengfan.scatter as scatter
 from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error,
                      SingularMatchingError, barrier_top, compute_rt,
                      match_coefficients, scan, side_coefficients,
@@ -26,40 +27,80 @@ def test_rho_values_for_default_params():
 def test_symmetric_barrier_collapses_right_onto_left():
     mc = match_coefficients(0.05, DEFAULT_PARAMS)
     assert mc.zeta3 == mc.zeta2
-    assert mc.zeta6 == mc.zeta5
-    assert mc.lambda3 == mc.lambda2
+    assert mc.dzeta3 == mc.dzeta2
     assert mc.c3 == mc.c2
     assert mc.c6 == mc.c5
 
 
-def test_zetas_against_bruteforce_series():
-    # every zeta at E = 0.05 versus the 40-digit term-by-term summation
-    E = 0.05
-    mc = match_coefficients(E, DEFAULT_PARAMS)
-    left = side_coefficients(E, DEFAULT_PARAMS, "left")
-    right = side_coefficients(E, DEFAULT_PARAMS, "right")
+# parameter sets and branches for the 2F1 factors: symmetric, asymmetric,
+# and q == q_tilde with a different tau branch on each side
+_BASES = [(DEFAULT_PARAMS, "plus", "plus"), (DEFAULT_PARAMS, "minus", "minus"),
+          (BarrierParams(q=0.9, q_tilde=0.55), "plus", ("plus", "minus")),
+          (DEFAULT_PARAMS, ("plus", "minus"), "plus")]
+
+
+def _families(E, params, tau_branch, sqrt_branch):
+    """(a, b, c, y) of zeta1..zeta3 from the side coefficients."""
+    tb = (tau_branch, tau_branch) if isinstance(tau_branch, str) else tau_branch
+    sb = (sqrt_branch, sqrt_branch) if isinstance(sqrt_branch, str) else sqrt_branch
+    left = side_coefficients(E, params, "left", tb[0], sb[0])
+    right = side_coefficients(E, params, "right", tb[1], sb[1])
     al, bl, gl = left.alpha, left.beta, left.gamma
     ar, br, gr = right.alpha, right.beta, right.gamma
-    cases = {
-        "zeta1": (al, bl, gl, mc.rho1),
-        "zeta2": (al + 1 - gl, bl + 1 - gl, 2 - gl, mc.rho1),
-        "zeta3": (ar + 1 - gr, br + 1 - gr, 2 - gr, mc.rho3),
-        "zeta4": (al + 1, bl + 1, gl + 1, mc.rho1),
-        "zeta5": (al + 2 - gl, bl + 2 - gl, 3 - gl, mc.rho1),
-        "zeta6": (ar + 2 - gr, br + 2 - gr, 3 - gr, mc.rho3),
-    }
-    for name, (a, b, c, z) in cases.items():
-        ref = hyp2f1_bruteforce(a, b, c, z)
-        got = getattr(mc, name)
-        assert abs(got - ref) <= 1e-13 * abs(ref), name
+    return {1: (al, bl, gl, params.q),
+            2: (al + 1 - gl, bl + 1 - gl, 2 - gl, params.q),
+            3: (ar + 1 - gr, br + 1 - gr, 2 - gr, params.q_tilde)}
+
+
+def test_zetas_against_bruteforce_series():
+    # every zeta at E = 0.05 versus the 40-digit term-by-term summation
+    for params, tau_branch, sqrt_branch in _BASES:
+        mc = match_coefficients(0.05, params, tau_branch, sqrt_branch)
+        for r, (a, b, c, z) in _families(0.05, params, tau_branch, sqrt_branch).items():
+            ref = hyp2f1_bruteforce(a, b, c, z)
+            assert abs(getattr(mc, f"zeta{r}") - ref) <= 1e-13 * abs(ref), r
 
 
 def test_lambda_prefactors():
-    mc = match_coefficients(0.05, DEFAULT_PARAMS)
-    left = side_coefficients(0.05, DEFAULT_PARAMS, "left")
-    al, bl, gl = left.alpha, left.beta, left.gamma
-    assert mc.lambda1 == al * bl / gl
-    assert mc.lambda2 == (al + 1 - gl) * (bl + 1 - gl) / (2 - gl)
+    # dzeta_r = dF/dy = (a b / c) F(a+1, b+1; c+1; y), DLMF 15.5.1
+    for params, tau_branch, sqrt_branch in _BASES:
+        mc = match_coefficients(0.05, params, tau_branch, sqrt_branch)
+        for r, (a, b, c, z) in _families(0.05, params, tau_branch, sqrt_branch).items():
+            ref = a * b / c * hyp2f1_bruteforce(a + 1, b + 1, c + 1, z)
+            assert abs(getattr(mc, f"dzeta{r}") - ref) <= 1e-13 * abs(ref), r
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55)],
+                         ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("tau_branch", ["plus", "minus"])
+@pytest.mark.parametrize("sqrt_branch", ["plus", "minus"])
+def test_left_minus_sigma_row_is_the_conjugate(params, tau_branch, sqrt_branch):
+    energies = np.geomspace(1e-3, 5.0, 9)
+    for E in (energies, 0.05):
+        mc = match_coefficients(E, params, tau_branch, sqrt_branch)
+        for name, of in (("zeta2", "zeta1"), ("dzeta2", "dzeta1"), ("c2", "c1"), ("c5", "c4")):
+            assert np.array_equal(getattr(mc, name), np.conj(getattr(mc, of))), name
+
+
+def test_one_lane_per_energy_and_evaluated_side(monkeypatch):
+    # one gauss_2f1_lanes call per match: n lanes for n energies when the
+    # sides mirror, 2n when they do not (q != q_tilde, or q == q_tilde with
+    # a different tau branch on each side)
+    sizes = []
+    lanes = scatter.gauss_2f1_lanes
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return lanes(a, *args, **kwargs)
+
+    monkeypatch.setattr(scatter, "gauss_2f1_lanes", counting)
+    energies = np.geomspace(1e-3, 5.0, 7)
+    for params, tau_branch, sqrt_branch in _BASES:
+        mirror = params.q == params.q_tilde and isinstance(tau_branch, str)
+        for E, n in ((energies, 7), (0.05, 1)):
+            sizes.clear()
+            match_coefficients(E, params, tau_branch, sqrt_branch)
+            assert sizes == [n if mirror else 2 * n]
 
 
 def test_corrected_mode_reference_point():
