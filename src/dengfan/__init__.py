@@ -5,17 +5,15 @@ plus an independent ODE-integration oracle.
 
 from .hyp2f1 import (ConnectionDegenerateError, GammaPoleError, Hyp2F1Error,
                      Hyp2F1Request, NoConvergenceError, PoleAtCError,
-                     gauss_2f1, gauss_2f1_connection, gauss_2f1_lanes,
-                     gauss_2f1_series, lngamma_complex)
+                     gauss_2f1, gauss_2f1_lanes, lngamma_complex)
 from .model import (BarrierParams, SideCoefficients, barrier_top, compute_b,
                     potential, side_coefficients)
 from .oracle import (BoundaryNotDecayedError, IntegrationConfig, OracleError,
                      OracleResult, StepTooCoarseError, default_config,
                      integrate_scatter, plane_wave_decompose)
-from .reference import DEFAULT_PARAMS, TABLE1, TABLE1_ENERGIES
-from .scatter import (MatchCoefficients, ScanEntry, ScatteringResult,
-                      SingularMatchingError, compute_rt, match_coefficients,
-                      scan, solve_amplitudes)
+from .reference import DEFAULT_PARAMS, TABLE1
+from .scatter import (MatchCoefficients, ScatteringResult, SingularMatchingError,
+                      compute_rt, match_coefficients, scan, solve_amplitudes)
 
 __version__ = "0.1.0"
 
@@ -34,12 +32,9 @@ __all__ = [
     "GammaPoleError",
     "gauss_2f1",
     "gauss_2f1_lanes",
-    "gauss_2f1_series",
-    "gauss_2f1_connection",
     "lngamma_complex",
     "MatchCoefficients",
     "ScatteringResult",
-    "ScanEntry",
     "SingularMatchingError",
     "match_coefficients",
     "solve_amplitudes",
@@ -55,6 +50,5 @@ __all__ = [
     "plane_wave_decompose",
     "DEFAULT_PARAMS",
     "TABLE1",
-    "TABLE1_ENERGIES",
     "__version__",
 ]

@@ -37,8 +37,8 @@ from .model import BarrierParams, barrier_top, potential as potential_fn
 from .oracle import (IntegrationConfig, OracleError, _default_step, default_config,
                      integrate_scatter)
 from .reference import DEFAULT_PARAMS, TABLE1
-# compute_rt stays a name of this module: benchmarks/worker.py wraps it here
-from .scatter import MatchMode, ScanEntry, compute_rt, scan  # noqa: F401
+# compute_rt and scan stay names of this module: benchmarks/worker.py wraps them
+from .scatter import MatchMode, ScatteringResult, compute_rt, scan  # noqa: F401
 
 OutputFormat = Literal["csv", "json"]
 
@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError(
                 f"need 0 < e_min < e_max, got e_min={self.e_min}, e_max={self.e_max}"
             )
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, int):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.mode not in ("corrected", "paper"):
@@ -384,54 +386,47 @@ def _oracle_config(E: float, params: BarrierParams, args) -> IntegrationConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _oracle_runs(entries: Sequence[ScanEntry], params: BarrierParams,
-                 args) -> dict[int, tuple[float, float] | OracleError]:
-    """Oracle (T, R), or the OracleError, by index of each successful scan
-    entry: one integrate_scatter call per IntegrationConfig shared."""
-    out: dict = {}
+def _message(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _oracle_runs(res: ScatteringResult, params: BarrierParams, args):
+    """Oracle T and R at each energy of the scan ``res`` that did not fail
+    (nan elsewhere), and the OracleError of each failed one by index: one
+    integrate_scatter call per IntegrationConfig shared."""
+    energies = res.E.tolist()
+    T, R = np.full((2, len(energies)), math.nan)
+    errors: dict[int, OracleError] = {}
     groups: dict[IntegrationConfig, list[int]] = {}
-    for i, entry in enumerate(entries):
-        if entry.error is not None:
+    for i, E in enumerate(energies):
+        if i in res.errors:
             continue
         try:
-            groups.setdefault(_oracle_config(entry.E, params, args), []).append(i)
+            groups.setdefault(_oracle_config(E, params, args), []).append(i)
         except OracleError as exc:
-            out[i] = exc
+            errors[i] = exc
     for cfg, idx in groups.items():
-        res = integrate_scatter(np.array([entries[i].E for i in idx]),
-                                lambda x: potential_fn(x, params), params.m, cfg)
-        for j, i in enumerate(idx):
-            out[i] = res.errors.get(j) or (float(res.T[j]), float(res.R[j]))
-    return out
+        orc = integrate_scatter(res.E[idx], lambda x: potential_fn(x, params), params.m, cfg)
+        T[idx], R[idx] = orc.T, orc.R
+        errors.update((i, orc.errors[j]) for j, i in enumerate(idx) if j in orc.errors)
+    return T, R, errors
 
 
 def _scan_rows(config: RunConfig, args):
-    """Run one scan; returns (rows, errors) with nan-filled failed rows."""
+    """Run one scan; returns (rows, errors) with nan-filled failed rows and
+    (E, message) for each failure, in grid order."""
     params = config.params
     v_max = barrier_top(params)
-    entries = scan(config.energies(), params, config.mode)
-    oracle = _oracle_runs(entries, params, args) if config.oracle_enabled else {}
-    rows = []
-    errors: list[tuple[float, str]] = []
-    for i, entry in enumerate(entries):
-        E = entry.E
-        e_over = E / v_max if v_max > 0 else math.inf
-        if entry.error is not None:
-            width = 8 if config.oracle_enabled else 5
-            rows.append((E, e_over) + (math.nan,) * (width - 2))
-            errors.append((E, entry.error))
-            continue
-        res = entry.result
-        row = (E, e_over, res.T, res.R, res.unitarity_residual)
-        if config.oracle_enabled:
-            orc = oracle[i]
-            if isinstance(orc, OracleError):
-                row += (math.nan, math.nan, math.nan)
-                errors.append((E, f"{type(orc).__name__}: {orc}"))
-            else:
-                row += (orc[0], orc[1], abs(res.T - orc[0]))
-        rows.append(row)
-    return rows, errors
+    res = scan(config.energies(), params, config.mode)
+    e_over = res.E / v_max if v_max > 0 else np.full(res.E.shape, math.inf)
+    columns = [res.E, e_over, res.T, res.R, res.unitarity_residual]
+    errors = dict(res.errors)
+    if config.oracle_enabled:
+        T, R, oracle_errors = _oracle_runs(res, params, args)
+        columns += [T, R, np.abs(res.T - T)]
+        errors.update(oracle_errors)
+    rows = list(zip(*(column.tolist() for column in columns)))
+    return rows, [(rows[i][0], _message(errors[i])) for i in sorted(errors)]
 
 
 def _survey_line(tag: str, config: RunConfig, rows) -> str:
@@ -476,12 +471,11 @@ def _cmd_scatter(args) -> int:
 
 def _table_check(mode: MatchMode) -> tuple[str, float | None]:
     """Max |dT| against the reference table, or the first failure."""
-    entries = scan([E for E, _, _ in TABLE1], DEFAULT_PARAMS, mode)
-    failure = next((entry.error for entry in entries if entry.error), "")
-    if failure:
-        return failure, None
-    return "", max(max(abs(e.result.T - t_ref), abs(e.result.R - r_ref))
-                   for e, (_, t_ref, r_ref) in zip(entries, TABLE1))
+    E, t_ref, r_ref = np.array(TABLE1).T
+    res = scan(E, DEFAULT_PARAMS, mode)
+    if res.errors:
+        return _message(next(iter(res.errors.values()))), None
+    return "", float(max(np.max(np.abs(res.T - t_ref)), np.max(np.abs(res.R - r_ref))))
 
 
 def _cmd_verify(args) -> int:
@@ -505,26 +499,26 @@ def _cmd_verify(args) -> int:
     print()
 
     energies = config.energies()
-    entries = scan(energies, config.params, config.mode)
-    oracle = _oracle_runs(entries, config.params, args)
+    res = scan(energies, config.params, config.mode)
+    t_orc, r_orc, oracle_errors = _oracle_runs(res, config.params, args)
     max_dt = max_dr = max_uni = 0.0
     offenders: list[tuple[float, str]] = []
-    for i, entry in enumerate(entries):
-        E, res = entry.E, entry.result
-        if entry.error:
-            offenders.append((E, f"analytic: {entry.error}"))
+    for i, (E, T, R, uni, t_o, r_o) in enumerate(zip(
+            *(column.tolist() for column in (res.E, res.T, res.R, res.unitarity_residual,
+                                             t_orc, r_orc)))):
+        if i in res.errors:
+            offenders.append((E, f"analytic: {_message(res.errors[i])}"))
             continue
-        max_uni = max(max_uni, res.unitarity_residual)
-        orc = oracle[i]
-        if isinstance(orc, OracleError):
-            offenders.append((E, f"oracle: {type(orc).__name__}: {orc}"))
+        max_uni = max(max_uni, uni)
+        if i in oracle_errors:
+            offenders.append((E, f"oracle: {_message(oracle_errors[i])}"))
             continue
-        dt, dr = abs(res.T - orc[0]), abs(res.R - orc[1])
+        dt, dr = abs(T - t_o), abs(R - r_o)
         max_dt, max_dr = max(max_dt, dt), max(max_dr, dr)
         if dt > _DT_TOL or dr > _DR_TOL:
             offenders.append((E, f"|dT|={dt:.3g}, |dR|={dr:.3g}"))
-        if res.unitarity_residual > _UNITARITY_TOL:
-            offenders.append((E, f"unitarity residual {res.unitarity_residual:.3g}"))
+        if uni > _UNITARITY_TOL:
+            offenders.append((E, f"unitarity residual {uni:.3g}"))
 
     print(f"analytic vs oracle over {len(energies)} energies "
           f"(mode={config.mode}):")

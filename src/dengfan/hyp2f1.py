@@ -17,10 +17,10 @@ from the classical toolbox (Abramowitz & Stegun ch. 15, DLMF ch. 15):
 * log-gamma via the Lanczos approximation (g = 7, 9 coefficients) with a
   branch-tracked reflection formula for Re(z) < 1/2.
 
-A failing lane records its typed error and the others go on; the scalar
-entry points are batches of one that raise it.  A lane's values depend on
-its own inputs alone, bit for bit, whatever the batch around it.  All
-arithmetic is double precision; no arbitrary-precision escape hatch.
+A failing lane records its typed error and the others go on; ``gauss_2f1``
+is a batch of one on the automatic path that raises it.  A lane's values
+depend on its own inputs alone, bit for bit, whatever the batch around it.
+All arithmetic is double precision; no arbitrary-precision escape hatch.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "Hyp2F1Request",
     "gauss_2f1",
     "gauss_2f1_lanes",
-    "gauss_2f1_series",
-    "gauss_2f1_connection",
     "lngamma_complex",
 ]
 
@@ -405,30 +403,10 @@ def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
     return values, derivs, errors
 
 
-# ----------------------------------------------------------------------------
-# batch-of-one entry points
-# ----------------------------------------------------------------------------
-
-def _one(req: Hyp2F1Request, path: str) -> complex:
-    values, _, errors = gauss_2f1_lanes(req.a, req.b, req.c, req.z,
-                                        req.rel_tol, req.max_terms, path)
-    if errors:
-        raise errors[0]
-    return complex(values[0])
-
-
 def gauss_2f1(req: Hyp2F1Request) -> complex:
     """Evaluate 2F1(a, b; c; z) to the requested relative tolerance (one
     lane of ``gauss_2f1_lanes`` on its automatic path)."""
-    return _one(req, "auto")
-
-
-def gauss_2f1_series(req: Hyp2F1Request) -> complex:
-    """2F1 by direct power series; requires |z| < 1."""
-    return _one(req, "series")
-
-
-def gauss_2f1_connection(req: Hyp2F1Request) -> complex:
-    """2F1 through the 1-z connection formula, meant for 0.7 <= |z| < 1;
-    raises ConnectionDegenerateError when c - a - b is an integer."""
-    return _one(req, "connection")
+    values, _, errors = gauss_2f1_lanes(req.a, req.b, req.c, req.z, req.rel_tol, req.max_terms)
+    if errors:
+        raise errors[0]
+    return complex(values[0])

@@ -83,12 +83,6 @@ class BarrierParams:
         if not 0.0 < self.q_tilde < 1.0:
             raise ValueError(f"q_tilde must lie in (0, 1), got {self.q_tilde}")
 
-    def deformation(self, side: Side) -> float:
-        """Deformation constant of the requested region."""
-        _check_side(side)
-        return self.q if side == "left" else self.q_tilde
-
-
 @dataclass
 class SideCoefficients:
     """Every scalar feeding one region's hypergeometric solution, at one

@@ -8,29 +8,25 @@ reflected plane waves, psi = A e^{ikx} + B e^{-ikx}, giving
 
     T = 1 / |A|^2,      R = |B|^2 / |A|^2.
 
-Two fixed-step integrators are available: classical RK4 on the first-order
-system (default) and the Numerov three-point recurrence.  Both are globally
-4th order on smooth potentials; potentials with a |x|-type cusp (the barrier
-family served by this package has one at the origin) degrade Numerov to
-2nd order, while RK4 keeps its order when the cusp falls on a step boundary.
+The integrator is classical fixed-step RK4 on the first-order system
+(psi, psi').  It is globally 4th order, and keeps that order on the |x|
+cusp of this package's barrier family when the cusp falls on a step
+boundary.
 
-The march is a product of step maps.  w = 2m(V - E) is real, so a step of
-either method is a real 2x2 map of the complex state: (psi, psi') for RK4,
-(p_i, (p_i - p_{i-1})/d) on the Numerov grid.  A map is I + O(h), so it is
-kept as D = M - I and pairs combine as (I + B)(I + A) = I + (A + B + BA):
-I + D itself would round off the O(h) part (about 1e-12 relative in T), and
-Numerov never forms the cancelling 12 - 10 f of its usual form.
+The march is a product of step maps.  w = 2m(V - E) is real, so a step is
+a real 2x2 map of the complex state (psi, psi').  A map is I + O(h), so it
+is kept as D = M - I and pairs combine as (I + B)(I + A) = I + (A + B + BA):
+I + D itself would round off the O(h) part (about 1e-12 relative in T).
 
 One call integrates an array of energies that share a grid.  V is sampled
-once; the energies march in blocks of ``_LANES`` lanes, and for each chunk
-of ``_CHUNK`` steps w and the maps are formed with a lane axis, multiplied
-pairwise (a tree) and applied to the states in order, so memory stays at
-lanes x chunk cells next to the grid.  Every operation is elementwise in
-the lanes, so each energy rounds exactly as it does alone.  Numerov's last
-four steps run one at a time for its five-sample end derivative.  The
-boundary check (its bound grows with E) and the flux residual |R + T - 1|
-are checked per energy on every run; a failed energy leaves the others
-unchanged.
+once, with one call of the potential on the whole grid; the energies march
+in blocks of ``_LANES`` lanes, and for each chunk of ``_CHUNK`` steps w and
+the maps are formed with a lane axis, multiplied pairwise (a tree) and
+applied to the states in order, so memory stays at lanes x chunk cells next
+to the grid.  Every operation is elementwise in the lanes, so each energy
+rounds exactly as it does alone.  The boundary check (its bound grows with
+E) and the flux residual |R + T - 1| are checked per energy on every run;
+a failed energy leaves the others unchanged.
 """
 
 from __future__ import annotations
@@ -38,11 +34,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
-Method = Literal["rk4", "numerov"]
 Potential = Callable[[np.ndarray], np.ndarray]
 
 __all__ = ["OracleError", "BoundaryNotDecayedError", "StepTooCoarseError",
@@ -68,12 +63,11 @@ class StepTooCoarseError(OracleError):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Fixed-step integration domain [-x_max, x_max] and method."""
+    """Fixed-step integration domain [-x_max, x_max]."""
 
     x_max: float
     step: float
     decay_tol: float = 1e-12
-    method: Method = "rk4"
 
     def __post_init__(self) -> None:
         if not self.x_max > 0:
@@ -85,8 +79,6 @@ class IntegrationConfig:
                              f"{self.x_max} (need step <= x_max/100)")
         if not self.decay_tol > 0:
             raise ValueError(f"decay_tol must be > 0, got {self.decay_tol}")
-        if self.method not in ("rk4", "numerov"):
-            raise ValueError(f"method must be 'rk4' or 'numerov', got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +95,7 @@ class OracleResult:
 
 
 def default_config(E: float, potential: Potential, m: float = 1.0,
-                   x_max_seed: float = 20.0, method: Method = "rk4",
-                   decay_tol: float = 1e-12) -> IntegrationConfig:
+                   x_max_seed: float = 20.0, decay_tol: float = 1e-12) -> IntegrationConfig:
     """Pick a domain and step for the given energy and potential.
 
     The half-width starts at ``x_max_seed`` and doubles until
@@ -124,8 +115,7 @@ def default_config(E: float, potential: Potential, m: float = 1.0,
     else:
         raise BoundaryNotDecayedError(
             f"|V| still {edge:g} at x = +-{x_max:g}; potential does not decay")
-    return IntegrationConfig(x_max=x_max, step=_default_step(E, m),
-                             decay_tol=decay_tol, method=method)
+    return IntegrationConfig(x_max=x_max, step=_default_step(E, m), decay_tol=decay_tol)
 
 
 def _default_step(E: float, m: float) -> float:
@@ -148,14 +138,11 @@ def plane_wave_decompose(psi: complex, dpsi: complex, k: float,
 
 
 def _eval_potential(potential: Potential, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the callback on a grid, vectorized when it supports arrays."""
-    try:
-        v = np.asarray(potential(xs), dtype=float)
-        if v.shape == xs.shape:
-            return v
-    except Exception:
-        pass
-    return np.array([float(potential(x)) for x in xs])
+    """The callback on the array of samples xs, in one call."""
+    v = np.asarray(potential(xs), dtype=float)
+    if v.shape != xs.shape:
+        raise ValueError(f"the potential returned shape {v.shape} for samples {xs.shape}")
+    return v
 
 
 def _rk4_maps(w: np.ndarray, h: float) -> np.ndarray:
@@ -169,31 +156,18 @@ def _rk4_maps(w: np.ndarray, h: float) -> np.ndarray:
                       h2 / 6.0 * (2.0 * w1 + w2) + h2 * h2 / 24.0 * w1 * w2]])
 
 
-def _numerov_maps(g: np.ndarray, d: float) -> np.ndarray:
-    # D = M - I of p_{i+1} (1 - g_{i+1}) = (2 + 10 g_i) p_i - (1 - g_{i-1})
-    # p_{i-1} on (p_i, (p_i - p_{i-1})/d), g = d^2 w / 12, one per inner g_i
-    gm, g0, gp = g[..., :-2], g[..., 1:-1], g[..., 2:]
-    fp = 1.0 - gp
-    up = (gm + 10.0 * g0 + gp) / (d * fp)
-    uu = (gp - gm) / fp
-    return np.array([[d * up, d + d * uu], [up, uu]])
-
-
-def _apply(dev: np.ndarray, state: np.ndarray) -> np.ndarray:
-    # state + D @ state per lane; rounds as the 2x2 matmul of one lane does
-    return state + (dev[:, 0] * state[0] + dev[:, 1] * state[1])
-
-
-def _march(maps: Callable[[int, int], np.ndarray], n: int, state: np.ndarray):
-    # steps 0..n-1 applied in order to the (2, lanes) state; maps(lo, hi)
-    # gives their D, shape (2, 2, lanes, hi - lo)
+def _march(v: np.ndarray, eb: np.ndarray, m: float, h: float, n: int, state: np.ndarray):
+    # the n RK4 steps of size h, on the samples v of the half-step grid,
+    # applied in order to the (2, lanes) state at the energies eb (lanes, 1)
     for lo in range(0, n, _CHUNK):
-        dev = maps(lo, min(lo + _CHUNK, n))
+        hi = min(lo + _CHUNK, n)
+        dev = _rk4_maps((2.0 * m) * (v[2 * lo:2 * hi + 1] - eb), h)
         while dev.shape[-1] > 1:
             a, b = dev[..., 0:-1:2], dev[..., 1::2]
             ba = a + b + b[:, :1] * a[:1] + b[:, 1:] * a[1:]
             dev = np.concatenate((ba, dev[..., -1:]), axis=-1) if dev.shape[-1] % 2 else ba
-        state = _apply(dev[..., 0], state)
+        # state + D @ state per lane, rounded as the 2x2 matmul of one lane
+        state = state + (dev[:, 0, :, 0] * state[0] + dev[:, 1, :, 0] * state[1])
     return state
 
 
@@ -208,7 +182,8 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     its flux residual exceeds 1e-6 (e.g. an unstable step for the energy).
     One energy returns floats and raises its error; an array returns arrays
     of R, T and flux_residual, nan at a failed lane, with ``errors`` mapping
-    each failed lane's index to its error.
+    each failed lane's index to its error.  ``potential`` must return an
+    array of its argument's shape; any other shape is a ValueError.
     """
     es = np.array(E, dtype=float, ndmin=1)
     if es.ndim != 1 or not np.all((es > 0.0) & (es < np.inf)):
@@ -227,32 +202,16 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     lanes = [i for i in range(es.size) if i not in errors]
     R, T, flux = np.full((3, es.size), math.nan)
     n = int(math.ceil(2.0 * L / cfg.step))
-    rk4 = cfg.method == "rk4"
-    xs = np.linspace(L, -L, 2 * n + 1 if rk4 else n + 1) if lanes else None
-    v = _eval_potential(potential, xs) if lanes else None
+    v = _eval_potential(potential, np.linspace(L, -L, 2 * n + 1)) if lanes else None
     d = -2.0 * L / n
     for start in range(0, len(lanes), _LANES):
         block = lanes[start:start + _LANES]
-        eb = es[block, None]
         ks = [math.sqrt(2.0 * m * energies[i]) for i in block]
         p0 = [cmath.exp(1j * k * L) for k in ks]
         # an unstable step overflows; the flux check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            if rk4:
-                psi, dpsi = _march(
-                    lambda lo, hi: _rk4_maps((2.0 * m) * (v[2 * lo:2 * hi + 1] - eb), d),
-                    n, np.array([p0, [1j * k * p for k, p in zip(ks, p0)]]))
-            else:
-                def g(lo, hi):
-                    return (d * d / 12.0) * ((2.0 * m) * (v[lo:hi] - eb))
-                p1 = [cmath.exp(1j * k * xs[1]) for k in ks]
-                state = _march(lambda lo, hi: _numerov_maps(g(lo, hi + 2), d), n - 5,
-                               np.array([p1, [(b - a) / d for a, b in zip(p0, p1)]]))
-                tail = _numerov_maps(g(n - 5, n + 1), d)
-                u = [(state := _apply(tail[..., j], state))[1] for j in range(4)]
-                # 4th-order one-sided derivative from the last five samples' u
-                psi = state[0]
-                dpsi = (25.0 * u[3] - 23.0 * u[2] + 13.0 * u[1] - 3.0 * u[0]) / 12.0
+            psi, dpsi = _march(v, es[block, None], m, d, n,
+                               np.array([p0, [1j * k * p for k, p in zip(ks, p0)]]))
         for j, (i, k) in enumerate(zip(block, ks)):
             A, B = plane_wave_decompose(complex(psi[j]), complex(dpsi[j]), k, -L)
             aa = A.real * A.real + A.imag * A.imag
@@ -265,7 +224,7 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
             else:
                 errors[i] = StepTooCoarseError(
                     f"flux residual {residual:g} exceeds {_FLUX_TOL:g} at E={energies[i]} "
-                    f"(step={cfg.step}, method={cfg.method}); reduce the step")
+                    f"(step={cfg.step}); reduce the step")
     if np.ndim(E) == 0:
         if errors:
             raise errors[0]

@@ -35,5 +35,3 @@ TABLE1: tuple[tuple[float, float, float], ...] = (
     (0.095, 0.0177393, 0.982261),
     (0.100, 0.0176180, 0.982382),
 )
-
-TABLE1_ENERGIES: tuple[float, ...] = tuple(row[0] for row in TABLE1)

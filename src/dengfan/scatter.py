@@ -15,6 +15,10 @@ from which a 2x2 linear system yields A2/A1 and A4/A1 and then
 R = |A2/A1|^2, T = |A4/A1|^2 (the asymptotic wave number is the same on both
 sides, so no flux-ratio factor appears).
 
+``scan`` evaluates an energy grid lane-wise, in chunks, and returns one
+ScatteringResult of arrays; a failed energy's error is keyed by its grid
+index, and its fields are nan.
+
 Two derivative-matching conventions are provided:
 
 * ``corrected`` -- matches dpsi/dx including the chain-rule factors
@@ -48,7 +52,6 @@ __all__ = [
     "MatchMode",
     "MatchCoefficients",
     "ScatteringResult",
-    "ScanEntry",
     "SingularMatchingError",
     "match_coefficients",
     "solve_amplitudes",
@@ -110,15 +113,6 @@ class ScatteringResult:
     errors: dict = field(default_factory=dict, repr=False)
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    """One energy of a scan: either a result or an inline error message."""
-
-    E: float
-    result: ScatteringResult | None = None
-    error: str | None = None
-
-
 def _pair(choice, name: str) -> tuple[str, str]:
     if isinstance(choice, str):
         return choice, choice
@@ -155,8 +149,6 @@ def match_coefficients(
     params: BarrierParams,
     tau_branch: BranchChoice = "plus",
     sqrt_branch: SqrtChoice = "plus",
-    rel_tol: float = 1e-15,
-    max_terms: int = 20000,
 ) -> MatchCoefficients:
     """Assemble the matching coefficients at energy E, or lane-wise at a 1-D
     array of energies.
@@ -194,7 +186,7 @@ def match_coefficients(
     rows = ((rho1, 1.0, left.tau), (rho3, -1.0, right.tau))[:n_rows]
     # lanes in zeta order: an energy's first failing lane is its first zeta
     values, derivs, failed = gauss_2f1_lanes(
-        *lane.reshape(3, -1), np.repeat([y for y, _, _ in rows], n), rel_tol, max_terms)
+        *lane.reshape(3, -1), np.repeat([y for y, _, _ in rows], n))
     errors: dict[int, Exception] = {}
     for k in sorted(failed):
         errors.setdefault(k % n, failed[k])
@@ -228,7 +220,8 @@ def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> Sc
     The mode fixes the derivative-matching row: ``corrected`` applies the
     chain-rule factors (+rho1 on the left derivatives, -rho3 on the right),
     ``paper`` equates the y-derivatives as printed.  A determinant below
-    1e-300 in magnitude is a SingularMatchingError (raised or recorded).
+    1e-300 in magnitude is a SingularMatchingError, raised for one energy;
+    an array records it and sets the energy's fields to nan.
     """
     if mode not in ("corrected", "paper"):
         raise ValueError(f"mode must be 'corrected' or 'paper', got {mode!r}")
@@ -249,12 +242,16 @@ def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> Sc
         T = t_amp.real * t_amp.real + t_amp.imag * t_amp.imag
         residual = np.abs(R + T - 1.0)
     errors = dict(mc.errors)
-    for i in np.ravel(np.abs(det) < _DET_FLOOR).nonzero()[0].tolist():
+    singular = np.ravel(np.abs(det) < _DET_FLOOR).nonzero()[0]
+    for i in singular.tolist():
         errors.setdefault(i, SingularMatchingError(
             f"matching determinant {complex(np.ravel(det)[i])!r} below {_DET_FLOOR} "
             f"at E={float(np.ravel(E)[i])} (mode={mode})"))
     if errors and not isinstance(E, np.ndarray):
         raise errors[0]
+    if singular.size:
+        for value in (r_amp, t_amp, R, T, residual):
+            value[singular] = np.nan
     return ScatteringResult(E, r_amp, t_amp, R, T, residual, mode, errors)
 
 
@@ -285,28 +282,27 @@ def scan(
     mode: MatchMode = "corrected",
     tau_branch: BranchChoice = "plus",
     sqrt_branch: SqrtChoice = "plus",
-) -> list[ScanEntry]:
-    """Evaluate R/T over a strictly increasing positive energy grid, in
-    batches of ``_CHUNK`` energies; every result equals ``compute_rt`` at
-    its energy bit for bit, in input order.
+) -> ScatteringResult:
+    """Evaluate R/T over a non-empty, strictly increasing, positive energy
+    grid, in batches of ``_CHUNK`` energies, as one ScatteringResult of
+    arrays in grid order; every value equals ``compute_rt`` at its energy
+    bit for bit.
 
     A point that fails with a ``Hyp2F1Error`` or ``SingularMatchingError``
-    is recorded inline (ScanEntry.error, "TypeName: message") and the scan
-    goes on; any other exception propagates.
+    is recorded in ``errors`` under its grid index, with its fields nan,
+    and the scan goes on; any other exception propagates.
     """
     es = np.array(energies, dtype=float, ndmin=1)
+    if not es.size:
+        raise ValueError("the energy grid is empty")
     if not np.all((es > 0.0) & (es < np.inf)):
         raise ValueError("all energies must be finite and > 0")
     if np.any(np.diff(es) <= 0):
         raise ValueError("energies must be strictly increasing")
-    out: list[ScanEntry] = []
-    for start in range(0, es.size, _CHUNK):
-        res = solve_amplitudes(match_coefficients(
-            es[start:start + _CHUNK], params, tau_branch, sqrt_branch), mode)
-        rows = zip(res.E.tolist(), res.r_amp.tolist(), res.t_amp.tolist(),
-                   res.R.tolist(), res.T.tolist(), res.unitarity_residual.tolist())
-        for i, row in enumerate(rows):
-            exc = res.errors.get(i)
-            out.append(ScanEntry(E=row[0], error=f"{type(exc).__name__}: {exc}")
-                       if exc else ScanEntry(E=row[0], result=ScatteringResult(*row, mode)))
-    return out
+    starts = range(0, es.size, _CHUNK)
+    chunks = [solve_amplitudes(match_coefficients(
+        es[start:start + _CHUNK], params, tau_branch, sqrt_branch), mode) for start in starts]
+    errors = {start + i: exc for start, res in zip(starts, chunks) for i, exc in res.errors.items()}
+    columns = [np.concatenate([getattr(res, name) for res in chunks])
+               for name in ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual")]
+    return ScatteringResult(*columns, mode, dict(sorted(errors.items())))

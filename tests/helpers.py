@@ -1,5 +1,5 @@
-"""Shared test oracles: high-precision brute-force 2F1, step-by-step
-integration marches and parameter draws."""
+"""Shared test oracles: high-precision brute-force 2F1, a step-by-step RK4
+march and parameter draws."""
 
 from __future__ import annotations
 
@@ -79,23 +79,3 @@ def rk4_loop_rt(E, potential, m, cfg):
         psi += dt * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
         phi += dt * (k1f + 2.0 * (k2f + k3f) + k4f) / 6.0
     return _rt_from_state(psi, phi, k, -L)
-
-
-def numerov_loop_rt(E, potential, m, cfg, dtype=np.longdouble):
-    """(T, R) from the Numerov recurrence run sample by sample in ``dtype``
-    (long double by default) on the package's double-precision samples."""
-    L = cfg.x_max
-    n = int(math.ceil(2.0 * L / cfg.step))
-    xs = np.linspace(L, -L, n + 1)
-    w = 2.0 * m * (np.asarray(potential(xs), dtype=float) - E)
-    real = np.dtype(dtype).type
-    cplx = np.result_type(real, np.complex64).type
-    d = real(-2.0 * L / n)
-    k = np.sqrt(real(2) * real(m) * real(E))
-    g = (d * d / real(12)) * w.astype(real)
-    p = [np.exp(cplx(1j) * k * real(xs[0])), np.exp(cplx(1j) * k * real(xs[1]))]
-    for i in range(1, n):
-        nxt = ((2 + 10 * g[i]) * p[-1] - (1 - g[i - 1]) * p[-2]) / (1 - g[i + 1])
-        p = p[-4:] + [nxt]
-    dpsi = (25 * p[-1] - 48 * p[-2] + 36 * p[-3] - 16 * p[-4] + 3 * p[-5]) / (12 * d)
-    return _rt_from_state(p[-1], dpsi, k, real(-L))

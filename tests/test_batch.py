@@ -1,6 +1,7 @@
 """The energy-batched closed form: scan equals per-energy compute_rt bit for
-bit, every 2F1 path of the lane evaluator meets the 40-digit series, a
-failing lane leaves its batch alone, and chunking bounds a scan's memory."""
+bit and keys each failure by its grid index, every 2F1 path of the lane
+evaluator meets the 40-digit series, a failing lane leaves its batch alone,
+and chunking bounds a scan's memory."""
 
 import tracemalloc
 
@@ -8,24 +9,25 @@ import numpy as np
 import pytest
 
 import dengfan.scatter as scatter
-from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error, Hyp2F1Request,
-                     NoConvergenceError, barrier_top, compute_rt, gauss_2f1_connection,
-                     gauss_2f1_lanes, gauss_2f1_series, scan, side_coefficients)
+from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error, NoConvergenceError,
+                     barrier_top, compute_rt, gauss_2f1_lanes, scan, side_coefficients)
 
 from helpers import hyp2f1_bruteforce
 
 
-def _outcome(entry_or_energy, params):
-    """(T, R) or the failure's type name, from a scan entry or compute_rt."""
-    if isinstance(entry_or_energy, float):
-        try:
-            res = compute_rt(entry_or_energy, params)
-        except (Hyp2F1Error, scatter.SingularMatchingError) as exc:
-            return type(exc).__name__
-        return res.T, res.R
-    if entry_or_energy.error is not None:
-        return entry_or_energy.error.split(":")[0]
-    return entry_or_energy.result.T, entry_or_energy.result.R
+def _outcome(E, params, mode="corrected"):
+    """(T, R) or the failure's type name, from compute_rt."""
+    try:
+        res = compute_rt(E, params, mode)
+    except (Hyp2F1Error, scatter.SingularMatchingError) as exc:
+        return type(exc).__name__
+    return res.T, res.R
+
+
+def _scan_outcomes(res):
+    """(T, R) or the failure's type name at each energy of a scan."""
+    return [type(res.errors[i]).__name__ if i in res.errors else (T, R)
+            for i, (T, R) in enumerate(zip(res.T, res.R))]
 
 
 def _grids():
@@ -51,13 +53,36 @@ def _grids():
 @pytest.mark.parametrize("name, params, grid", _grids())
 def test_scan_equals_compute_rt_bit_for_bit(name, params, grid):
     energies = [float(E) for E in grid]
-    entries = scan(energies, params)
-    assert [e.E for e in entries] == energies
-    got = [_outcome(e, params) for e in entries]
+    res = scan(energies, params)
+    assert res.E.tolist() == energies
+    got = _scan_outcomes(res)
     want = [_outcome(E, params) for E in energies]
     assert got == want
     if name == "chunk+1":
         assert "NoConvergenceError" in got and isinstance(got[0], tuple)
+
+
+@pytest.mark.parametrize("mode", ["corrected", "paper"])
+def test_scan_keys_failures_past_the_first_chunk_by_grid_index(mode):
+    # corrected: the energies above E/V_max = 4e4, all past the first chunk,
+    # fail with NoConvergenceError; paper: every energy of the symmetric
+    # barrier is a SingularMatchingError
+    v = barrier_top(DEFAULT_PARAMS)
+    grid = np.geomspace(1e-3 * v, 1e5 * v, scatter._CHUNK + 44)
+    res = scan(grid, DEFAULT_PARAMS, mode)
+    outcomes = [_outcome(float(E), DEFAULT_PARAMS, mode) for E in grid]
+    want = {i: kind for i, kind in enumerate(outcomes) if isinstance(kind, str)}
+    assert {i: type(exc).__name__ for i, exc in res.errors.items()} == want
+    if mode == "corrected":
+        assert min(want) >= scatter._CHUNK
+    assert list(res.errors) == sorted(res.errors)
+    failed = np.zeros(grid.size, dtype=bool)
+    failed[list(want)] = True
+    assert np.array_equal(res.E, grid)
+    for name in ("r_amp", "t_amp", "R", "T", "unitarity_residual"):
+        column = getattr(res, name)
+        assert column.shape == grid.shape
+        assert np.array_equal(np.isnan(column), failed), name
 
 
 def _lane_errors(energies_over_vmax, zs):
@@ -75,17 +100,20 @@ def _lane_errors(energies_over_vmax, zs):
     a, b, c, z = (np.array(col) for col in zip(*lanes))
     values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
     assert not errors
+    # each lane on a forced path; a lane's values do not depend on its batch
+    series, _, _ = gauss_2f1_lanes(a, b, c, z, path="series")
+    connection, _, _ = gauss_2f1_lanes(a, b, c, z, path="connection")
     out = []
-    for (ai, bi, ci, zi), value, deriv in zip(lanes, values, derivs):
-        req = Hyp2F1Request(a=ai, b=bi, c=ci, z=zi)
+    for (ai, bi, ci, zi), value, deriv, ser, conn in zip(lanes, values, derivs,
+                                                         series, connection):
         if abs(zi) < 0.7:
             path = "series |z| < 0.7"
-            assert value == gauss_2f1_series(req)
-        elif value == gauss_2f1_connection(req):
+            assert value == ser
+        elif value == conn:
             path = "connection accepted"
         else:
             path = "connection rejected -> series"
-            assert value == gauss_2f1_series(req)
+            assert value == ser
         ref = hyp2f1_bruteforce(ai, bi, ci, zi)
         dref = ai * bi / ci * hyp2f1_bruteforce(ai + 1, bi + 1, ci + 1, zi)
         out.append((path, abs(value - ref) / abs(ref), abs(deriv - dref) / abs(dref)))
@@ -153,9 +181,9 @@ def test_scan_memory_is_bounded_by_chunking():
     scan(grid[:4], DEFAULT_PARAMS)
     tracemalloc.start()
     try:
-        entries = scan(grid, DEFAULT_PARAMS)
+        res = scan(grid, DEFAULT_PARAMS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(e.error is None for e in entries)
+    assert not res.errors
     assert peak < 6 * 2**20

@@ -191,6 +191,17 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize("n_points", [2.5, True, "5"])
+def test_non_integer_n_points_exits_1(n_points, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_points": n_points}))
+    for preset in ([], ["--fig3"]):
+        code, out, err = run(["scatter", "--config", str(cfg)] + preset, capsys)
+        assert code == 1
+        assert "n_points must be an integer" in err
+        assert not out and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------

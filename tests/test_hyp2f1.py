@@ -7,8 +7,7 @@ from scipy.special import loggamma as scipy_loggamma
 
 from dengfan import (ConnectionDegenerateError, GammaPoleError, Hyp2F1Request,
                      DEFAULT_PARAMS, NoConvergenceError, PoleAtCError,
-                     gauss_2f1, gauss_2f1_connection, gauss_2f1_lanes,
-                     gauss_2f1_series, lngamma_complex, side_coefficients)
+                     gauss_2f1, gauss_2f1_lanes, lngamma_complex, side_coefficients)
 
 from helpers import hyp2f1_bruteforce
 
@@ -22,6 +21,15 @@ LNGAMMA_1_PLUS_I = -0.6509231993018563 - 0.3016403204675332j
 
 def f21(a, b, c, z, **kw):
     return gauss_2f1(Hyp2F1Request(a=a, b=b, c=c, z=z, **kw))
+
+
+def forced(path, a, b, c, z, rel_tol=1e-15, max_terms=20000):
+    """2F1 on the path ``series`` or ``connection`` of ``gauss_2f1_lanes``,
+    for one lane."""
+    values, _, errors = gauss_2f1_lanes(a, b, c, z, rel_tol, max_terms, path=path)
+    if errors:
+        raise errors[0]
+    return complex(values[0])
 
 
 def df21(a, b, c, z):
@@ -130,9 +138,8 @@ def test_paths_agree_on_production_parameters():
             (al + 1, be + 1, ga + 1),
         ]
         for a, b, c in families:
-            req = Hyp2F1Request(a=a, b=b, c=c, z=0.8, rel_tol=rel_tol)
-            ser = gauss_2f1_series(req)
-            conn = gauss_2f1_connection(req)
+            ser = forced("series", a, b, c, 0.8, rel_tol)
+            conn = forced("connection", a, b, c, 0.8, rel_tol)
             assert abs(ser - conn) <= 10 * rel_tol * abs(ser)
 
 
@@ -145,22 +152,20 @@ def test_paths_agree_on_random_draws():
     while checked < 60:
         a, b, c = _draw_abc(rng)
         z = rng.uniform(0.7, 0.95)
-        req = Hyp2F1Request(a=a, b=b, c=c, z=z, rel_tol=rel_tol)
         try:
-            conn = gauss_2f1_connection(req)
+            conn = forced("connection", a, b, c, z, rel_tol)
         except ConnectionDegenerateError:
             continue
-        ser = gauss_2f1_series(req)
+        ser = forced("series", a, b, c, z, rel_tol)
         assert abs(ser - conn) <= 10 * rel_tol * max(abs(ser), 1e-30)
         checked += 1
 
 
 def test_connection_fallback_matches_series():
     # degenerate c - a - b: the automatic path must fall back to the series
-    req = Hyp2F1Request(a=1.0, b=1.0, c=3.0, z=0.8)
     with pytest.raises(ConnectionDegenerateError):
-        gauss_2f1_connection(req)
-    assert gauss_2f1(req) == gauss_2f1_series(req)
+        forced("connection", 1.0, 1.0, 3.0, 0.8)
+    assert f21(1.0, 1.0, 3.0, 0.8) == forced("series", 1.0, 1.0, 3.0, 0.8)
 
 
 def test_against_bruteforce_reference():
@@ -247,7 +252,7 @@ def test_pole_at_c(c):
 
 def test_no_convergence_when_terms_exhausted():
     with pytest.raises(NoConvergenceError):
-        gauss_2f1_series(Hyp2F1Request(a=1, b=1, c=2, z=0.999, max_terms=50))
+        forced("series", 1, 1, 2, 0.999, max_terms=50)
     # the automatic path hits the same wall once the degenerate connection
     # falls back to the series
     with pytest.raises(NoConvergenceError):

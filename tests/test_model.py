@@ -153,9 +153,13 @@ def test_sides_identical_for_symmetric_barrier():
 
 
 def test_deformation_per_side():
-    p = BarrierParams(q=0.8, q_tilde=0.6)
-    assert p.deformation("left") == 0.8
-    assert p.deformation("right") == 0.6
+    # q_tilde shapes the region x >= 0 only
+    p, other = BarrierParams(q=0.8, q_tilde=0.6), BarrierParams(q=0.8, q_tilde=0.3)
+    xs = np.linspace(0.25, 5.0, 20)
+    assert np.array_equal(potential(-xs, p), potential(-xs, other))
+    assert not np.any(potential(xs, p) == potential(xs, other))
+    assert side_coefficients(0.05, p, "left").tau == side_coefficients(0.05, other, "left").tau
+    assert side_coefficients(0.05, p, "right").tau != side_coefficients(0.05, other, "right").tau
 
 
 @pytest.mark.parametrize("bad", [

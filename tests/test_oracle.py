@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from dengfan import (BoundaryNotDecayedError, DEFAULT_PARAMS,
-                     IntegrationConfig, StepTooCoarseError, TABLE1_ENERGIES,
-                     compute_rt, default_config, integrate_scatter,
-                     plane_wave_decompose, potential)
+                     IntegrationConfig, StepTooCoarseError, TABLE1, compute_rt,
+                     default_config, integrate_scatter, plane_wave_decompose,
+                     potential)
 from dengfan.oracle import _CHUNK, _LANES
 
-from helpers import numerov_loop_rt, rk4_loop_rt
+from helpers import rk4_loop_rt
+
+TABLE1_ENERGIES = [E for E, _, _ in TABLE1]
 
 # closed-form transmission for the sharp rectangular barrier
 # (v0=2, width 1, E=1, m=1): 1/(1 + sinh^2 sqrt(2))
@@ -74,14 +76,12 @@ def test_decompose_rejects_zero_k():
 # integration
 # ---------------------------------------------------------------------------
 
-# numerov's tolerance reflects the (k h)^4 dispersion of its discrete mode
-@pytest.mark.parametrize("method,tol", [("rk4", 1e-9), ("numerov", 1e-7)])
-def test_free_propagation(method, tol):
-    cfg = IntegrationConfig(x_max=10.0, step=0.01, method=method)
+def test_free_propagation():
+    cfg = IntegrationConfig(x_max=10.0, step=0.01)
     res = integrate_scatter(1.0, lambda x: np.zeros_like(np.asarray(x, float)),
                             1.0, cfg)
-    assert res.T == pytest.approx(1.0, abs=tol)
-    assert res.R <= tol
+    assert res.T == pytest.approx(1.0, abs=1e-9)
+    assert res.R <= 1e-9
     assert res.boundary_potential == 0.0
 
 
@@ -92,12 +92,6 @@ def test_rectangular_barrier_rk4():
     assert abs(res.R - (1.0 - T_RECT)) <= 1e-6
 
 
-def test_rectangular_barrier_numerov():
-    cfg = IntegrationConfig(x_max=2.0, step=2.0**-11, method="numerov")
-    res = integrate_scatter(1.0, rect_barrier, 1.0, cfg)
-    assert abs(res.T - T_RECT) <= 1e-6
-
-
 def test_matches_analytic_at_default_config():
     for E in (0.005, 0.05, 0.1):
         cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
@@ -105,15 +99,6 @@ def test_matches_analytic_at_default_config():
         ana = compute_rt(E, DEFAULT_PARAMS)
         assert abs(res.T - ana.T) <= 1e-6
         assert res.flux_residual <= 1e-6
-
-
-def test_numerov_on_cusped_barrier_default_step():
-    # the |x| cusp at the origin limits Numerov to 2nd order here; at the
-    # default step it still lands within a few 1e-6 of the closed form
-    cfg = IntegrationConfig(x_max=50.0, step=1e-3, method="numerov")
-    res = integrate_scatter(0.005, barrier, 1.0, cfg)
-    ana = compute_rt(0.005, DEFAULT_PARAMS)
-    assert abs(res.T - ana.T) <= 5e-6
 
 
 def test_rk4_flux_residual_order():
@@ -136,17 +121,6 @@ def test_rk4_richardson_order():
     assert 10.0 <= ratio <= 24.0
 
 
-def test_numerov_richardson_order_smooth_potential():
-    # on a smooth barrier Numerov shows its full 4th order
-    gauss = lambda x: 2.0 * np.exp(-np.asarray(x, float) ** 2)
-    Ts = {}
-    for h in (0.032, 0.016, 0.008):
-        cfg = IntegrationConfig(x_max=12.0, step=h, method="numerov")
-        Ts[h] = integrate_scatter(1.0, gauss, 1.0, cfg).T
-    ratio = (Ts[0.032] - Ts[0.016]) / (Ts[0.016] - Ts[0.008])
-    assert 10.0 <= ratio <= 24.0
-
-
 # ---------------------------------------------------------------------------
 # the march as a product of step maps
 # ---------------------------------------------------------------------------
@@ -155,10 +129,9 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def _config_with_steps(n, method, x_max=64.0):
+def _config_with_steps(n, x_max=64.0):
     # a step just above 2 x_max / n, so that ceil(2 x_max / step) == n
-    cfg = IntegrationConfig(x_max=x_max, step=2.0 * x_max / n * (1.0 + 1e-12),
-                            method=method)
+    cfg = IntegrationConfig(x_max=x_max, step=2.0 * x_max / n * (1.0 + 1e-12))
     assert math.ceil(2.0 * x_max / cfg.step) == n
     return cfg
 
@@ -174,35 +147,11 @@ def test_rk4_product_matches_sequential_loop(E):
 
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_rk4_product_around_chunk_size(n):
-    cfg = _config_with_steps(n, "rk4")
+    cfg = _config_with_steps(n)
     res = integrate_scatter(0.05, barrier, 1.0, cfg)
     T, R = rk4_loop_rt(0.05, barrier, 1.0, cfg)
     assert _rel(res.T, T) <= 1e-13
     assert _rel(res.R, R) <= 1e-13
-
-
-# n = _CHUNK + 3: the last four steps cross the first chunk boundary;
-# n = _CHUNK + 5: the product part ends exactly on it
-@pytest.mark.parametrize("n", [_CHUNK + 3, _CHUNK + 5])
-def test_numerov_tail_across_chunk_boundary(n):
-    cfg = _config_with_steps(n, "numerov")
-    res = integrate_scatter(0.05, barrier, 1.0, cfg)
-    T, R = numerov_loop_rt(0.05, barrier, 1.0, cfg, dtype=np.float64)
-    # the float64 recurrence itself drifts by ~1e-11 over 8k steps
-    assert _rel(res.T, T) <= 1e-10
-    assert _rel(res.R, R) <= 1e-10
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
-                    reason="long double is plain double on this platform")
-def test_numerov_rounding_against_long_double():
-    # the textbook form (12 - 10 f) p_i cancels most digits of f = 1 - O(h^2)
-    # and lands 1.3e-7 off this reference here; the I + D form about 6e-12
-    cfg = IntegrationConfig(x_max=50.0, step=1e-3, method="numerov")
-    res = integrate_scatter(0.005, barrier, 1.0, cfg)
-    T, R = numerov_loop_rt(0.005, barrier, 1.0, cfg)
-    assert _rel(res.T, T) <= 1e-9
-    assert _rel(res.R, R) <= 1e-9
 
 
 def test_step_too_coarse_raises():
@@ -219,11 +168,10 @@ def test_unstable_step_raises_cleanly():
         integrate_scatter(50.0, barrier, 1.0, cfg)
 
 
-@pytest.mark.parametrize("method", ["rk4", "numerov"])
-def test_overflowing_march_raises_cleanly(method):
+def test_overflowing_march_raises_cleanly():
     # 889 unstable steps grow the state past float range: the overflow is
     # reported as StepTooCoarseError, with no numpy RuntimeWarning
-    cfg = IntegrationConfig(x_max=200.0, step=0.45, method=method)
+    cfg = IntegrationConfig(x_max=200.0, step=0.45)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepTooCoarseError):
@@ -261,7 +209,6 @@ def test_result_reports_boundary_potential():
     dict(x_max=10.0, step=0.0),
     dict(x_max=10.0, step=0.2),      # step > x_max/100
     dict(x_max=10.0, step=0.01, decay_tol=0.0),
-    dict(x_max=10.0, step=0.01, method="euler"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -276,17 +223,16 @@ def test_nonpositive_energy_rejected():
         integrate_scatter(1.0, barrier, 0.0, cfg)
 
 
-def test_scalar_potential_callback_supported():
-    # callbacks that only accept scalars are evaluated pointwise
-    def scalar_only(x):
-        if isinstance(x, np.ndarray) and x.ndim > 0:
-            raise TypeError("scalar only")
-        return float(potential(float(x), DEFAULT_PARAMS))
-
-    cfg = IntegrationConfig(x_max=50.0, step=0.02)
-    res = integrate_scatter(0.05, scalar_only, 1.0, cfg)
-    ana = compute_rt(0.05, DEFAULT_PARAMS)
-    assert abs(res.T - ana.T) <= 1e-5
+@pytest.mark.parametrize("wrong", [lambda x: 0.0, lambda x: np.zeros((np.size(x), 1))],
+                         ids=["scalar", "column"])
+def test_potential_of_wrong_shape_rejected(wrong):
+    # the potential is called once on the array of samples and must return
+    # an array of the same shape
+    cfg = IntegrationConfig(x_max=10.0, step=0.01)
+    with pytest.raises(ValueError, match="shape"):
+        integrate_scatter(0.05, wrong, 1.0, cfg)
+    with pytest.raises(ValueError, match="shape"):
+        default_config(0.05, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +250,20 @@ def _assert_lanes_equal_scalar_calls(res, energies, pot, cfg, failed=()):
             one.T, one.R, one.flux_residual)
 
 
-@pytest.mark.parametrize("method", ["rk4", "numerov"])
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK + 5])
 @pytest.mark.parametrize("count", [_LANES - 1, _LANES, _LANES + 1])
-def test_batch_equals_scalar_calls_bit_for_bit(method, n, count):
-    cfg = _config_with_steps(n, method)
+def test_batch_equals_scalar_calls_bit_for_bit(n, count):
+    cfg = _config_with_steps(n)
     energies = np.linspace(0.02, 0.6, count).tolist()
     res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
     assert res.errors == {}
     _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg)
 
 
-@pytest.mark.parametrize("method", ["rk4", "numerov"])
-def test_coarse_lanes_fail_alone(method):
+def test_coarse_lanes_fail_alone():
     # a step of 0.02 resolves E <= 2 but not E = 10; E = 20000 (k h = 4)
     # overflows, with no numpy RuntimeWarning
-    cfg = IntegrationConfig(x_max=50.0, step=0.02, method=method)
+    cfg = IntegrationConfig(x_max=50.0, step=0.02)
     energies = [0.05, 0.1, 10.0, 0.5, 20000.0, 2.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

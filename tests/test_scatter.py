@@ -186,28 +186,33 @@ def test_left_right_swap_for_symmetric_barrier():
 
 def test_scan_matches_pointwise_solve():
     energies = [0.01, 0.05, 0.25]
-    entries = scan(energies, DEFAULT_PARAMS)
-    assert [e.E for e in entries] == energies
-    for entry in entries:
-        assert entry.error is None
-        direct = compute_rt(entry.E, DEFAULT_PARAMS)
-        assert entry.result.T == direct.T
-        assert entry.result.R == direct.R
+    res = scan(energies, DEFAULT_PARAMS)
+    assert res.E.tolist() == energies
+    assert not res.errors
+    assert res.mode == "corrected"
+    for i, E in enumerate(energies):
+        direct = compute_rt(E, DEFAULT_PARAMS)
+        assert res.T[i] == direct.T
+        assert res.R[i] == direct.R
+        assert res.t_amp[i] == direct.t_amp
 
 
 def test_scan_single_point():
-    entries = scan([0.05], DEFAULT_PARAMS)
-    assert len(entries) == 1
-    assert entries[0].result.T == compute_rt(0.05, DEFAULT_PARAMS).T
+    res = scan([0.05], DEFAULT_PARAMS)
+    assert res.T.shape == (1,)
+    assert res.T[0] == compute_rt(0.05, DEFAULT_PARAMS).T
 
 
 def test_scan_records_errors_inline():
-    entries = scan([0.01, 0.05], DEFAULT_PARAMS, mode="paper")
-    assert all(e.result is None for e in entries)
-    assert all("SingularMatching" in e.error for e in entries)
+    res = scan([0.01, 0.05], DEFAULT_PARAMS, mode="paper")
+    assert sorted(res.errors) == [0, 1]
+    assert all(isinstance(exc, SingularMatchingError) for exc in res.errors.values())
+    for name in ("r_amp", "t_amp", "R", "T", "unitarity_residual"):
+        assert np.isnan(getattr(res, name)).all(), name
 
 
-@pytest.mark.parametrize("grid", [[0.05, 0.05], [0.1, 0.05], [0.0, 0.1], [-1.0, 0.1]])
+# the last grid is empty
+@pytest.mark.parametrize("grid", [[0.05, 0.05], [0.1, 0.05], [0.0, 0.1], [-1.0, 0.1], []])
 def test_scan_rejects_bad_grids(grid):
     with pytest.raises(ValueError):
         scan(grid, DEFAULT_PARAMS)
