@@ -76,12 +76,15 @@ def test_decompose_rejects_zero_k():
 # integration
 # ---------------------------------------------------------------------------
 
-def test_free_propagation():
+# the "rk4" in a case id names the integrator the case runs
+
+@pytest.mark.parametrize("tol", [pytest.param(1e-9, id="rk4-1e-09")])
+def test_free_propagation(tol):
     cfg = IntegrationConfig(x_max=10.0, step=0.01)
     res = integrate_scatter(1.0, lambda x: np.zeros_like(np.asarray(x, float)),
                             1.0, cfg)
-    assert res.T == pytest.approx(1.0, abs=1e-9)
-    assert res.R <= 1e-9
+    assert res.T == pytest.approx(1.0, abs=tol)
+    assert res.R <= tol
     assert res.boundary_potential == 0.0
 
 
@@ -168,10 +171,11 @@ def test_unstable_step_raises_cleanly():
         integrate_scatter(50.0, barrier, 1.0, cfg)
 
 
-def test_overflowing_march_raises_cleanly():
+@pytest.mark.parametrize("step", [pytest.param(0.45, id="rk4")])
+def test_overflowing_march_raises_cleanly(step):
     # 889 unstable steps grow the state past float range: the overflow is
     # reported as StepTooCoarseError, with no numpy RuntimeWarning
-    cfg = IntegrationConfig(x_max=200.0, step=0.45)
+    cfg = IntegrationConfig(x_max=200.0, step=step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepTooCoarseError):
@@ -250,7 +254,7 @@ def _assert_lanes_equal_scalar_calls(res, energies, pot, cfg, failed=()):
             one.T, one.R, one.flux_residual)
 
 
-@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK + 5])
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK + 5], ids=lambda n: f"{n}-rk4")
 @pytest.mark.parametrize("count", [_LANES - 1, _LANES, _LANES + 1])
 def test_batch_equals_scalar_calls_bit_for_bit(n, count):
     cfg = _config_with_steps(n)
@@ -260,10 +264,11 @@ def test_batch_equals_scalar_calls_bit_for_bit(n, count):
     _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg)
 
 
-def test_coarse_lanes_fail_alone():
+@pytest.mark.parametrize("step", [pytest.param(0.02, id="rk4")])
+def test_coarse_lanes_fail_alone(step):
     # a step of 0.02 resolves E <= 2 but not E = 10; E = 20000 (k h = 4)
     # overflows, with no numpy RuntimeWarning
-    cfg = IntegrationConfig(x_max=50.0, step=0.02)
+    cfg = IntegrationConfig(x_max=50.0, step=step)
     energies = [0.05, 0.1, 10.0, 0.5, 20000.0, 2.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
