@@ -3,9 +3,8 @@ barrier-type shifted Deng-Fan potential: closed-form hypergeometric solution
 plus an independent ODE-integration oracle.
 """
 
-from .hyp2f1 import (ConnectionDegenerateError, GammaPoleError, Hyp2F1Error,
-                     Hyp2F1Request, NoConvergenceError, PoleAtCError,
-                     gauss_2f1, gauss_2f1_lanes, lngamma_complex)
+from .hyp2f1 import (GammaPoleError, Hyp2F1Error, Hyp2F1Request, NoConvergenceError,
+                     PoleAtCError, gauss_2f1, gauss_2f1_lanes, lngamma_complex)
 from .model import (BarrierParams, SideCoefficients, barrier_top, compute_b,
                     potential, side_coefficients)
 from .oracle import (BoundaryNotDecayedError, IntegrationConfig, OracleError,
@@ -28,7 +27,6 @@ __all__ = [
     "Hyp2F1Error",
     "PoleAtCError",
     "NoConvergenceError",
-    "ConnectionDegenerateError",
     "GammaPoleError",
     "gauss_2f1",
     "gauss_2f1_lanes",

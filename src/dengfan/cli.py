@@ -80,6 +80,9 @@ class RunConfig:
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        for name in ("oracle_enabled", "log_grid"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.mode not in ("corrected", "paper"):
             raise ValueError(f"mode must be 'corrected' or 'paper', got {self.mode!r}")
         if self.output_format not in ("csv", "json"):

@@ -2,25 +2,27 @@
 parameters, plus complex log-gamma, evaluated lane-wise over numpy arrays.
 
 ``gauss_2f1_lanes`` takes 1-D arrays a, b, c, z, one function per lane, and
-returns F = 2F1(a, b; c; z) and F' = dF/dz from one pass per lane, on a path
-from the classical toolbox (Abramowitz & Stegun ch. 15, DLMF ch. 15):
+returns F = 2F1(a, b; c; z) and F' = dF/dz from one pass per lane.  Each
+lane's path is decided before any summing, from the classical toolbox
+(Abramowitz & Stegun ch. 15, DLMF ch. 15):
 
-* the power series F = sum t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n, and
-  z F' = sum n t_n for |z| < 1, summed together in blocks of terms until
-  two consecutive terms of both drop below ``rel_tol`` of their sums;
-* the 1-z connection formula, differentiated term by term for F', as an
-  optional acceleration for 0.7 <= |z| < 1 when c - a - b is not an
-  integer.  Its two terms can lose precision (internal term growth, outer
-  cancellation), so the automatic path accepts it only when the error
-  estimates of F and F' both stay within 10 * rel_tol, and falls back to
-  the series for both otherwise;
+* a lane whose c is zero or a negative integer fails with PoleAtCError;
+* for 0.7 <= |z| and |1-z| < 1, when c - a - b is not within 1e-6 of an
+  integer, the lane tries the 1-z connection formula, differentiated term
+  by term for F'.  Its two terms can lose precision (internal term growth,
+  outer cancellation), so the lane keeps it only when the error estimates
+  of F and F' both stay within ``_CONNECTION_GATE`` (5e-14);
+* every other lane, a rejected attempt included, sums the power series
+  F = sum t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n, and z F' = sum n t_n
+  together in blocks of terms until two consecutive terms of both drop
+  below ``_REL_TOL`` (1e-15) of their sums, within ``_MAX_TERMS`` (20,000);
 * log-gamma via the Lanczos approximation (g = 7, 9 coefficients) with a
   branch-tracked reflection formula for Re(z) < 1/2.
 
 A failing lane records its typed error and the others go on; ``gauss_2f1``
-is a batch of one on the automatic path that raises it.  A lane's values
-depend on its own inputs alone, bit for bit, whatever the batch around it.
-All arithmetic is double precision; no arbitrary-precision escape hatch.
+is a batch of one that raises it.  A lane's values depend on its own inputs
+alone, bit for bit, whatever the batch around it.  All arithmetic is double
+precision; no arbitrary-precision escape hatch.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "Hyp2F1Error",
     "PoleAtCError",
     "NoConvergenceError",
-    "ConnectionDegenerateError",
     "GammaPoleError",
     "Hyp2F1Request",
     "gauss_2f1",
@@ -44,9 +45,13 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 
-# the automatic path trusts the connection formula only below this estimated
-# relative error (or 10 * rel_tol if the caller asked for less accuracy);
-# physics users of this module need ~1e-12, so 5e-14 leaves a wide margin
+# a series stops when two consecutive terms of both its sums fall below
+# _REL_TOL of them, and fails after _MAX_TERMS terms
+_REL_TOL = 1e-15
+_MAX_TERMS = 20000
+# a lane keeps the connection formula only below this estimated relative
+# error; physics users of this module need ~1e-12, so 5e-14 leaves a wide
+# margin
 _CONNECTION_GATE = 5e-14
 
 # lanes x terms of one series block (128 KB per complex temporary) unless 8
@@ -63,11 +68,7 @@ class PoleAtCError(Hyp2F1Error):
 
 
 class NoConvergenceError(Hyp2F1Error):
-    """The series failed to reach the requested tolerance within max_terms."""
-
-
-class ConnectionDegenerateError(Hyp2F1Error):
-    """c - a - b is an integer: the 1-z connection formula degenerates."""
+    """The series overflowed or did not converge within _MAX_TERMS terms."""
 
 
 class GammaPoleError(Hyp2F1Error):
@@ -76,24 +77,18 @@ class GammaPoleError(Hyp2F1Error):
 
 @dataclass(frozen=True)
 class Hyp2F1Request:
-    """One 2F1 evaluation: parameters a, b, c, argument z, and stopping rule."""
+    """One 2F1 evaluation: parameters a, b, c and argument z."""
 
     a: complex
     b: complex
     c: complex
     z: complex
-    rel_tol: float = 1e-15
-    max_terms: int = 20000
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "z"):
             value = complex(getattr(self, name))
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"{name} must have finite components, got {value!r}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 def _nonpositive_integer(z: np.ndarray) -> np.ndarray:
@@ -189,7 +184,7 @@ def _failure(what: str, a, b, c, z, r: int) -> NoConvergenceError:
                               f"c={complex(c[r, 0])}, z={complex(z[r, 0])})")
 
 
-def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False):
+def _series(a, b, c, z, want_peaks: bool = False):
     """Sum the defining series F = sum t_n and, in the same blocks, z F' =
     sum n t_n on every lane.  Returns (sums, peaks, errors): sums[:, 0] is F
     and sums[:, 1] is z F', errors maps a lane to its NoConvergenceError,
@@ -203,14 +198,14 @@ def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False
     lanes, az = np.arange(n_lanes), np.abs(z)
     # term ratios approach |z|, so the dropped tail is about
     # tail_factor * |last term| (n times that for z F', whose terms are
-    # n t_n); fold that (over rel_tol) into the stopping rule
-    tail = (np.maximum(az / (1.0 - az), 1.0) / rel_tol)[:, None, None]
-    # the first block ends a little past where |z|^n reaches rel_tol, plus
+    # n t_n); fold that (over _REL_TOL) into the stopping rule
+    tail = (np.maximum(az / (1.0 - az), 1.0) / _REL_TOL)[:, None, None]
+    # the first block ends a little past where |z|^n reaches _REL_TOL, plus
     # the terms' growth phase, longer for larger |a|, |b| and |z|
     zmax = min(max(az.max(), 0.05), 0.999)
-    size = 6 + int(1.1 * math.log(rel_tol) / math.log(zmax)
+    size = 6 + int(1.1 * math.log(_REL_TOL) / math.log(zmax)
                    + min(3.0 * np.abs(np.concatenate((a, b))).max() * zmax / (1.0 - zmax),
-                         max_terms))
+                         _MAX_TERMS))
     # every complex product below is between whole arrays or has a real
     # factor, so numpy rounds it alike whatever the batch's shape
     a, b, c, z, bz = a[:, None], b[:, None], c[:, None], z[:, None], (b * z)[:, None]
@@ -218,7 +213,7 @@ def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False
     n, term, prev, peak = 0, 1.0, False, np.array([1.0, 0.0])
     total = peak[:, None]
     while True:
-        k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), max_terms - n),
+        k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), _MAX_TERMS - n),
                       dtype=float)
         # column 0 carries the previous block's last term into the product
         t = np.empty((lanes.size, k.size + 1), dtype=complex)
@@ -270,10 +265,10 @@ def _series(a, b, c, z, rel_tol: float, max_terms: int, want_peaks: bool = False
             peak = np.maximum(peak, mag[:, :, -1])
         n += k.size
         keep = ~done
-        if n >= max_terms:
+        if n >= _MAX_TERMS:
             for r in keep.nonzero()[0].tolist():
                 errors[int(lanes[r])] = _failure(
-                    f"did not converge in {max_terms} terms", a, b, c, z, r)
+                    f"did not converge in {_MAX_TERMS} terms", a, b, c, z, r)
             return sums, peaks, errors
         term, total, prev = t[:, -1:], s[:, :, -1:], small[:, -1:]
         if rows.size:
@@ -309,27 +304,15 @@ def _connection(a, b, c, s, ca, cb, u, f, peak):
     return out[:, 0], out[:, 1] / -u, np.maximum(est[:, 0], est[:, 1]) * _EPS
 
 
-def _store(values, derivs, idx, f, a, b, c, z) -> None:
-    """Series sums (F, z F') of the lanes idx into values and derivs (F' =
-    ab/c at z = 0, where z F' says nothing)."""
-    zero = idx[z[idx] == 0]
-    values[idx], derivs[idx] = f[:, 0], f[:, 1] / z[idx]
-    if zero.size:
-        derivs[zero] = a[zero] * b[zero] / c[zero]
-
-
-def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
-                    path: str = "auto"):
+def gauss_2f1_lanes(a, b, c, z):
     """Evaluate F = 2F1(a, b; c; z) and F' = dF/dz on every lane of the 1-D
     arrays a, b, c, z.
 
     Returns (values, derivs, errors): errors maps a failed lane to its
-    ``Hyp2F1Error``, and that lane's F and F' are nan.  The path of a lane
-    on ``auto``: the series for |z| < 0.7; for 0.7 <= |z| < 1 the 1-z
-    connection formula when it is non-degenerate and the error estimates
-    of F and F' both meet 10 * rel_tol, else the series for both.
-    ``series`` and ``connection`` force one path.  An argument outside the
-    open unit disk, z = 1 included, raises ValueError for the whole batch.
+    ``Hyp2F1Error``, and that lane's F and F' are nan.  Each lane takes the
+    path the module docstring sets out, decided before any summing.  An
+    argument outside the open unit disk, z = 1 included, raises ValueError
+    for the whole batch.
     """
     a, b, c, z = (np.array(v, dtype=complex, ndmin=1, copy=None) for v in (a, b, c, z))
     # canonical (a, b) order so results are bit-identical under a <-> b
@@ -339,74 +322,52 @@ def gauss_2f1_lanes(a, b, c, z, rel_tol: float = 1e-15, max_terms: int = 20000,
     az, u = np.abs(z), 1.0 - z
     if np.count_nonzero(az >= 1.0):
         raise ValueError(f"|z| must be < 1, got z = {z}")
-    if path == "auto":
-        conn = (az >= 0.7) & (np.abs(u) < 1.0)
-    else:
-        conn = (z != 0) & (path == "connection")
-        if np.count_nonzero(conn & (np.abs(u) >= 1.0)):
-            raise ValueError(f"connection path requires |1 - z| < 1, got z = {z}")
     values, derivs, errors = np.empty(a.size, dtype=complex), np.empty(a.size, dtype=complex), {}
-    direct = ~conn
+    series = np.ones(a.size, dtype=bool)
     with np.errstate(all="ignore"):
         if np.count_nonzero(c.imag == 0.0):
             pole = _nonpositive_integer(c)
             errors.update((i, PoleAtCError(f"c = {complex(c[i])} is zero or a negative integer"))
                           for i in pole.nonzero()[0].tolist())
-            conn &= ~pole
-            direct = ~(pole | conn)
-        ic, idx = conn.nonzero()[0], direct.nonzero()[0]
-        m, ns = ic.size, idx.size
-        if ns + m:
-            # one series call: the direct lanes, and both series of every
-            # connection attempt, F(a, b; 1-s; 1-z) and F(c-a, c-b; 1+s; 1-z)
-            ac, bc, cc, uc = (a, b, c, u) if m == a.size else (a[ic], b[ic], c[ic], u[ic])
+            series &= ~pole
+        s = c - a - b
+        ic = (series & (az >= 0.7) & (np.abs(u) < 1.0)
+              & ~(np.abs(s - np.rint(s.real)) < 1e-6)).nonzero()[0]
+        if ic.size:
+            # both series of every attempt in one call: F(a, b; 1-s; 1-z)
+            # and F(c-a, c-b; 1+s; 1-z)
+            ac, bc, cc, sc, uc = ((a, b, c, s, u) if ic.size == a.size
+                                  else (a[ic], b[ic], c[ic], s[ic], u[ic]))
             ca, cb = cc - ac, cc - bc
-            s = ca - bc
             f, peak, failed = _series(
-                *(np.concatenate((x[idx], y, w) if ns else (y, w)) for x, y, w in
-                  ((a, ac, ca), (b, bc, cb), (c, 1.0 - s, 1.0 + s), (z, uc, uc))),
-                rel_tol, max_terms, m > 0)
-            if ns:
-                _store(values, derivs, idx, f[:ns], a, b, c, z)
-            if m:
-                value, deriv, est = _connection(ac, bc, cc, s, ca, cb, uc, f[ns:], peak[ns:])
-                degenerate = np.abs(s - np.rint(s.real)) < 1e-6
-                ok = ~degenerate
-                if path == "auto":
-                    # a degenerate or rejected attempt falls back to the series
-                    ok &= (np.isfinite(value) & np.isfinite(deriv)
-                           & (est <= max(10.0 * rel_tol, _CONNECTION_GATE)))
-                    retry = ~ok
-                else:
-                    retry = np.zeros(m, dtype=bool)
-                    errors.update((int(ic[j]), ConnectionDegenerateError(
-                        f"c - a - b = {complex(s[j])} is (near-)integer; connection "
-                        "formula degenerate")) for j in degenerate.nonzero()[0].tolist())
+                *(np.concatenate(pair) for pair in ((ac, ca), (bc, cb), (1.0 - sc, 1.0 + sc),
+                                                    (uc, uc))), want_peaks=True)
+            value, deriv, est = _connection(ac, bc, cc, sc, ca, cb, uc, f, peak)
+            ok = np.isfinite(value) & np.isfinite(deriv) & (est <= _CONNECTION_GATE)
+            # a series failure inside the attempt fails the lane
             for j in sorted(failed):
-                if j < ns:
-                    errors[int(idx[j])] = failed[j]
-                elif not degenerate[(j - ns) % m]:
-                    # a series failure inside the attempt fails the lane
-                    errors.setdefault(int(ic[(j - ns) % m]), failed[j])
-                    ok[(j - ns) % m] = retry[(j - ns) % m] = False
-            if m and np.count_nonzero(ok) == a.size:
-                values, derivs = value, deriv
-            elif m:
-                values[ic[ok]], derivs[ic[ok]] = value[ok], deriv[ok]
-                idx = ic[retry]
-                if idx.size:
-                    f, _, failed = _series(a[idx], b[idx], c[idx], z[idx], rel_tol, max_terms)
-                    _store(values, derivs, idx, f, a, b, c, z)
-                    errors.update((int(idx[j]), exc) for j, exc in failed.items())
+                errors.setdefault(int(ic[j % ic.size]), failed[j])
+                ok[j % ic.size] = series[ic[j % ic.size]] = False
+            done = ic[ok]
+            series[done] = False
+            values[done], derivs[done] = value[ok], deriv[ok]
+        idx = series.nonzero()[0]
+        if idx.size:
+            f, _, failed = _series(a[idx], b[idx], c[idx], z[idx])
+            values[idx], derivs[idx] = f[:, 0], f[:, 1] / z[idx]
+            # F' = ab/c at z = 0, where z F' says nothing
+            zero = idx[z[idx] == 0]
+            if zero.size:
+                derivs[zero] = a[zero] * b[zero] / c[zero]
+            errors.update((int(idx[j]), exc) for j, exc in failed.items())
     if errors:
         values[list(errors)] = derivs[list(errors)] = np.nan
     return values, derivs, errors
 
 
 def gauss_2f1(req: Hyp2F1Request) -> complex:
-    """Evaluate 2F1(a, b; c; z) to the requested relative tolerance (one
-    lane of ``gauss_2f1_lanes`` on its automatic path)."""
-    values, _, errors = gauss_2f1_lanes(req.a, req.b, req.c, req.z, req.rel_tol, req.max_terms)
+    """Evaluate 2F1(a, b; c; z), one lane of ``gauss_2f1_lanes``."""
+    values, _, errors = gauss_2f1_lanes(req.a, req.b, req.c, req.z)
     if errors:
         raise errors[0]
     return complex(values[0])

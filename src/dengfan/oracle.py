@@ -24,9 +24,10 @@ in blocks of ``_LANES`` lanes, and for each chunk of ``_CHUNK`` steps w and
 the maps are formed with a lane axis, multiplied pairwise (a tree) and
 applied to the states in order, so memory stays at lanes x chunk cells next
 to the grid.  Every operation is elementwise in the lanes, so each energy
-rounds exactly as it does alone.  The boundary check (its bound grows with
-E) and the flux residual |R + T - 1| are checked per energy on every run;
-a failed energy leaves the others unchanged.
+rounds exactly as it does alone.  The boundary check, |V(+-x_max)| <=
+1e-12 * max(E, 1) (``_DECAY_TOL``, the same bound ``default_config`` widens
+the domain to meet), and the flux residual |R + T - 1| are checked per
+energy on every run; a failed energy leaves the others unchanged.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = ["OracleError", "BoundaryNotDecayedError", "StepTooCoarseError",
            "integrate_scatter", "plane_wave_decompose"]
 
 _FLUX_TOL = 1e-6
+_DECAY_TOL = 1e-12  # |V| at the edges must be <= _DECAY_TOL * max(E, 1)
 _CHUNK = 8192  # steps per tree product; amortizes numpy's per-call cost
 _LANES = 4     # energies per march; lanes x _CHUNK cells bound the map arrays
 
@@ -67,7 +69,6 @@ class IntegrationConfig:
 
     x_max: float
     step: float
-    decay_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.x_max > 0:
@@ -77,8 +78,6 @@ class IntegrationConfig:
         if self.step > self.x_max / 100.0:
             raise ValueError(f"step {self.step} too large for x_max "
                              f"{self.x_max} (need step <= x_max/100)")
-        if not self.decay_tol > 0:
-            raise ValueError(f"decay_tol must be > 0, got {self.decay_tol}")
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,16 @@ class OracleResult:
 
 
 def default_config(E: float, potential: Potential, m: float = 1.0,
-                   x_max_seed: float = 20.0, decay_tol: float = 1e-12) -> IntegrationConfig:
+                   x_max_seed: float = 20.0) -> IntegrationConfig:
     """Pick a domain and step for the given energy and potential.
 
     The half-width starts at ``x_max_seed`` and doubles until
-    |V(+-x_max)| <= decay_tol * max(E, 1); the step resolves both the
+    |V(+-x_max)| <= 1e-12 * max(E, 1); the step resolves both the
     wavelength and the default 0.001 floor: step = min(0.001, 0.02/k).
     """
     if not (math.isfinite(E) and E > 0):
         raise ValueError(f"E must be > 0, got {E!r}")
-    bound = decay_tol * max(E, 1.0)
+    bound = _DECAY_TOL * max(E, 1.0)
     x_max = float(x_max_seed)
     for _ in range(26):
         edge = max(abs(_eval_potential(potential, np.array([-x_max]))[0]),
@@ -115,7 +114,7 @@ def default_config(E: float, potential: Potential, m: float = 1.0,
     else:
         raise BoundaryNotDecayedError(
             f"|V| still {edge:g} at x = +-{x_max:g}; potential does not decay")
-    return IntegrationConfig(x_max=x_max, step=_default_step(E, m), decay_tol=decay_tol)
+    return IntegrationConfig(x_max=x_max, step=_default_step(E, m))
 
 
 def _default_step(E: float, m: float) -> float:
@@ -195,10 +194,10 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     energies = es.tolist()
     errors: dict[int, OracleError] = {}
     for i, e in enumerate(energies):
-        if boundary > cfg.decay_tol * max(e, 1.0):
+        if boundary > _DECAY_TOL * max(e, 1.0):
             errors[i] = BoundaryNotDecayedError(
                 f"|V(+-{L:g})| = {boundary:g} exceeds decay_tol*max(E,1) = "
-                f"{cfg.decay_tol * max(e, 1.0):g}; enlarge x_max")
+                f"{_DECAY_TOL * max(e, 1.0):g}; enlarge x_max")
     lanes = [i for i in range(es.size) if i not in errors]
     R, T, flux = np.full((3, es.size), math.nan)
     n = int(math.ceil(2.0 * L / cfg.step))

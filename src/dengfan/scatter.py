@@ -19,6 +19,9 @@ sides, so no flux-ratio factor appears).
 ScatteringResult of arrays; a failed energy's error is keyed by its grid
 index, and its fields are nan.
 
+``tau_branch`` and ``sqrt_branch`` pick the basis, one string for both
+sides ("plus" or "minus"); R and T do not depend on either.
+
 Two derivative-matching conventions are provided:
 
 * ``corrected`` -- matches dpsi/dx including the chain-rule factors
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence, Union
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -45,8 +48,6 @@ from .model import (BarrierParams, Side, SqrtBranch, TauBranch,
                     side_coefficients)
 
 MatchMode = Literal["corrected", "paper"]
-BranchChoice = Union[TauBranch, tuple[TauBranch, TauBranch]]
-SqrtChoice = Union[SqrtBranch, tuple[SqrtBranch, SqrtBranch]]
 
 __all__ = [
     "MatchMode",
@@ -113,15 +114,6 @@ class ScatteringResult:
     errors: dict = field(default_factory=dict, repr=False)
 
 
-def _pair(choice, name: str) -> tuple[str, str]:
-    if isinstance(choice, str):
-        return choice, choice
-    left, right = choice
-    if not (isinstance(left, str) and isinstance(right, str)):
-        raise ValueError(f"{name} must be a string or a (left, right) pair")
-    return left, right
-
-
 def _product(x, y):
     """x * y as complex scalars round it: numpy fuses a multiply-add into
     complex array products but not into scalar ones, so one energy rounds
@@ -147,30 +139,25 @@ def _one_or_batch(E, fields: dict, errors: dict) -> dict:
 def match_coefficients(
     E,
     params: BarrierParams,
-    tau_branch: BranchChoice = "plus",
-    sqrt_branch: SqrtChoice = "plus",
+    tau_branch: TauBranch = "plus",
+    sqrt_branch: SqrtBranch = "plus",
 ) -> MatchCoefficients:
     """Assemble the matching coefficients at energy E, or lane-wise at a 1-D
     array of energies.
 
-    ``tau_branch`` and ``sqrt_branch`` select the basis on both sides, or
-    per side when given as a (left, right) pair; R and T do not depend on
-    these choices.  One ``gauss_2f1_lanes`` call gives each 2F1 factor and
-    its derivative: one lane per energy (zeta1) when q == q_tilde and one
-    tau branch serves both sides, two (zeta1, zeta3) otherwise.  The left
+    ``tau_branch`` and ``sqrt_branch`` select the basis, one choice for
+    both sides; R and T do not depend on them.  One ``gauss_2f1_lanes``
+    call gives each 2F1 factor and its derivative: one lane per energy
+    (zeta1) when q == q_tilde, two (zeta1, zeta3) otherwise.  The left
     y^{-sigma} function needs none: for E > 0 sigma is imaginary and tau
     real, so its (alpha+1-gamma, beta+1-gamma; 2-gamma) is (conj(alpha),
     conj(beta); conj(gamma)) up to order, and zeta2, dzeta2, c2 and c5 are
     the conjugates of zeta1, dzeta1, c1 and c4.  One energy raises its
     first failing zeta's error; an array records it.
     """
-    tb_l, tb_r = _pair(tau_branch, "tau_branch")
-    sb_l, sb_r = _pair(sqrt_branch, "sqrt_branch")
-    left = side_coefficients(E, params, "left", tb_l, sb_l)
-    # a sqrt-branch flip only swaps alpha and beta, which no value below
-    # tells apart
-    mirror = params.q == params.q_tilde and tb_l == tb_r
-    right = left if mirror else side_coefficients(E, params, "right", tb_r, sb_r)
+    left = side_coefficients(E, params, "left", tau_branch, sqrt_branch)
+    mirror = params.q == params.q_tilde
+    right = left if mirror else side_coefficients(E, params, "right", tau_branch, sqrt_branch)
     rho1, rho2 = params.q, 1.0 - params.q
     rho3, rho4 = params.q_tilde, 1.0 - params.q_tilde
 
@@ -259,8 +246,8 @@ def compute_rt(
     E: float,
     params: BarrierParams,
     mode: MatchMode = "corrected",
-    tau_branch: BranchChoice = "plus",
-    sqrt_branch: SqrtChoice = "plus",
+    tau_branch: TauBranch = "plus",
+    sqrt_branch: SqrtBranch = "plus",
 ) -> ScatteringResult:
     """Reflection/transmission at a single energy (assemble + solve), a
     batch of one of the lane-wise path ``scan`` takes.
@@ -280,8 +267,8 @@ def scan(
     energies: Sequence[float],
     params: BarrierParams,
     mode: MatchMode = "corrected",
-    tau_branch: BranchChoice = "plus",
-    sqrt_branch: SqrtChoice = "plus",
+    tau_branch: TauBranch = "plus",
+    sqrt_branch: SqrtBranch = "plus",
 ) -> ScatteringResult:
     """Evaluate R/T over a non-empty, strictly increasing, positive energy
     grid, in batches of ``_CHUNK`` energies, as one ScatteringResult of

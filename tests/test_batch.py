@@ -8,9 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dengfan.hyp2f1 as hyp2f1
 import dengfan.scatter as scatter
 from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error, NoConvergenceError,
-                     barrier_top, compute_rt, gauss_2f1_lanes, scan, side_coefficients)
+                     PoleAtCError, barrier_top, compute_rt, gauss_2f1_lanes, scan,
+                     side_coefficients)
 
 from helpers import hyp2f1_bruteforce
 
@@ -85,11 +87,27 @@ def test_scan_keys_failures_past_the_first_chunk_by_grid_index(mode):
         assert np.array_equal(np.isnan(column), failed), name
 
 
-def _lane_errors(energies_over_vmax, zs):
+def _connection_values(monkeypatch):
+    """{lane key: F} of every lane ``_connection`` evaluates from now on,
+    keyed by ({a, b}, c, 1 - z)."""
+    seen, connection = {}, hyp2f1._connection
+
+    def recording(a, b, c, s, ca, cb, u, f, peak):
+        out = connection(a, b, c, s, ca, cb, u, f, peak)
+        for lane in zip(a.tolist(), b.tolist(), c.tolist(), u.tolist(), out[0].tolist()):
+            seen[frozenset(lane[:2]), lane[2], lane[3]] = lane[4]
+        return out
+
+    monkeypatch.setattr(hyp2f1, "_connection", recording)
+    return seen
+
+
+def _lane_errors(monkeypatch, energies_over_vmax, zs):
     """The matching step's parameter families (zeta1 and zeta2 at default
     parameters) at the given E/V_max and z, evaluated as one batch: each
     lane's path and the relative errors of F and F' against the 40-digit
-    series, F' = (ab/c) F(a+1, b+1; c+1; z)."""
+    series, F' = (ab/c) F(a+1, b+1; c+1; z).  A lane took the connection
+    formula when its value is the one ``_connection`` returned for it."""
     v = barrier_top(DEFAULT_PARAMS)
     lanes = []
     for E in np.asarray(energies_over_vmax) * v:
@@ -98,34 +116,31 @@ def _lane_errors(energies_over_vmax, zs):
         for a, b, c in ((al, bl, gl), (al + 1 - gl, bl + 1 - gl, 2 - gl)):
             lanes += [(a, b, c, z) for z in zs]
     a, b, c, z = (np.array(col) for col in zip(*lanes))
+    seen = _connection_values(monkeypatch)
     values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
     assert not errors
-    # each lane on a forced path; a lane's values do not depend on its batch
-    series, _, _ = gauss_2f1_lanes(a, b, c, z, path="series")
-    connection, _, _ = gauss_2f1_lanes(a, b, c, z, path="connection")
     out = []
-    for (ai, bi, ci, zi), value, deriv, ser, conn in zip(lanes, values, derivs,
-                                                         series, connection):
+    for (ai, bi, ci, zi), value, deriv in zip(lanes, values, derivs):
+        tried = (frozenset((ai, bi)), ci, 1.0 - zi)
         if abs(zi) < 0.7:
             path = "series |z| < 0.7"
-            assert value == ser
-        elif value == conn:
+            assert tried not in seen
+        elif value == seen[tried]:
             path = "connection accepted"
         else:
             path = "connection rejected -> series"
-            assert value == ser
         ref = hyp2f1_bruteforce(ai, bi, ci, zi)
         dref = ai * bi / ci * hyp2f1_bruteforce(ai + 1, bi + 1, ci + 1, zi)
         out.append((path, abs(value - ref) / abs(ref), abs(deriv - dref) / abs(dref)))
     return out
 
 
-def test_lane_paths_against_bruteforce():
+def test_lane_paths_against_bruteforce(monkeypatch):
     # at z = 0.8 on fig3 energies the connection is accepted below
     # E/V_max = 3.3 and rejected above; z = 0.45 takes the series.  The
     # accepted lanes between E/V_max = 1 and 3.3 are the next test's.
-    lanes = _lane_errors(np.concatenate([np.linspace(0.05, 0.9, 5),
-                                         np.linspace(3.6, 5.0, 5)]), (0.8, 0.45))
+    lanes = _lane_errors(monkeypatch, np.concatenate([np.linspace(0.05, 0.9, 5),
+                                                      np.linspace(3.6, 5.0, 5)]), (0.8, 0.45))
     for path, err, derr in lanes:
         assert err <= 1e-13, path
         assert derr <= 1e-13, path
@@ -136,16 +151,18 @@ def test_lane_paths_against_bruteforce():
 @pytest.mark.xfail(strict=True, reason=(
     "the connection's rounding-error estimate runs low here: accepted values "
     "are off by up to 1.2e-13 (CHANGES.md, FOUND: hyp2f1.py _connection)"))
-def test_accepted_connection_between_1_and_3_3_vmax():
-    lanes = _lane_errors(np.linspace(1.0, 3.2, 12), (0.8,))
+def test_accepted_connection_between_1_and_3_3_vmax(monkeypatch):
+    lanes = _lane_errors(monkeypatch, np.linspace(1.0, 3.2, 12), (0.8,))
     accepted = [max(err, derr) for path, err, derr in lanes if path == "connection accepted"]
     assert accepted
     assert max(accepted) <= 1e-13
 
 
-def test_failing_lane_leaves_batch_unchanged():
+def test_failing_lane_leaves_batch_unchanged(monkeypatch):
     # BarrierParams(a=20) at E = 0.05 overflows a gamma ratio of the
-    # connection and then the series: its lanes fail, the others must not move
+    # connection and then the series: its lanes fail, the others must not
+    # move.  Beside them: a pole in c, a degenerate c - a - b = 1 at
+    # |z| >= 0.7 (never handed to the connection formula) and |z| < 0.7.
     def family_lanes(E, params):
         sc = side_coefficients(E, params)
         al, bl, gl = sc.alpha, sc.beta, sc.gamma
@@ -156,21 +173,27 @@ def test_failing_lane_leaves_batch_unchanged():
 
     good = [family_lanes(E, DEFAULT_PARAMS) for E in (0.005, 0.05, 0.3, 1.0)]
     bad = family_lanes(0.05, BarrierParams(a=20.0))
-    batch = good[:2] + [bad] + good[2:]
+    pole, degenerate = ([0.5], [1.5], [-2.0], [0.8]), ([1.0], [1.0], [3.0], [0.85])
+    small_z = good[1][:3] + ([0.45] * 4,)
+    batch = good[:2] + [bad, pole] + good[2:] + [degenerate, small_z]
     a, b, c, z = (np.concatenate([np.array(lane[i], dtype=complex) for lane in batch])
                   for i in range(4))
+    seen = _connection_values(monkeypatch)
     values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
-    failed_lanes = set(range(8, 12)) & set(errors)
-    assert failed_lanes and set(errors) <= set(range(8, 12))
-    assert all(isinstance(errors[i], NoConvergenceError) for i in errors)
+    # the 20 lanes at z = q = 0.8 try the connection formula, and no other
+    assert len(seen) == 20 and (frozenset((1.0, 1.0)), 3.0, 1.0 - 0.85) not in seen
+    assert isinstance(errors[12], PoleAtCError)
+    failed_lanes = set(errors) - {12}
+    assert failed_lanes and failed_lanes <= set(range(8, 12))
+    assert all(isinstance(errors[i], NoConvergenceError) for i in failed_lanes)
     assert np.isnan(values[sorted(errors)]).all() and np.isnan(derivs[sorted(errors)]).all()
-    for k, lane in enumerate(good):
-        alone, alone_derivs, alone_errors = gauss_2f1_lanes(
-            *(np.array(x, dtype=complex) for x in lane))
-        offset = 4 * k if k < 2 else 4 * (k + 1)
-        assert not alone_errors
-        assert np.array_equal(values[offset:offset + 4], alone)
-        assert np.array_equal(derivs[offset:offset + 4], alone_derivs)
+    for i in range(a.size):
+        alone, alone_deriv, alone_errors = gauss_2f1_lanes(a[i:i + 1], b[i:i + 1], c[i:i + 1],
+                                                           z[i:i + 1])
+        assert np.array_equal(values[i:i + 1], alone, equal_nan=True), i
+        assert np.array_equal(derivs[i:i + 1], alone_deriv, equal_nan=True), i
+        assert [str(exc) for exc in alone_errors.values()] == (
+            [str(errors[i])] if i in errors else []), i
 
 
 def test_scan_memory_is_bounded_by_chunking():

@@ -202,6 +202,18 @@ def test_non_integer_n_points_exits_1(n_points, tmp_path, capsys):
         assert not out and "Traceback" not in err
 
 
+@pytest.mark.parametrize("setting", [{"oracle_enabled": "false"}, {"log_grid": "no"}],
+                         ids=["oracle_enabled", "log_grid"])
+def test_non_boolean_flag_in_config_exits_1(setting, tmp_path, capsys):
+    # a string is not read by its truthiness
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**setting, "n_points": 2}))
+    code, out, err = run(["scatter", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert f"error: invalid config: {next(iter(setting))} must be true or false" in err
+    assert not out and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------

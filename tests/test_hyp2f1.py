@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import loggamma as scipy_loggamma
 
-from dengfan import (ConnectionDegenerateError, GammaPoleError, Hyp2F1Request,
-                     DEFAULT_PARAMS, NoConvergenceError, PoleAtCError,
-                     gauss_2f1, gauss_2f1_lanes, lngamma_complex, side_coefficients)
+import dengfan.hyp2f1 as hyp2f1
+from dengfan import (GammaPoleError, Hyp2F1Request, DEFAULT_PARAMS, NoConvergenceError,
+                     PoleAtCError, gauss_2f1, gauss_2f1_lanes, lngamma_complex,
+                     side_coefficients)
 
 from helpers import hyp2f1_bruteforce
 
@@ -19,17 +20,21 @@ LNGAMMA_HALF = 0.5723649429247001     # ln sqrt(pi)
 LNGAMMA_1_PLUS_I = -0.6509231993018563 - 0.3016403204675332j
 
 
-def f21(a, b, c, z, **kw):
-    return gauss_2f1(Hyp2F1Request(a=a, b=b, c=c, z=z, **kw))
+def f21(a, b, c, z):
+    return gauss_2f1(Hyp2F1Request(a=a, b=b, c=c, z=z))
 
 
-def forced(path, a, b, c, z, rel_tol=1e-15, max_terms=20000):
-    """2F1 on the path ``series`` or ``connection`` of ``gauss_2f1_lanes``,
-    for one lane."""
-    values, _, errors = gauss_2f1_lanes(a, b, c, z, rel_tol, max_terms, path=path)
-    if errors:
-        raise errors[0]
-    return complex(values[0])
+def connection_calls(monkeypatch):
+    """The lanes (a, b, c) handed to ``_connection`` from now on, one list
+    per call."""
+    calls, connection = [], hyp2f1._connection
+
+    def recording(a, b, c, *args):
+        calls.append(list(zip(a.tolist(), b.tolist(), c.tolist())))
+        return connection(a, b, c, *args)
+
+    monkeypatch.setattr(hyp2f1, "_connection", recording)
+    return calls
 
 
 def df21(a, b, c, z):
@@ -121,13 +126,15 @@ def test_contiguous_relation():
 
 
 # ---------------------------------------------------------------------------
-# series vs connection
+# the path rule against the 40-digit series
 # ---------------------------------------------------------------------------
 
-def test_paths_agree_on_production_parameters():
+def test_paths_agree_on_production_parameters(monkeypatch):
     # every hypergeometric parameter set the matching step uses, across the
-    # reference energy grid; both paths are well conditioned here
+    # reference energy grid; both paths are well conditioned here, and the
+    # connection formula is tried on each
     rel_tol = 2e-15
+    calls = connection_calls(monkeypatch)
     for E in np.arange(0.005, 0.1001, 0.005):
         sc = side_coefficients(float(E), DEFAULT_PARAMS)
         al, be, ga = sc.alpha, sc.beta, sc.gamma
@@ -138,34 +145,31 @@ def test_paths_agree_on_production_parameters():
             (al + 1, be + 1, ga + 1),
         ]
         for a, b, c in families:
-            ser = forced("series", a, b, c, 0.8, rel_tol)
-            conn = forced("connection", a, b, c, 0.8, rel_tol)
-            assert abs(ser - conn) <= 10 * rel_tol * abs(ser)
+            ref = hyp2f1_bruteforce(a, b, c, 0.8)
+            assert abs(f21(a, b, c, 0.8) - ref) <= 10 * rel_tol * abs(ref)
+    assert len(calls) == 4 * 20
 
 
 def test_paths_agree_on_random_draws():
-    # rel_tol sits above the double-precision rounding floor both paths
-    # carry on adversarial draws (term growth at |z| near 1)
+    # rel_tol sits above the double-precision rounding floor either path
+    # carries on adversarial draws (term growth at |z| near 1)
     rng = np.random.default_rng(10)
     rel_tol = 3e-13
-    checked = 0
-    while checked < 60:
+    for _ in range(60):
         a, b, c = _draw_abc(rng)
         z = rng.uniform(0.7, 0.95)
-        try:
-            conn = forced("connection", a, b, c, z, rel_tol)
-        except ConnectionDegenerateError:
-            continue
-        ser = forced("series", a, b, c, z, rel_tol)
-        assert abs(ser - conn) <= 10 * rel_tol * max(abs(ser), 1e-30)
-        checked += 1
+        ref = hyp2f1_bruteforce(a, b, c, z)
+        assert abs(f21(a, b, c, z) - ref) <= 10 * rel_tol * max(abs(ref), 1e-30)
 
 
-def test_connection_fallback_matches_series():
-    # degenerate c - a - b: the automatic path must fall back to the series
-    with pytest.raises(ConnectionDegenerateError):
-        forced("connection", 1.0, 1.0, 3.0, 0.8)
-    assert f21(1.0, 1.0, 3.0, 0.8) == forced("series", 1.0, 1.0, 3.0, 0.8)
+def test_connection_fallback_matches_series(monkeypatch):
+    # degenerate c - a - b = 1: the lane takes the series without trying the
+    # connection formula; F(1, 1; 3; z) = 2 ((1-z) log(1-z) + z) / z^2
+    calls = connection_calls(monkeypatch)
+    z = 0.8
+    expect = 2.0 * ((1.0 - z) * math.log(1.0 - z) + z) / z**2
+    assert f21(1.0, 1.0, 3.0, z) == pytest.approx(expect, rel=1e-14)
+    assert calls == []
 
 
 def test_against_bruteforce_reference():
@@ -251,12 +255,13 @@ def test_pole_at_c(c):
 
 
 def test_no_convergence_when_terms_exhausted():
+    # c - a - b = 0 sends the lane to the series, whose terms z^n / (n + 1)
+    # at z = 0.999 need about 40,000 terms to meet the stopping rule
+    _, _, errors = gauss_2f1_lanes(1, 1, 2, 0.999)
+    assert isinstance(errors[0], NoConvergenceError)
+    assert "did not converge in 20000 terms" in str(errors[0])
     with pytest.raises(NoConvergenceError):
-        forced("series", 1, 1, 2, 0.999, max_terms=50)
-    # the automatic path hits the same wall once the degenerate connection
-    # falls back to the series
-    with pytest.raises(NoConvergenceError):
-        f21(1, 1, 2, 0.999, max_terms=50)
+        f21(1, 1, 2, 0.999)
 
 
 @pytest.mark.parametrize("z", [1.5, -1.0, 2j, 1.0])
@@ -270,10 +275,6 @@ def test_request_validation():
         Hyp2F1Request(a=math.nan, b=1, c=2, z=0.1)
     with pytest.raises(ValueError):
         Hyp2F1Request(a=1, b=complex(1, math.inf), c=2, z=0.1)
-    with pytest.raises(ValueError):
-        Hyp2F1Request(a=1, b=1, c=2, z=0.1, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        Hyp2F1Request(a=1, b=1, c=2, z=0.1, max_terms=0)
 
 
 def test_polynomial_termination():

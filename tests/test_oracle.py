@@ -205,14 +205,13 @@ def test_default_config_gives_up_on_nondecaying_potential():
 def test_result_reports_boundary_potential():
     cfg = default_config(0.05, barrier, m=1.0, x_max_seed=50.0)
     res = integrate_scatter(0.05, barrier, 1.0, cfg)
-    assert 0.0 < res.boundary_potential <= cfg.decay_tol
+    assert 0.0 < res.boundary_potential <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [
     dict(x_max=0.0, step=0.001),
     dict(x_max=10.0, step=0.0),
     dict(x_max=10.0, step=0.2),      # step > x_max/100
-    dict(x_max=10.0, step=0.01, decay_tol=0.0),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -282,9 +281,11 @@ def test_coarse_lanes_fail_alone(step):
 
 
 def test_boundary_check_per_lane():
-    # the bound decay_tol * max(E, 1) passes E >= 2 only
-    edge = abs(float(barrier(np.array([30.0]))[0]))
-    cfg = IntegrationConfig(x_max=30.0, step=0.01, decay_tol=edge / 2.0)
+    # |V(+-35)| = 1.9e-12 lies between the bounds 1e-12 * max(E, 1) of
+    # E = 1.5 and E = 3: E >= 2 passes only
+    edge = abs(float(barrier(np.array([35.0]))[0]))
+    assert 1.5e-12 < edge < 3e-12
+    cfg = IntegrationConfig(x_max=35.0, step=0.01)
     energies = [0.5, 3.0, 1.5, 4.0]
     res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
     assert sorted(res.errors) == [0, 2]

@@ -32,19 +32,15 @@ def test_symmetric_barrier_collapses_right_onto_left():
     assert mc.c6 == mc.c5
 
 
-# parameter sets and branches for the 2F1 factors: symmetric, asymmetric,
-# and q == q_tilde with a different tau branch on each side
+# parameter sets and branches for the 2F1 factors, symmetric and asymmetric
 _BASES = [(DEFAULT_PARAMS, "plus", "plus"), (DEFAULT_PARAMS, "minus", "minus"),
-          (BarrierParams(q=0.9, q_tilde=0.55), "plus", ("plus", "minus")),
-          (DEFAULT_PARAMS, ("plus", "minus"), "plus")]
+          (BarrierParams(q=0.9, q_tilde=0.55), "plus", "minus")]
 
 
 def _families(E, params, tau_branch, sqrt_branch):
     """(a, b, c, y) of zeta1..zeta3 from the side coefficients."""
-    tb = (tau_branch, tau_branch) if isinstance(tau_branch, str) else tau_branch
-    sb = (sqrt_branch, sqrt_branch) if isinstance(sqrt_branch, str) else sqrt_branch
-    left = side_coefficients(E, params, "left", tb[0], sb[0])
-    right = side_coefficients(E, params, "right", tb[1], sb[1])
+    left = side_coefficients(E, params, "left", tau_branch, sqrt_branch)
+    right = side_coefficients(E, params, "right", tau_branch, sqrt_branch)
     al, bl, gl = left.alpha, left.beta, left.gamma
     ar, br, gr = right.alpha, right.beta, right.gamma
     return {1: (al, bl, gl, params.q),
@@ -84,8 +80,7 @@ def test_left_minus_sigma_row_is_the_conjugate(params, tau_branch, sqrt_branch):
 
 def test_one_lane_per_energy_and_evaluated_side(monkeypatch):
     # one gauss_2f1_lanes call per match: n lanes for n energies when the
-    # sides mirror, 2n when they do not (q != q_tilde, or q == q_tilde with
-    # a different tau branch on each side)
+    # sides mirror (q == q_tilde), 2n when they do not
     sizes = []
     lanes = scatter.gauss_2f1_lanes
 
@@ -96,7 +91,7 @@ def test_one_lane_per_energy_and_evaluated_side(monkeypatch):
     monkeypatch.setattr(scatter, "gauss_2f1_lanes", counting)
     energies = np.geomspace(1e-3, 5.0, 7)
     for params, tau_branch, sqrt_branch in _BASES:
-        mirror = params.q == params.q_tilde and isinstance(tau_branch, str)
+        mirror = params.q == params.q_tilde
         for E, n in ((energies, 7), (0.05, 1)):
             sizes.clear()
             match_coefficients(E, params, tau_branch, sqrt_branch)
@@ -135,19 +130,24 @@ def test_asymmetric_barrier_conserves_flux_in_corrected_mode():
 
 
 def test_tau_branch_invariance():
-    for branch in ("minus", ("plus", "minus"), ("minus", "plus")):
-        base = compute_rt(0.05, DEFAULT_PARAMS, tau_branch="plus")
-        flip = compute_rt(0.05, DEFAULT_PARAMS, tau_branch=branch)
-        assert abs(base.R - flip.R) <= 1e-10
-        assert abs(base.T - flip.T) <= 1e-10
+    base = compute_rt(0.05, DEFAULT_PARAMS, tau_branch="plus")
+    flip = compute_rt(0.05, DEFAULT_PARAMS, tau_branch="minus")
+    assert abs(base.R - flip.R) <= 1e-10
+    assert abs(base.T - flip.T) <= 1e-10
 
 
 def test_sqrt_branch_invariance():
     base = compute_rt(0.05, DEFAULT_PARAMS, sqrt_branch="plus")
-    for branch in ("minus", ("plus", "minus")):
-        flip = compute_rt(0.05, DEFAULT_PARAMS, sqrt_branch=branch)
-        assert abs(base.R - flip.R) <= 1e-10
-        assert abs(base.T - flip.T) <= 1e-10
+    flip = compute_rt(0.05, DEFAULT_PARAMS, sqrt_branch="minus")
+    assert abs(base.R - flip.R) <= 1e-10
+    assert abs(base.T - flip.T) <= 1e-10
+
+
+@pytest.mark.parametrize("branches", [dict(tau_branch=("plus", "minus")),
+                                      dict(sqrt_branch=("plus", "minus"))])
+def test_basis_choice_is_one_string_for_both_sides(branches):
+    with pytest.raises(ValueError, match="must be 'plus' or 'minus'"):
+        compute_rt(0.05, DEFAULT_PARAMS, **branches)
 
 
 def test_free_particle_transmits_fully():
