@@ -6,7 +6,8 @@ returns F = 2F1(a, b; c; z) and F' = dF/dz from one pass per lane.  Each
 lane's path is decided before any summing, from the classical toolbox
 (Abramowitz & Stegun ch. 15, DLMF ch. 15):
 
-* a lane whose c is zero or a negative integer fails with PoleAtCError;
+* a lane with a non-finite a, b, c or z fails with Hyp2F1Error, and a lane
+  whose c is zero or a negative integer with PoleAtCError;
 * for 0.7 <= |z| and |1-z| < 1, when c - a - b is not within 1e-6 of an
   integer, the lane tries the 1-z connection formula, differentiated term
   by term for F'.  Its two terms can lose precision (internal term growth,
@@ -179,15 +180,16 @@ def _lngammas(*rows, den: int):
 # lane evaluation
 # ----------------------------------------------------------------------------
 
-def _failure(what: str, a, b, c, z, r: int) -> NoConvergenceError:
-    return NoConvergenceError(f"2F1 series {what} (a={complex(a[r, 0])}, b={complex(b[r, 0])}, "
-                              f"c={complex(c[r, 0])}, z={complex(z[r, 0])})")
+def _lane_error(kind: type, what: str, a, b, c, z, i: int) -> Hyp2F1Error:
+    """A ``kind`` error for lane i that names the lane's a, b, c and z."""
+    return kind(f"2F1 {what} (a={complex(a[i])}, b={complex(b[i])}, "
+                f"c={complex(c[i])}, z={complex(z[i])})")
 
 
 def _series(a, b, c, z, want_peaks: bool = False):
     """Sum the defining series F = sum t_n and, in the same blocks, z F' =
     sum n t_n on every lane.  Returns (sums, peaks, errors): sums[:, 0] is F
-    and sums[:, 1] is z F', errors maps a lane to its NoConvergenceError,
+    and sums[:, 1] is z F', errors maps a failed lane to what went wrong,
     and peaks, if asked for, holds the largest L1 term magnitude of each
     sum (for rounding-error estimates).  Terms are made and summed in
     blocks, each lane's in the order one scalar loop takes them; converged
@@ -252,8 +254,7 @@ def _series(a, b, c, z, want_peaks: bool = False):
                    if want_peaks else None)
             finite = np.isfinite(got).all(axis=1)
             for i in (~finite).nonzero()[0].tolist() if np.count_nonzero(finite) < rows.size else ():
-                errors[int(lanes[rows[i]])] = _failure(
-                    f"overflowed after {n + int(cols[i]) + 1} terms", a, b, c, z, int(rows[i]))
+                errors[int(lanes[rows[i]])] = f"overflowed after {n + int(cols[i]) + 1} terms"
             if rows.size == n_lanes:
                 return got, top, errors
             sums[lanes[rows]] = got
@@ -267,8 +268,7 @@ def _series(a, b, c, z, want_peaks: bool = False):
         keep = ~done
         if n >= _MAX_TERMS:
             for r in keep.nonzero()[0].tolist():
-                errors[int(lanes[r])] = _failure(
-                    f"did not converge in {_MAX_TERMS} terms", a, b, c, z, r)
+                errors[int(lanes[r])] = f"did not converge in {_MAX_TERMS} terms"
             return sums, peaks, errors
         term, total, prev = t[:, -1:], s[:, :, -1:], small[:, -1:]
         if rows.size:
@@ -310,11 +310,20 @@ def gauss_2f1_lanes(a, b, c, z):
 
     Returns (values, derivs, errors): errors maps a failed lane to its
     ``Hyp2F1Error``, and that lane's F and F' are nan.  Each lane takes the
-    path the module docstring sets out, decided before any summing.  An
-    argument outside the open unit disk, z = 1 included, raises ValueError
-    for the whole batch.
+    path the module docstring sets out, decided before any summing.  A
+    finite argument outside the open unit disk, z = 1 included, raises
+    ValueError for the whole batch.  The error of a non-finite lane (a bare
+    ``Hyp2F1Error``) or a non-converging one names its a, b, c, z as given.
     """
-    a, b, c, z = (np.array(v, dtype=complex, ndmin=1, copy=None) for v in (a, b, c, z))
+    a, b, c, z = given = tuple(np.array(v, dtype=complex, ndmin=1, copy=None)
+                               for v in (a, b, c, z))
+    errors = {}
+    bad = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(z))
+    if np.count_nonzero(bad):
+        errors.update((i, _lane_error(Hyp2F1Error, "parameters not finite", *given, i))
+                      for i in bad.nonzero()[0].tolist())
+        # placeholders F(0, 0; 1; 0) that no path takes
+        a, b, c, z = (np.where(bad, fill, v) for fill, v in zip((0, 0, 1, 0), given))
     # canonical (a, b) order so results are bit-identical under a <-> b
     swap = b < a
     if np.count_nonzero(swap):
@@ -322,8 +331,8 @@ def gauss_2f1_lanes(a, b, c, z):
     az, u = np.abs(z), 1.0 - z
     if np.count_nonzero(az >= 1.0):
         raise ValueError(f"|z| must be < 1, got z = {z}")
-    values, derivs, errors = np.empty(a.size, dtype=complex), np.empty(a.size, dtype=complex), {}
-    series = np.ones(a.size, dtype=bool)
+    values, derivs = np.empty(a.size, dtype=complex), np.empty(a.size, dtype=complex)
+    series = ~bad
     with np.errstate(all="ignore"):
         if np.count_nonzero(c.imag == 0.0):
             pole = _nonpositive_integer(c)
@@ -346,8 +355,10 @@ def gauss_2f1_lanes(a, b, c, z):
             ok = np.isfinite(value) & np.isfinite(deriv) & (est <= _CONNECTION_GATE)
             # a series failure inside the attempt fails the lane
             for j in sorted(failed):
-                errors.setdefault(int(ic[j % ic.size]), failed[j])
-                ok[j % ic.size] = series[ic[j % ic.size]] = False
+                i = int(ic[j % ic.size])
+                errors.setdefault(i, _lane_error(
+                    NoConvergenceError, f"1-z connection series {failed[j]}", *given, i))
+                ok[j % ic.size] = series[i] = False
             done = ic[ok]
             series[done] = False
             values[done], derivs[done] = value[ok], deriv[ok]
@@ -359,7 +370,8 @@ def gauss_2f1_lanes(a, b, c, z):
             zero = idx[z[idx] == 0]
             if zero.size:
                 derivs[zero] = a[zero] * b[zero] / c[zero]
-            errors.update((int(idx[j]), exc) for j, exc in failed.items())
+            errors.update((int(i), _lane_error(NoConvergenceError, f"series {what}", *given, i))
+                          for i, what in zip(idx[list(failed)], failed.values()))
     if errors:
         values[list(errors)] = derivs[list(errors)] = np.nan
     return values, derivs, errors

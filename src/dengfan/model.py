@@ -12,7 +12,8 @@ the asymptotic wave number is k = sqrt(2mE).
 
 Substituting y = q*e^{ax} (left) or y = q_tilde*e^{-ax} (right) turns each
 region's wave equation into a Gauss hypergeometric equation; this module
-computes every scalar entering those solutions.
+computes every quantity entering those solutions, field by field over a lane
+(a 1-D array) of energies.
 """
 
 from __future__ import annotations
@@ -85,25 +86,26 @@ class BarrierParams:
 
 @dataclass
 class SideCoefficients:
-    """Every scalar feeding one region's hypergeometric solution, at one
-    energy or, field by field, at an array of energies.
+    """Every scalar feeding one region's hypergeometric solution, field by
+    field over a 1-D array (a lane) of energies; epsilon and tau do not
+    depend on E and are floats.
 
     For the right region the chi values play the role that chi4..chi6 play
     in the left region; they are stored in the same slots.
     """
 
     side: Side
-    E: float
-    k: float
-    chi1: float
-    chi2: float
-    chi3: float
+    E: NDArray
+    k: NDArray
+    chi1: NDArray
+    chi2: NDArray
+    chi3: NDArray
     epsilon: float
-    sigma: complex
+    sigma: NDArray
     tau: float
-    alpha: complex
-    beta: complex
-    gamma: complex
+    alpha: NDArray
+    beta: NDArray
+    gamma: NDArray
 
 
 def _check_side(side: str) -> None:
@@ -154,9 +156,9 @@ def side_coefficients(
 ) -> SideCoefficients:
     """Derive the per-region scalars for scattering energies E > 0.
 
-    E is one energy or a 1-D array of them, and every field that depends on
-    E is a numpy scalar or an array of E's shape; the two round alike.
-    chi1 is recovered by negating the combination
+    E is one energy or a 1-D array of them; one energy is a lane of one,
+    so every field that depends on E is a 1-D array.  chi1 is recovered by
+    negating the combination
 
         -chi1 = -2mE/a^2 + 2mV0 b^2/(a^2 q^2) + 4mV0 b/(a^2 q)
 
@@ -170,7 +172,7 @@ def side_coefficients(
     sqrt_branch flips the sign of sqrt(-chi1), exchanging alpha and beta;
     physical outputs must not depend on either branch choice.
     """
-    E = np.float64(E) if np.isscalar(E) else np.array(E, dtype=float, ndmin=1, copy=None)
+    E = np.array(E, dtype=float, ndmin=1, copy=None)
     if np.count_nonzero((E > 0.0) & (E < math.inf)) < E.size:
         raise ValueError(f"scattering requires finite E > 0, got {E}")
     _check_side(side)

@@ -15,9 +15,10 @@ from which a 2x2 linear system yields A2/A1 and A4/A1 and then
 R = |A2/A1|^2, T = |A4/A1|^2 (the asymptotic wave number is the same on both
 sides, so no flux-ratio factor appears).
 
-``scan`` evaluates an energy grid lane-wise, in chunks, and returns one
-ScatteringResult of arrays; a failed energy's error is keyed by its grid
-index, and its fields are nan.
+Every layer from ``side_coefficients`` to ``solve_amplitudes`` works on a
+lane, a 1-D array of energies, and records a failed energy's error under
+its index with its fields nan.  ``scan`` runs a grid in chunks of lanes;
+``compute_rt`` runs a lane of one and raises its error or unwraps it.
 
 ``tau_branch`` and ``sqrt_branch`` pick the basis, one string for both
 sides ("plus" or "minus"); R and T do not depend on either.
@@ -63,6 +64,8 @@ __all__ = [
 _DET_FLOOR = 1e-300
 # energies per batch in scan; bounds the batch's memory, never a value
 _CHUNK = 256
+# the per-energy fields of a ScatteringResult
+_COLUMNS = ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual")
 
 
 class SingularMatchingError(Exception):
@@ -71,38 +74,37 @@ class SingularMatchingError(Exception):
 
 @dataclass
 class MatchCoefficients:
-    """All quantities entering the x = 0 matching system, at one energy or,
-    field by field, at an array of energies.  ``errors`` maps the index of
-    a failed energy of an array to its error; its fields there are nan.
-    zeta_r and dzeta_r are the 2F1 factor of basis function r at x = 0 and
-    its y-derivative, c_r and c_{r+3} the function's value and y-derivative:
-    r = 1, 2 are the left y^{+sigma} and y^{-sigma} functions, r = 3 the
-    right y^{-sigma} one."""
+    """All quantities entering the x = 0 matching system, field by field
+    over a lane of energies.  ``errors`` maps the index of a failed energy
+    to its error; its fields there are nan.  zeta_r and dzeta_r are the 2F1
+    factor of basis function r at x = 0 and its y-derivative, c_r and
+    c_{r+3} the function's value and y-derivative: r = 1, 2 are the left
+    y^{+sigma} and y^{-sigma} functions, r = 3 the right y^{-sigma} one."""
 
-    E: float
+    E: np.ndarray
     rho1: float
     rho2: float
     rho3: float
     rho4: float
-    zeta1: complex
-    zeta2: complex
-    zeta3: complex
-    dzeta1: complex
-    dzeta2: complex
-    dzeta3: complex
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-    c5: complex
-    c6: complex
+    zeta1: np.ndarray
+    zeta2: np.ndarray
+    zeta3: np.ndarray
+    dzeta1: np.ndarray
+    dzeta2: np.ndarray
+    dzeta3: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
+    c4: np.ndarray
+    c5: np.ndarray
+    c6: np.ndarray
     errors: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
 class ScatteringResult:
     """Amplitude ratios and coefficients for one energy or, field by field,
-    for an array of energies with ``errors`` as in MatchCoefficients."""
+    for a lane of energies with ``errors`` as in MatchCoefficients."""
 
     E: float
     r_amp: complex
@@ -114,36 +116,16 @@ class ScatteringResult:
     errors: dict = field(default_factory=dict, repr=False)
 
 
-def _product(x, y):
-    """x * y as complex scalars round it: numpy fuses a multiply-add into
-    complex array products but not into scalar ones, so one energy rounds
-    as it does in a batch."""
-    if not np.ndim(x):
-        return x * y
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-def _one_or_batch(E, fields: dict, errors: dict) -> dict:
-    """Batch-of-one unwrapping: one energy raises its error or gets scalar
-    fields; an array of energies keeps its arrays."""
-    if isinstance(E, np.ndarray):
-        return fields
-    if errors:
-        raise errors[0]
-    return {name: value[0] for name, value in fields.items()}
-
-
+# an E near the float range overflows side_coefficients: the lane's 2F1 fails quietly
+@np.errstate(invalid="ignore", over="ignore")
 def match_coefficients(
     E,
     params: BarrierParams,
     tau_branch: TauBranch = "plus",
     sqrt_branch: SqrtBranch = "plus",
 ) -> MatchCoefficients:
-    """Assemble the matching coefficients at energy E, or lane-wise at a 1-D
-    array of energies.
+    """Assemble the matching coefficients lane-wise over the energies E
+    (one energy is a lane of one).
 
     ``tau_branch`` and ``sqrt_branch`` select the basis, one choice for
     both sides; R and T do not depend on them.  One ``gauss_2f1_lanes``
@@ -152,12 +134,12 @@ def match_coefficients(
     y^{-sigma} function needs none: for E > 0 sigma is imaginary and tau
     real, so its (alpha+1-gamma, beta+1-gamma; 2-gamma) is (conj(alpha),
     conj(beta); conj(gamma)) up to order, and zeta2, dzeta2, c2 and c5 are
-    the conjugates of zeta1, dzeta1, c1 and c4.  One energy raises its
-    first failing zeta's error; an array records it.
+    the conjugates of zeta1, dzeta1, c1 and c4.  An energy's first failing
+    zeta's error is recorded, never raised.
     """
     left = side_coefficients(E, params, "left", tau_branch, sqrt_branch)
     mirror = params.q == params.q_tilde
-    right = left if mirror else side_coefficients(E, params, "right", tau_branch, sqrt_branch)
+    right = left if mirror else side_coefficients(left.E, params, "right", tau_branch, sqrt_branch)
     rho1, rho2 = params.q, 1.0 - params.q
     rho3, rho4 = params.q_tilde, 1.0 - params.q_tilde
 
@@ -194,21 +176,18 @@ def match_coefficients(
     # y^{-sigma} row) and the right row, which is the second when the sides mirror
     zv, zd, cv, cd = ((v[0], conj, conj if mirror else v[1])
                       for v in (zv, zd, cv, cd) for conj in (np.conj(v[0]),))
-    fields = dict(zeta1=zv[0], zeta2=zv[1], zeta3=zv[2], dzeta1=zd[0], dzeta2=zd[1],
-                  dzeta3=zd[2], c1=cv[0], c2=cv[1], c3=cv[2], c4=cd[0], c5=cd[1], c6=cd[2])
-    return MatchCoefficients(E=left.E, rho1=rho1, rho2=rho2, rho3=rho3, rho4=rho4,
-                             errors=errors, **_one_or_batch(left.E, fields, errors))
+    return MatchCoefficients(left.E, rho1, rho2, rho3, rho4, *zv, *zd, *cv, *cd, errors)
 
 
 def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> ScatteringResult:
-    """Solve the 2x2 matching system for (A2/A1, A4/A1) and form R, T, at
-    one energy or lane-wise over the energies of ``mc``.
+    """Solve the 2x2 matching system for (A2/A1, A4/A1) and form R, T
+    lane-wise over the energies of ``mc``.
 
     The mode fixes the derivative-matching row: ``corrected`` applies the
     chain-rule factors (+rho1 on the left derivatives, -rho3 on the right),
     ``paper`` equates the y-derivatives as printed.  A determinant below
-    1e-300 in magnitude is a SingularMatchingError, raised for one energy;
-    an array records it and sets the energy's fields to nan.
+    1e-300 in magnitude records a SingularMatchingError and sets the
+    energy's fields to nan.
     """
     if mode not in ("corrected", "paper"):
         raise ValueError(f"mode must be 'corrected' or 'paper', got {mode!r}")
@@ -222,20 +201,18 @@ def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> Sc
     else:
         m10, m11, b1 = c5, -c6, -c4
     with np.errstate(all="ignore"):
-        det = _product(c2, m11) + _product(c3, m10)
-        r_amp = (_product(c3, b1) - _product(c1, m11)) / det
-        t_amp = (_product(c2, b1) + _product(c1, m10)) / det
+        det = c2 * m11 + c3 * m10
+        r_amp = (c3 * b1 - c1 * m11) / det
+        t_amp = (c2 * b1 + c1 * m10) / det
         R = r_amp.real * r_amp.real + r_amp.imag * r_amp.imag
         T = t_amp.real * t_amp.real + t_amp.imag * t_amp.imag
         residual = np.abs(R + T - 1.0)
     errors = dict(mc.errors)
-    singular = np.ravel(np.abs(det) < _DET_FLOOR).nonzero()[0]
+    singular = (np.abs(det) < _DET_FLOOR).nonzero()[0]
     for i in singular.tolist():
         errors.setdefault(i, SingularMatchingError(
-            f"matching determinant {complex(np.ravel(det)[i])!r} below {_DET_FLOOR} "
-            f"at E={float(np.ravel(E)[i])} (mode={mode})"))
-    if errors and not isinstance(E, np.ndarray):
-        raise errors[0]
+            f"matching determinant {complex(det[i])!r} below {_DET_FLOOR} "
+            f"at E={float(E[i])} (mode={mode})"))
     if singular.size:
         for value in (r_amp, t_amp, R, T, residual):
             value[singular] = np.nan
@@ -249,8 +226,9 @@ def compute_rt(
     tau_branch: TauBranch = "plus",
     sqrt_branch: SqrtBranch = "plus",
 ) -> ScatteringResult:
-    """Reflection/transmission at a single energy (assemble + solve), a
-    batch of one of the lane-wise path ``scan`` takes.
+    """Reflection/transmission at a single energy: the lane code ``scan``
+    runs, on a lane of one, unwrapped to numpy scalars.  The energy's
+    ``Hyp2F1Error`` or ``SingularMatchingError`` is raised.
 
     The energy range has an upper edge.  At the default parameters,
     E/V_max = 4e4 still returns T = 0.999999999999998 (about 2 ms), while
@@ -258,9 +236,11 @@ def compute_rt(
     ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
     asymptotic T -> 1 branch.
     """
-    return solve_amplitudes(
-        match_coefficients(E, params, tau_branch, sqrt_branch), mode
-    )
+    res = solve_amplitudes(
+        match_coefficients([E], params, tau_branch, sqrt_branch), mode)
+    if res.errors:
+        raise res.errors[0]
+    return ScatteringResult(*(getattr(res, name)[0] for name in _COLUMNS), mode)
 
 
 def scan(
@@ -290,6 +270,5 @@ def scan(
     chunks = [solve_amplitudes(match_coefficients(
         es[start:start + _CHUNK], params, tau_branch, sqrt_branch), mode) for start in starts]
     errors = {start + i: exc for start, res in zip(starts, chunks) for i, exc in res.errors.items()}
-    columns = [np.concatenate([getattr(res, name) for res in chunks])
-               for name in ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual")]
+    columns = [np.concatenate([getattr(res, name) for res in chunks]) for name in _COLUMNS]
     return ScatteringResult(*columns, mode, dict(sorted(errors.items())))

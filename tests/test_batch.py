@@ -109,10 +109,9 @@ def _lane_errors(monkeypatch, energies_over_vmax, zs):
     series, F' = (ab/c) F(a+1, b+1; c+1; z).  A lane took the connection
     formula when its value is the one ``_connection`` returned for it."""
     v = barrier_top(DEFAULT_PARAMS)
+    sc = side_coefficients(np.asarray(energies_over_vmax) * v, DEFAULT_PARAMS)
     lanes = []
-    for E in np.asarray(energies_over_vmax) * v:
-        sc = side_coefficients(float(E), DEFAULT_PARAMS)
-        al, bl, gl = complex(sc.alpha), complex(sc.beta), complex(sc.gamma)
+    for al, bl, gl in zip(sc.alpha.tolist(), sc.beta.tolist(), sc.gamma.tolist()):
         for a, b, c in ((al, bl, gl), (al + 1 - gl, bl + 1 - gl, 2 - gl)):
             lanes += [(a, b, c, z) for z in zs]
     a, b, c, z = (np.array(col) for col in zip(*lanes))
@@ -165,7 +164,7 @@ def test_failing_lane_leaves_batch_unchanged(monkeypatch):
     # |z| >= 0.7 (never handed to the connection formula) and |z| < 0.7.
     def family_lanes(E, params):
         sc = side_coefficients(E, params)
-        al, bl, gl = sc.alpha, sc.beta, sc.gamma
+        al, bl, gl = sc.alpha[0], sc.beta[0], sc.gamma[0]
         a = [al, al + 1 - gl, al + 1, al + 2 - gl]
         b = [bl, bl + 1 - gl, bl + 1, bl + 2 - gl]
         c = [gl, 2 - gl, gl + 1, 3 - gl]

@@ -6,6 +6,11 @@ The fixtures pin the exact text the presets, the paper mode, the oracle
 columns, the multi-q files, the JSON config echo and config-file precedence
 produce.  After an intended output change, rewrite them with
 ``python tests/test_cli_golden.py``.
+
+The fixtures hold the last bits of T and R (and so of the residual column)
+that numpy's FMA complex loops give.  Under its baseline loops
+(``NPY_DISABLE_CPU_FEATURES``), 4 of the 6 cases differ in those bits, so
+re-record them on an x86-64-v3 or newer CPU.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ import pytest
 from scipy.special import loggamma as scipy_loggamma
 
 import dengfan.hyp2f1 as hyp2f1
-from dengfan import (GammaPoleError, Hyp2F1Request, DEFAULT_PARAMS, NoConvergenceError,
+from dengfan import (GammaPoleError, Hyp2F1Error, Hyp2F1Request, DEFAULT_PARAMS,
+                     NoConvergenceError,
                      PoleAtCError, gauss_2f1, gauss_2f1_lanes, lngamma_complex,
                      side_coefficients)
 
@@ -135,9 +136,8 @@ def test_paths_agree_on_production_parameters(monkeypatch):
     # connection formula is tried on each
     rel_tol = 2e-15
     calls = connection_calls(monkeypatch)
-    for E in np.arange(0.005, 0.1001, 0.005):
-        sc = side_coefficients(float(E), DEFAULT_PARAMS)
-        al, be, ga = sc.alpha, sc.beta, sc.gamma
+    sc = side_coefficients(np.arange(0.005, 0.1001, 0.005), DEFAULT_PARAMS)
+    for al, be, ga in zip(sc.alpha, sc.beta, sc.gamma):
         families = [
             (al, be, ga),
             (al + 1 - ga, be + 1 - ga, 2 - ga),
@@ -262,6 +262,37 @@ def test_no_convergence_when_terms_exhausted():
     assert "did not converge in 20000 terms" in str(errors[0])
     with pytest.raises(NoConvergenceError):
         f21(1, 1, 2, 0.999)
+
+
+def test_non_finite_lane_fails_alone():
+    # a nan or inf parameter fails its own lane with a typed error that names
+    # the lane, and no RuntimeWarning escapes (Tier-1 makes it an error)
+    _, _, errors = gauss_2f1_lanes(1, 1, 2, math.nan)
+    assert list(errors) == [0] and type(errors[0]) is Hyp2F1Error
+    assert "z=(nan+0j)" in str(errors[0])
+    a = np.array([0.5, math.nan, 0.5, 1.5, 0.5])
+    c = np.array([2.5, 2.5, complex(2.5, math.inf), 2.5, 2.5])
+    z = np.array([0.3, 0.3, 0.3, 0.8, math.inf])
+    b = np.full(5, 1.5)
+    values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
+    assert sorted(errors) == [1, 2, 4]
+    assert all(type(exc) is Hyp2F1Error and "not finite" in str(exc) for exc in errors.values())
+    assert "a=(nan+0j)" in str(errors[1]) and "z=(inf+0j)" in str(errors[4])
+    assert np.isnan(values[[1, 2, 4]]).all() and np.isnan(derivs[[1, 2, 4]]).all()
+    for i in (0, 3):
+        alone = gauss_2f1_lanes(a[i], b[i], c[i], z[i])
+        assert (values[i], derivs[i]) == (alone[0][0], alone[1][0])
+
+
+def test_failed_connection_attempt_names_the_lane():
+    # the attempt's series F(c-a, c-b; 1+s; 1-z) overflows; the error names
+    # the requested lane, not that internal series (c = 1 - s, z = 1 - z)
+    _, _, errors = gauss_2f1_lanes([2384.953221128557 + 0.125j], [-10777.136615123705 + 0.125j],
+                                   [1 + 0.25j], [0.8])
+    assert isinstance(errors[0], NoConvergenceError)
+    message = str(errors[0])
+    assert "a=(2384.953221128557+0.125j), b=(-10777.136615123705+0.125j)" in message
+    assert "c=(1+0.25j), z=(0.8+0j)" in message
 
 
 @pytest.mark.parametrize("z", [1.5, -1.0, 2j, 1.0])

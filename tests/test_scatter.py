@@ -38,11 +38,12 @@ _BASES = [(DEFAULT_PARAMS, "plus", "plus"), (DEFAULT_PARAMS, "minus", "minus"),
 
 
 def _families(E, params, tau_branch, sqrt_branch):
-    """(a, b, c, y) of zeta1..zeta3 from the side coefficients."""
+    """(a, b, c, y) of zeta1..zeta3 from the side coefficients at one
+    energy, a lane of one."""
     left = side_coefficients(E, params, "left", tau_branch, sqrt_branch)
     right = side_coefficients(E, params, "right", tau_branch, sqrt_branch)
-    al, bl, gl = left.alpha, left.beta, left.gamma
-    ar, br, gr = right.alpha, right.beta, right.gamma
+    al, bl, gl = left.alpha[0], left.beta[0], left.gamma[0]
+    ar, br, gr = right.alpha[0], right.beta[0], right.gamma[0]
     return {1: (al, bl, gl, params.q),
             2: (al + 1 - gl, bl + 1 - gl, 2 - gl, params.q),
             3: (ar + 1 - gr, br + 1 - gr, 2 - gr, params.q_tilde)}
@@ -54,7 +55,7 @@ def test_zetas_against_bruteforce_series():
         mc = match_coefficients(0.05, params, tau_branch, sqrt_branch)
         for r, (a, b, c, z) in _families(0.05, params, tau_branch, sqrt_branch).items():
             ref = hyp2f1_bruteforce(a, b, c, z)
-            assert abs(getattr(mc, f"zeta{r}") - ref) <= 1e-13 * abs(ref), r
+            assert abs(getattr(mc, f"zeta{r}")[0] - ref) <= 1e-13 * abs(ref), r
 
 
 def test_lambda_prefactors():
@@ -63,7 +64,7 @@ def test_lambda_prefactors():
         mc = match_coefficients(0.05, params, tau_branch, sqrt_branch)
         for r, (a, b, c, z) in _families(0.05, params, tau_branch, sqrt_branch).items():
             ref = a * b / c * hyp2f1_bruteforce(a + 1, b + 1, c + 1, z)
-            assert abs(getattr(mc, f"dzeta{r}") - ref) <= 1e-13 * abs(ref), r
+            assert abs(getattr(mc, f"dzeta{r}")[0] - ref) <= 1e-13 * abs(ref), r
 
 
 @pytest.mark.parametrize("params", [DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55)],
@@ -107,9 +108,15 @@ def test_corrected_mode_reference_point():
 
 
 def test_paper_mode_singular_for_symmetric_barrier():
-    mc = match_coefficients(0.05, DEFAULT_PARAMS)
-    with pytest.raises(SingularMatchingError):
-        solve_amplitudes(mc, mode="paper")
+    # the lane records the error and sets the energy's fields to nan;
+    # compute_rt raises it
+    res = solve_amplitudes(match_coefficients(0.05, DEFAULT_PARAMS), mode="paper")
+    assert list(res.errors) == [0]
+    assert isinstance(res.errors[0], SingularMatchingError)
+    assert np.isnan(res.T).all() and np.isnan(res.R).all()
+    with pytest.raises(SingularMatchingError) as raised:
+        compute_rt(0.05, DEFAULT_PARAMS, mode="paper")
+    assert str(raised.value) == str(res.errors[0])
 
 
 def test_paper_mode_breaks_unitarity_on_asymmetric_barrier():
@@ -201,6 +208,33 @@ def test_scan_single_point():
     res = scan([0.05], DEFAULT_PARAMS)
     assert res.T.shape == (1,)
     assert res.T[0] == compute_rt(0.05, DEFAULT_PARAMS).T
+
+
+def test_one_energy_is_a_lane_of_one():
+    # a scalar E gives lanes of one in every layer; compute_rt unwraps lane 0
+    sc = side_coefficients(0.05, DEFAULT_PARAMS)
+    mc = match_coefficients(0.05, DEFAULT_PARAMS)
+    res = solve_amplitudes(mc)
+    for value in (sc.E, sc.k, sc.sigma, sc.alpha, sc.beta, sc.gamma, mc.E, mc.zeta1,
+                  mc.dzeta3, mc.c1, mc.c6, res.E, res.r_amp, res.t_amp, res.R, res.T):
+        assert isinstance(value, np.ndarray) and value.shape == (1,)
+    one = compute_rt(0.05, DEFAULT_PARAMS)
+    assert np.ndim(one.T) == 0 and not one.errors
+    assert (one.E, one.r_amp, one.t_amp, one.R, one.T, one.unitarity_residual) == (
+        res.E[0], res.r_amp[0], res.t_amp[0], res.R[0], res.T[0], res.unitarity_residual[0])
+
+
+def test_energy_past_float_range_fails_alone():
+    # E = 1e308 overflows chi3 and k: its 2F1 parameters are not finite, so
+    # the energy fails with a typed error and no RuntimeWarning escapes
+    with pytest.raises(Hyp2F1Error, match="not finite"):
+        compute_rt(1e308, DEFAULT_PARAMS)
+    for params in (DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55)):
+        res = scan([0.05, 1e308], params)
+        assert list(res.errors) == [1] and "not finite" in str(res.errors[1])
+        alone = compute_rt(0.05, params)
+        assert (res.T[0], res.R[0], res.t_amp[0]) == (alone.T, alone.R, alone.t_amp)
+        assert np.isnan(res.T[1])
 
 
 def test_scan_records_errors_inline():
