@@ -217,7 +217,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         presets.add_argument(f"--{name}", dest="preset", action="store_const",
                              const=name, help=preset.help)
     sub.add_argument("--oracle-step", dest="oracle_step", type=float,
-                     help="override the oracle integration step")
+                     help="override the oracle step budget: its graded grid takes "
+                          "at most ceil(2 x_max / ORACLE_STEP) steps")
     sub.add_argument("--oracle-xmax", dest="oracle_xmax", type=float,
                      help="override the oracle half-domain")
 

@@ -186,14 +186,14 @@ def _lane_error(kind: type, what: str, a, b, c, z, i: int) -> Hyp2F1Error:
                 f"c={complex(c[i])}, z={complex(z[i])})")
 
 
-def _series(a, b, c, z, want_peaks: bool = False):
+def _series(a, b, c, z, n_peaks: int = 0):
     """Sum the defining series F = sum t_n and, in the same blocks, z F' =
     sum n t_n on every lane.  Returns (sums, peaks, errors): sums[:, 0] is F
     and sums[:, 1] is z F', errors maps a failed lane to what went wrong,
-    and peaks, if asked for, holds the largest L1 term magnitude of each
-    sum (for rounding-error estimates).  Terms are made and summed in
-    blocks, each lane's in the order one scalar loop takes them; converged
-    lanes drop out between blocks.
+    and peaks holds, on the first ``n_peaks`` lanes only, the largest L1
+    term magnitude of each sum (for rounding-error estimates).  Terms are
+    made and summed in blocks, each lane's in the order one scalar loop
+    takes them; converged lanes drop out between blocks.
     """
     n_lanes, errors = a.size, {}
     sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_lanes, 2))
@@ -213,6 +213,7 @@ def _series(a, b, c, z, want_peaks: bool = False):
     a, b, c, z, bz = a[:, None], b[:, None], c[:, None], z[:, None], (b * z)[:, None]
     # both sums start from term 0: t_0 = 1 and 0 * t_0
     n, term, prev, peak = 0, 1.0, False, np.array([1.0, 0.0])
+    head = n_peaks  # lanes stay in order, so the lanes that want peaks lead
     total = peak[:, None]
     while True:
         k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), _MAX_TERMS - n),
@@ -245,24 +246,24 @@ def _series(a, b, c, z, want_peaks: bool = False):
         stop |= ~np.isfinite(s).all(axis=1)
         done = np.logical_or.reduce(stop, axis=1)
         rows = done.nonzero()[0]
-        if want_peaks:
-            np.maximum.accumulate(mag, axis=2, out=mag)
+        if n_peaks:
+            np.maximum.accumulate(mag[:head], axis=2, out=mag[:head])
         if rows.size:
             cols = (stop[rows] if rows.size < lanes.size else stop).argmax(axis=1)
             got = s[rows, :, cols]
             top = (np.maximum(peak if n == 0 else peak[rows], mag[rows, :, cols])
-                   if want_peaks else None)
+                   if n_peaks else None)
             finite = np.isfinite(got).all(axis=1)
             for i in (~finite).nonzero()[0].tolist() if np.count_nonzero(finite) < rows.size else ():
                 errors[int(lanes[rows[i]])] = f"overflowed after {n + int(cols[i]) + 1} terms"
             if rows.size == n_lanes:
                 return got, top, errors
             sums[lanes[rows]] = got
-            if want_peaks:
+            if n_peaks:
                 peaks[lanes[rows]] = top
             if rows.size == lanes.size:
                 return sums, peaks, errors
-        if want_peaks:
+        if n_peaks:
             peak = np.maximum(peak, mag[:, :, -1])
         n += k.size
         keep = ~done
@@ -274,7 +275,8 @@ def _series(a, b, c, z, want_peaks: bool = False):
         if rows.size:
             a, b, c, z, bz, tail, lanes, term, total, prev = (
                 v[keep] for v in (a, b, c, z, bz, tail, lanes, term, total, prev))
-            peak = peak[keep] if want_peaks else peak
+            if n_peaks:
+                peak, head = peak[keep], int(np.count_nonzero(keep[:head]))
         size = max(size, n)
 
 
@@ -340,31 +342,42 @@ def gauss_2f1_lanes(a, b, c, z):
                           for i in pole.nonzero()[0].tolist())
             series &= ~pole
         s = c - a - b
-        ic = (series & (az >= 0.7) & (np.abs(u) < 1.0)
-              & ~(np.abs(s - np.rint(s.real)) < 1e-6)).nonzero()[0]
+        attempt = (series & (az >= 0.7) & (np.abs(u) < 1.0)
+                   & ~(np.abs(s - np.rint(s.real)) < 1e-6))
+        # attempt is a subset of series
+        ic, idx = attempt.nonzero()[0], (series ^ attempt).nonzero()[0]
+        runs = []  # (lanes, sums, failures by row) of each plain series
         if ic.size:
-            # both series of every attempt in one call: F(a, b; 1-s; 1-z)
-            # and F(c-a, c-b; 1+s; 1-z)
+            # both series of every attempt, F(a, b; 1-s; 1-z) and F(c-a, c-b;
+            # 1+s; 1-z), and the plain series of the other lanes, in one call
             ac, bc, cc, sc, uc = ((a, b, c, s, u) if ic.size == a.size
                                   else (a[ic], b[ic], c[ic], s[ic], u[ic]))
             ca, cb = cc - ac, cc - bc
-            f, peak, failed = _series(
-                *(np.concatenate(pair) for pair in ((ac, ca), (bc, cb), (1.0 - sc, 1.0 + sc),
-                                                    (uc, uc))), want_peaks=True)
+            rows = ((ac, ca), (bc, cb), (1.0 - sc, 1.0 + sc), (uc, uc))
+            if idx.size:
+                rows = tuple(row + (v[idx],) for row, v in zip(rows, (a, b, c, z)))
+            m = 2 * ic.size
+            f, peak, failed = _series(*(np.concatenate(row) for row in rows), n_peaks=m)
+            if idx.size:
+                runs.append((idx, f[m:], {j - m: why for j, why in failed.items() if j >= m}))
+                f, peak, failed = f[:m], peak[:m], {j: why for j, why in failed.items() if j < m}
             value, deriv, est = _connection(ac, bc, cc, sc, ca, cb, uc, f, peak)
             ok = np.isfinite(value) & np.isfinite(deriv) & (est <= _CONNECTION_GATE)
+            retry = ~ok
             # a series failure inside the attempt fails the lane
             for j in sorted(failed):
                 i = int(ic[j % ic.size])
                 errors.setdefault(i, _lane_error(
                     NoConvergenceError, f"1-z connection series {failed[j]}", *given, i))
-                ok[j % ic.size] = series[i] = False
+                ok[j % ic.size] = retry[j % ic.size] = False
             done = ic[ok]
-            series[done] = False
             values[done], derivs[done] = value[ok], deriv[ok]
-        idx = series.nonzero()[0]
+            # a rejected attempt sums the plain series after all
+            idx = ic[retry]
         if idx.size:
             f, _, failed = _series(a[idx], b[idx], c[idx], z[idx])
+            runs.append((idx, f, failed))
+        for idx, f, failed in runs:
             values[idx], derivs[idx] = f[:, 0], f[:, 1] / z[idx]
             # F' = ab/c at z = 0, where z F' says nothing
             zero = idx[z[idx] == 0]

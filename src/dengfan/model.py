@@ -181,6 +181,20 @@ def side_coefficients(
     if sqrt_branch not in ("plus", "minus"):
         raise ValueError(f"sqrt_branch must be 'plus' or 'minus', got {sqrt_branch!r}")
 
+    two_m = 2.0 * params.m
+    chi3 = (two_m / (params.a * params.a)) * E
+    k = np.sqrt(two_m * E)
+    sigma = k * (1j / params.a)
+    # 1 + 2*sigma, bit for bit (sigma is imaginary, so doubling is exact)
+    gamma = 1.0 + k * (2j / params.a)
+    return _on_side((E, k, chi3, sigma, gamma), params, side, tau_branch, sqrt_branch)
+
+
+def _on_side(lane, params: BarrierParams, side: Side, tau_branch: TauBranch,
+             sqrt_branch: SqrtBranch) -> SideCoefficients:
+    """``side_coefficients`` from the fields that do not depend on the side,
+    lane = (E, k, chi3, sigma, gamma), which the two sides share."""
+    E, k, chi3, sigma, gamma = lane
     qs = params.q if side == "left" else params.q_tilde
     b = compute_b(params)
     a2 = params.a * params.a
@@ -192,19 +206,14 @@ def side_coefficients(
     disc = 0.5 * math.sqrt(1.0 - 4.0 * epsilon)  # epsilon <= 0 for v0 >= 0
     tau = 0.5 + disc if tau_branch == "plus" else 0.5 - disc
 
-    chi3 = (two_m / a2) * E
     chi1 = chi3 - (well + cross)
     chi2 = cross - (chi3 + chi3)
-    k = np.sqrt(two_m * E)
-    sigma = k * (1j / params.a)
     root = np.sqrt(-chi1, dtype=complex)
     if sqrt_branch == "minus":
         root = -root
     shifted = sigma + tau
     alpha = shifted - root
     beta = shifted + root
-    # 1 + 2*sigma, bit for bit (sigma is imaginary, so doubling is exact)
-    gamma = 1.0 + k * (2j / params.a)
     return SideCoefficients(side=side, E=E, k=k, chi1=chi1, chi2=chi2, chi3=chi3,
                             epsilon=epsilon, sigma=sigma, tau=tau, alpha=alpha,
                             beta=beta, gamma=gamma)

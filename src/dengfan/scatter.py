@@ -45,7 +45,7 @@ import numpy as np
 
 # gauss_2f1 stays a name of this module: benchmarks/worker.py wraps it here
 from .hyp2f1 import gauss_2f1, gauss_2f1_lanes  # noqa: F401
-from .model import (BarrierParams, Side, SqrtBranch, TauBranch,
+from .model import (BarrierParams, Side, SqrtBranch, TauBranch, _on_side,
                     side_coefficients)
 
 MatchMode = Literal["corrected", "paper"]
@@ -139,7 +139,8 @@ def match_coefficients(
     """
     left = side_coefficients(E, params, "left", tau_branch, sqrt_branch)
     mirror = params.q == params.q_tilde
-    right = left if mirror else side_coefficients(left.E, params, "right", tau_branch, sqrt_branch)
+    right = left if mirror else _on_side((left.E, left.k, left.chi3, left.sigma, left.gamma),
+                                         params, "right", tau_branch, sqrt_branch)
     rho1, rho2 = params.q, 1.0 - params.q
     rho3, rho4 = params.q_tilde, 1.0 - params.q_tilde
 

@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 
 from dengfan import BarrierParams
+from dengfan.oracle import _grid
 
 
 def hyp2f1_bruteforce(a, b, c, z, tol="1e-18", max_terms=100_000):
@@ -56,26 +57,25 @@ def _rt_from_state(psi, dpsi, k, x):
 
 
 def rk4_loop_rt(E, potential, m, cfg):
-    """(T, R) from a step-by-step RK4 march in Python floats; the reference
-    for the package's product of step maps."""
+    """(T, R) from a step-by-step RK4 march in Python floats over the
+    oracle's graded nodes for E alone; the reference for the package's
+    product of step maps."""
     L = cfg.x_max
     k = math.sqrt(2.0 * m * E)
-    n = int(math.ceil(2.0 * L / cfg.step))
-    xs = np.linspace(L, -L, 2 * n + 1)
-    w = (2.0 * m * (np.asarray(potential(xs), dtype=float) - E)).tolist()
-    dt = -2.0 * L / n
     psi = cmath.exp(1j * k * L)
     phi = 1j * k * psi
-    for i in range(n):
-        w0, w1, w2 = w[2 * i], w[2 * i + 1], w[2 * i + 2]
-        k1p = phi
-        k1f = w0 * psi
-        k2p = phi + 0.5 * dt * k1f
-        k2f = w1 * (psi + 0.5 * dt * k1p)
-        k3p = phi + 0.5 * dt * k2f
-        k3f = w1 * (psi + 0.5 * dt * k2p)
-        k4p = phi + dt * k3f
-        k4f = w2 * (psi + dt * k3p)
-        psi += dt * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
-        phi += dt * (k1f + 2.0 * (k2f + k3f) + k4f) / 6.0
+    for v, c in _grid(potential, m, cfg, E):
+        w = (2.0 * m * (v - E)).tolist()
+        for i, dt in enumerate(c[0].tolist()):
+            w0, w1, w2 = w[2 * i], w[2 * i + 1], w[2 * i + 2]
+            k1p = phi
+            k1f = w0 * psi
+            k2p = phi + 0.5 * dt * k1f
+            k2f = w1 * (psi + 0.5 * dt * k1p)
+            k3p = phi + 0.5 * dt * k2f
+            k3f = w1 * (psi + 0.5 * dt * k2p)
+            k4p = phi + dt * k3f
+            k4f = w2 * (psi + dt * k3p)
+            psi += dt * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
+            phi += dt * (k1f + 2.0 * (k2f + k3f) + k4f) / 6.0
     return _rt_from_state(psi, phi, k, -L)

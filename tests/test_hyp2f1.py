@@ -264,6 +264,19 @@ def test_no_convergence_when_terms_exhausted():
         f21(1, 1, 2, 0.999)
 
 
+def test_series_failure_beside_a_connection_attempt_fails_alone():
+    # lane 0 tries the 1-z connection formula; lane 1 (c - a - b = 0) takes
+    # the series from the start, summed in the same call as the attempt's
+    # two series, and runs out of terms
+    sc = side_coefficients(0.05, DEFAULT_PARAMS)
+    a, b, c = sc.alpha[0], sc.beta[0], sc.gamma[0]
+    values, derivs, errors = gauss_2f1_lanes([a, 1], [b, 1], [c, 2], [0.8, 0.999])
+    assert list(errors) == [1] and isinstance(errors[1], NoConvergenceError)
+    assert "series did not converge in 20000 terms" in str(errors[1])
+    alone, alone_deriv, _ = gauss_2f1_lanes(a, b, c, 0.8)
+    assert (values[0], derivs[0]) == (alone[0], alone_deriv[0])
+
+
 def test_non_finite_lane_fails_alone():
     # a nan or inf parameter fails its own lane with a typed error that names
     # the lane, and no RuntimeWarning escapes (Tier-1 makes it an error)

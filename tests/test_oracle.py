@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from dengfan import (BoundaryNotDecayedError, DEFAULT_PARAMS,
+from dengfan import (BarrierParams, BoundaryNotDecayedError, DEFAULT_PARAMS,
                      IntegrationConfig, StepTooCoarseError, TABLE1, compute_rt,
                      default_config, integrate_scatter, plane_wave_decompose,
-                     potential)
-from dengfan.oracle import _CHUNK, _LANES
+                     potential, scan)
+from dengfan.oracle import _CHUNK, _LANES, _grid
 
 from helpers import rk4_loop_rt
 
@@ -125,6 +125,64 @@ def test_rk4_richardson_order():
 
 
 # ---------------------------------------------------------------------------
+# the graded grid, split at x = 0
+# ---------------------------------------------------------------------------
+
+def _oracle_rel_errors(params, energies):
+    # relative T error of one oracle call against the closed form, on the
+    # domain and step the CLI picks, and the call's step count
+    pot = lambda x: potential(x, params)
+    cfg = default_config(min(energies), pot, params.m,
+                         x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    res = integrate_scatter(np.array(energies), pot, params.m, cfg)
+    assert res.errors == {}
+    return np.abs(res.T - scan(energies, params).T) / res.T, res.n_steps
+
+
+@pytest.mark.parametrize("E", [0.005, 0.1, 3.0, 100.0])
+def test_steps_within_budget(E):
+    # at most ceil(2 x_max / step) steps, the uniform grid's count
+    cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
+    res = integrate_scatter(E, barrier, 1.0, cfg)
+    assert 0 < res.n_steps <= math.ceil(2.0 * cfg.x_max / cfg.step)
+
+
+def test_table1_energies_on_the_graded_grid():
+    # 43,528 steps and 8.1e-12; the uniform grid took 100,000 for 3.5e-11
+    errors, n_steps = _oracle_rel_errors(DEFAULT_PARAMS, TABLE1_ENERGIES)
+    assert n_steps <= 45_000
+    assert errors.max() <= 1e-11
+
+
+@pytest.mark.parametrize("q, q_tilde", [(0.9, 0.55), (0.55, 0.9)])
+def test_asymmetric_barrier_and_its_mirror(q, q_tilde):
+    # V jumps at x = 0; a march that used V(0+) on the first step of x < 0
+    # was first order and missed T by about 7e-3 on either barrier
+    errors, _ = _oracle_rel_errors(BarrierParams(q=q, q_tilde=q_tilde), TABLE1_ENERGIES)
+    assert errors.max() <= 1e-10
+
+
+def test_tall_barrier():
+    # V_max is about 1e4 over a core 0.19 wide; the uniform grid missed by 2.5e-7
+    errors, _ = _oracle_rel_errors(BarrierParams(q=0.99, q_tilde=0.99), [0.05])
+    assert errors.max() <= 1e-9
+
+
+@pytest.mark.parametrize("q_tilde", [0.55, 0.9])
+def test_halves_meet_at_x_zero(q_tilde):
+    # the right half ends on V(0), the x >= 0 branch; the left half starts
+    # on the left limit V(0-), which equals it when the sides mirror
+    params = BarrierParams(q=0.9, q_tilde=q_tilde)
+    pot = lambda x: potential(x, params)
+    (vr, cr), (vl, cl) = _grid(pot, 1.0, IntegrationConfig(x_max=50.0, step=1e-3), 0.1)
+    assert vr[-1] == potential(0.0, params)
+    assert vl[0] == potential(np.nextafter(0.0, -1.0), params)
+    assert (vl[0] == vr[-1]) == (q_tilde == params.q)
+    for c in (cr, cl):
+        assert np.all(c[0] < 0.0) and math.isclose(c[0].sum(), -50.0, rel_tol=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # the march as a product of step maps
 # ---------------------------------------------------------------------------
 
@@ -133,9 +191,10 @@ def _rel(a, b):
 
 
 def _config_with_steps(n, x_max=64.0):
-    # a step just above 2 x_max / n, so that ceil(2 x_max / step) == n
-    cfg = IntegrationConfig(x_max=x_max, step=2.0 * x_max / n * (1.0 + 1e-12))
-    assert math.ceil(2.0 * x_max / cfg.step) == n
+    # a step just above x_max / n, so that ceil(2 x_max / step) == 2n: a
+    # budget of n steps per half, which binds at the energies below
+    cfg = IntegrationConfig(x_max=x_max, step=x_max / n * (1.0 + 1e-12))
+    assert math.ceil(2.0 * x_max / cfg.step) == 2 * n
     return cfg
 
 
@@ -152,13 +211,16 @@ def test_rk4_product_matches_sequential_loop(E):
 def test_rk4_product_around_chunk_size(n):
     cfg = _config_with_steps(n)
     res = integrate_scatter(0.05, barrier, 1.0, cfg)
+    assert res.n_steps == 2 * n
     T, R = rk4_loop_rt(0.05, barrier, 1.0, cfg)
     assert _rel(res.T, T) <= 1e-13
     assert _rel(res.R, R) <= 1e-13
 
 
 def test_step_too_coarse_raises():
-    cfg = IntegrationConfig(x_max=50.0, step=0.2)
+    # graded nodes resolve E = 0.05 within 1e-6 at a budget of 250 steps per
+    # half (step 0.2); 125 per half do not
+    cfg = IntegrationConfig(x_max=50.0, step=0.4)
     with pytest.raises(StepTooCoarseError):
         integrate_scatter(0.05, barrier, 1.0, cfg)
 
@@ -243,14 +305,22 @@ def test_potential_of_wrong_shape_rejected(wrong):
 # ---------------------------------------------------------------------------
 
 def _assert_lanes_equal_scalar_calls(res, energies, pot, cfg, failed=()):
+    # the grid is graded for the call's highest energy, so each lane is
+    # compared with a call of its energy and that one, which shares the grid
+    top = max(energies)
     for i, E in enumerate(energies):
         if i in failed:
             assert math.isnan(res.T[i]) and math.isnan(res.R[i])
             continue
-        one = integrate_scatter(E, pot, 1.0, cfg)
-        assert type(one.T) is float
+        pair = integrate_scatter(np.array([E, top]), pot, 1.0, cfg)
+        assert pair.n_steps == res.n_steps
         assert (res.T[i], res.R[i], res.flux_residual[i]) == (
-            one.T, one.R, one.flux_residual)
+            pair.T[0], pair.R[0], pair.flux_residual[0])
+        if E == top:
+            one = integrate_scatter(E, pot, 1.0, cfg)
+            assert type(one.T) is float
+            assert (res.T[i], res.R[i], res.flux_residual[i]) == (
+                one.T, one.R, one.flux_residual)
 
 
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK + 5], ids=lambda n: f"{n}-rk4")
@@ -313,10 +383,10 @@ def _peak_bytes(E, cfg):
 
 
 def test_batch_memory_is_bounded_by_lane_blocks():
-    # 8.0 MB for one energy and for the 20 Table-1 energies in blocks of
-    # _LANES, mostly the sampling of V on 200,001 points; 16.3 MB when all
+    # 5.0 MB for the highest Table-1 energy alone and 5.4 MB for the 20
+    # energies, which share its grid, in blocks of _LANES; 15.9 MB when all
     # 20 lanes march at once
     cfg = default_config(0.05, barrier, m=1.0, x_max_seed=50.0)
-    one = _peak_bytes(0.05, cfg)
+    one = _peak_bytes(max(TABLE1_ENERGIES), cfg)
     batch = _peak_bytes(np.array(TABLE1_ENERGIES), cfg)
     assert batch <= one + 1_000_000
