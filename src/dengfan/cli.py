@@ -17,11 +17,16 @@ per v0 in {1.15, 1.25, 1.35}, with a transmission survey on stdout).
 (the reference-table setup), then a --config JSON file, then the preset, then
 the command-line flags.  Exit codes: 0 success, 1 usage error, 2 numerical
 failure or tolerance breach.
+
+``main`` may be called repeatedly in one process (scripts, notebooks, a
+benchmark loop): the parser is built on the first call, not at import,
+and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -223,7 +228,11 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
                      help="override the oracle half-domain")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on the first call and shared after it: a parse
+    returns a new Namespace, and help is formatted, at the terminal's
+    width then, only when printed."""
     parser = _Parser(prog="dengfan",
                      description="Reflection/transmission coefficients for the "
                                  "symmetric barrier-type shifted Deng-Fan potential")
@@ -313,19 +322,28 @@ def _run_config(args, variant: dict) -> RunConfig:
         raise _UsageError(str(exc)) from exc
 
 
-# a flat row as json.dumps(indent=2) lays it out two levels deep, but by the
-# C encoder: any indent selects the pure-Python one
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=True,
-                                separators=(",\n      ", ": "))
+# a table's values as one flat list, by the C encoder (any indent selects
+# the pure-Python one)
+_FLAT_ENCODER = json.JSONEncoder(allow_nan=True, separators=(",", ":"))
 
 
-def _json_text(config: dict, rows: list[dict]) -> str:
-    """json.dumps({"config": config, "rows": rows}, indent=2, sort_keys=True,
-    allow_nan=True) plus a newline, byte for byte, for rows of scalars."""
+def _json_text(config: dict, header: Sequence[str],
+               rows: Sequence[Sequence[float]]) -> str:
+    """json.dumps({"config": config, "rows": [dict(zip(header, row)) for row
+    in rows]}, indent=2, sort_keys=True, allow_nan=True) plus a newline, byte
+    for byte.  Rows hold numbers only: the values of every row, in sorted-key
+    order, go through one encoder call, whose output splits on commas and
+    fills one %-template of the rows' indented layout."""
     head = json.dumps(config, indent=2, sort_keys=True, allow_nan=True)
-    body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
-                          for row in rows)
-    body = "[\n    " + body + "\n  ]" if rows else "[]"
+    if rows:
+        order = sorted(range(len(header)), key=header.__getitem__)
+        one_row = ",\n      ".join(json.dumps(header[j]).replace("%", "%%") + ": %s"
+                                    for j in order)
+        template = "[\n    {\n      " + "\n    },\n    {\n      ".join([one_row] * len(rows))
+        values = _FLAT_ENCODER.encode([row[j] for row in rows for j in order])
+        body = (template + "\n    }\n  ]") % tuple(values[1:-1].split(","))
+    else:
+        body = "[]"
     return ('{\n  "config": ' + head.replace("\n", "\n  ")
             + ',\n  "rows": ' + body + "\n}\n")
 
@@ -340,7 +358,7 @@ def _write(args, tag: str, header: Sequence[str], rows: Sequence[Sequence[float]
         lines += [",".join(f"{v:.9g}" for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_text(asdict(config), [dict(zip(header, row)) for row in rows])
+        text = _json_text(asdict(config), header, rows)
     out = args.out
     if tag:
         prefix = args.out or _PRESETS.get(args.preset, _NO_PRESET).prefix or args.command
@@ -397,19 +415,25 @@ def _message(exc: Exception) -> str:
 def _oracle_runs(res: ScatteringResult, params: BarrierParams, args):
     """Oracle T and R at each energy of the scan ``res`` that did not fail
     (nan elsewhere), and the OracleError of each failed one by index: one
-    integrate_scatter call per IntegrationConfig shared."""
+    integrate_scatter call per domain x_max shared, with the smallest step
+    of its energies (the grid is graded for the call's highest energy)."""
     energies = res.E.tolist()
     T, R = np.full((2, len(energies)), math.nan)
     errors: dict[int, OracleError] = {}
-    groups: dict[IntegrationConfig, list[int]] = {}
+    groups: dict[float, tuple[IntegrationConfig, list[int]]] = {}
     for i, E in enumerate(energies):
         if i in res.errors:
             continue
         try:
-            groups.setdefault(_oracle_config(E, params, args), []).append(i)
+            cfg = _oracle_config(E, params, args)
         except OracleError as exc:
             errors[i] = exc
-    for cfg, idx in groups.items():
+            continue
+        shared, idx = groups.setdefault(cfg.x_max, (cfg, []))
+        idx.append(i)
+        if cfg.step < shared.step:
+            groups[cfg.x_max] = (cfg, idx)
+    for cfg, idx in groups.values():
         orc = integrate_scatter(res.E[idx], lambda x: potential_fn(x, params), params.m, cfg)
         T[idx], R[idx] = orc.T, orc.R
         errors.update((i, orc.errors[j]) for j, i in enumerate(idx) if j in orc.errors)
@@ -540,8 +564,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code.  ``main`` may be called any number of times in
+    one process; the parser is built on the first call and reused, and
+    keeps no state between calls."""
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "potential":
             return _cmd_potential(args)

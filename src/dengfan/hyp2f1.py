@@ -13,6 +13,10 @@ lane's path is decided before any summing, from the classical toolbox
   by term for F'.  Its two terms can lose precision (internal term growth,
   outer cancellation), so the lane keeps it only when the error estimates
   of F and F' both stay within ``_CONNECTION_GATE`` (5e-14);
+* a rejected attempt sums the power series after all; where that series
+  fails too (near z = 1 it needs more than ``_MAX_TERMS`` terms), the lane
+  keeps the connection values if their estimate is within
+  ``_FALLBACK_GATE`` (1e-12) rather than fail;
 * every other lane, a rejected attempt included, sums the power series
   F = sum t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n, and z F' = sum n t_n
   together in blocks of terms until two consecutive terms of both drop
@@ -54,6 +58,10 @@ _MAX_TERMS = 20000
 # error; physics users of this module need ~1e-12, so 5e-14 leaves a wide
 # margin
 _CONNECTION_GATE = 5e-14
+# a rejected connection attempt whose plain series fails as well keeps its
+# values below this estimate: the accuracy those users need, and better
+# than no value
+_FALLBACK_GATE = 1e-12
 
 # lanes x terms of one series block (128 KB per complex temporary) unless 8
 # terms per lane need more; block sizes never change a value
@@ -347,6 +355,7 @@ def gauss_2f1_lanes(a, b, c, z):
         # attempt is a subset of series
         ic, idx = attempt.nonzero()[0], (series ^ attempt).nonzero()[0]
         runs = []  # (lanes, sums, failures by row) of each plain series
+        fallback = {}  # lane -> (F, F') of a rejected connection attempt
         if ic.size:
             # both series of every attempt, F(a, b; 1-s; 1-z) and F(c-a, c-b;
             # 1+s; 1-z), and the plain series of the other lanes, in one call
@@ -372,8 +381,11 @@ def gauss_2f1_lanes(a, b, c, z):
                 ok[j % ic.size] = retry[j % ic.size] = False
             done = ic[ok]
             values[done], derivs[done] = value[ok], deriv[ok]
-            # a rejected attempt sums the plain series after all
+            # a rejected attempt sums the plain series after all, and keeps
+            # the connection values within _FALLBACK_GATE if that fails too
             idx = ic[retry]
+            spare = retry & np.isfinite(value) & np.isfinite(deriv) & (est <= _FALLBACK_GATE)
+            fallback = dict(zip(ic[spare].tolist(), zip(value[spare], deriv[spare])))
         if idx.size:
             f, _, failed = _series(a[idx], b[idx], c[idx], z[idx])
             runs.append((idx, f, failed))
@@ -383,8 +395,11 @@ def gauss_2f1_lanes(a, b, c, z):
             zero = idx[z[idx] == 0]
             if zero.size:
                 derivs[zero] = a[zero] * b[zero] / c[zero]
-            errors.update((int(i), _lane_error(NoConvergenceError, f"series {what}", *given, i))
-                          for i, what in zip(idx[list(failed)], failed.values()))
+            for i, what in zip(idx[list(failed)].tolist(), failed.values()):
+                if i in fallback:
+                    values[i], derivs[i] = fallback[i]
+                else:
+                    errors[i] = _lane_error(NoConvergenceError, f"series {what}", *given, i)
     if errors:
         values[list(errors)] = derivs[list(errors)] = np.nan
     return values, derivs, errors

@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 _DET_FLOOR = 1e-300
+# the cancellation kappa = |c1 m10| / |num| past which t takes the exact
+# numerator -2 sigma (on a mirrored barrier kappa = 1/(2 sqrt(T)))
+_KAPPA_GATE = 100.0
 # energies per batch in scan; bounds the batch's memory, never a value
 _CHUNK = 256
 # the per-energy fields of a ScatteringResult
@@ -79,7 +82,8 @@ class MatchCoefficients:
     to its error; its fields there are nan.  zeta_r and dzeta_r are the 2F1
     factor of basis function r at x = 0 and its y-derivative, c_r and
     c_{r+3} the function's value and y-derivative: r = 1, 2 are the left
-    y^{+sigma} and y^{-sigma} functions, r = 3 the right y^{-sigma} one."""
+    y^{+sigma} and y^{-sigma} functions, r = 3 the right y^{-sigma} one.
+    sigma = ik/a is the left side's, for the exact transmission numerator."""
 
     E: np.ndarray
     rho1: float
@@ -98,6 +102,7 @@ class MatchCoefficients:
     c4: np.ndarray
     c5: np.ndarray
     c6: np.ndarray
+    sigma: np.ndarray
     errors: dict = field(default_factory=dict, repr=False)
 
 
@@ -177,7 +182,8 @@ def match_coefficients(
     # y^{-sigma} row) and the right row, which is the second when the sides mirror
     zv, zd, cv, cd = ((v[0], conj, conj if mirror else v[1])
                       for v in (zv, zd, cv, cd) for conj in (np.conj(v[0]),))
-    return MatchCoefficients(left.E, rho1, rho2, rho3, rho4, *zv, *zd, *cv, *cd, errors)
+    return MatchCoefficients(left.E, rho1, rho2, rho3, rho4, *zv, *zd, *cv, *cd,
+                             sigma, errors)
 
 
 def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> ScatteringResult:
@@ -189,6 +195,14 @@ def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> Sc
     ``paper`` equates the y-derivatives as printed.  A determinant below
     1e-300 in magnitude records a SingularMatchingError and sets the
     energy's fields to nan.
+
+    In corrected mode the numerator of t, c2*b1 + c1*m10 = rho1*(c1*c5 -
+    c2*c4), is the left basis pair's Wronskian over a, exactly -2*sigma
+    (Abel's identity: psi'' = 2m(V - E) psi has no psi' term).  Where the
+    computed one cancels, kappa = |c1*m10| / |c2*b1 + c1*m10| > 100 (an
+    opaque barrier, or E -> 0), t = -2*sigma/det; elsewhere the computed
+    numerator is kept, since it shares a common rounding factor of the
+    basis functions with det that cancels in the ratio.
     """
     if mode not in ("corrected", "paper"):
         raise ValueError(f"mode must be 'corrected' or 'paper', got {mode!r}")
@@ -204,7 +218,12 @@ def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> Sc
     with np.errstate(all="ignore"):
         det = c2 * m11 + c3 * m10
         r_amp = (c3 * b1 - c1 * m11) / det
-        t_amp = (c2 * b1 + c1 * m10) / det
+        c1m10 = c1 * m10
+        num = c2 * b1 + c1m10
+        if mode == "corrected":
+            # kappa > _KAPPA_GATE, with kappa = |c1 m10| / |num|
+            num = np.where(np.abs(c1m10) > _KAPPA_GATE * np.abs(num), -2.0 * mc.sigma, num)
+        t_amp = num / det
         R = r_amp.real * r_amp.real + r_amp.imag * r_amp.imag
         T = t_amp.real * t_amp.real + t_amp.imag * t_amp.imag
         residual = np.abs(R + T - 1.0)

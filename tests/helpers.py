@@ -1,10 +1,12 @@
-"""Shared test oracles: high-precision brute-force 2F1, a step-by-step RK4
-march and parameter draws."""
+"""Shared test oracles: high-precision brute-force 2F1, the benchmark's
+high-precision T, a step-by-step RK4 march and parameter draws."""
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +31,17 @@ def hyp2f1_bruteforce(a, b, c, z, tol="1e-18", max_terms=100_000):
         else:
             raise RuntimeError("brute-force series did not converge")
         return complex(total)
+
+
+def reference_transmission(E: float, params: BarrierParams) -> float:
+    """T(E) from the benchmark's mpmath reference (``benchmarks/reference.py``,
+    which calls nothing in dengfan), accurate far below double rounding."""
+    path = Path(__file__).parents[1] / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("benchmark_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.transmission(E, params.v0, params.a, params.x_e, params.q,
+                               params.q_tilde, params.m)
 
 
 def draw_barrier_params(rng, symmetric: bool | None = None) -> BarrierParams:

@@ -5,8 +5,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dengfan import DEFAULT_PARAMS, TABLE1, barrier_top
-from dengfan.cli import RunConfig, _json_text, config_from_dict, main
+import dengfan.cli
+from dengfan import (DEFAULT_PARAMS, TABLE1, barrier_top, default_config,
+                     integrate_scatter, potential)
+from dengfan.cli import RunConfig, _json_text, build_parser, config_from_dict, main
 
 EXPECTED_HEADER = "E,E_over_Vmax,T,R,unitarity_residual"
 EXPECTED_HEADER_ORACLE = EXPECTED_HEADER + ",T_oracle,R_oracle,delta_T"
@@ -57,16 +59,45 @@ def test_scatter_json_roundtrip(capsys):
     assert loaded == doc["config"]
 
 
-@pytest.mark.parametrize("rows", [
-    [],
-    [{"E": 0.5, "T": math.nan, "R": math.inf, "delta_T": -math.inf}],
-    [{"T": 1e-300, "E": 2.0, "R": 0.1 + 0.2}, {"T": 5e20, "E": 3, "R": -0.0}],
-], ids=["no-rows", "nan-inf", "two-rows"])
-def test_json_writer_matches_indented_dumps(rows):
+@pytest.mark.parametrize("header, rows", [
+    (["E", "T"], []),
+    (["E", "T", "R", "delta_T"], [(0.5, math.nan, math.inf, -math.inf)]),
+    (["T", "E", "R"], [(1e-300, 2.0, 0.1 + 0.2), (5e20, 3, -0.0)]),
+    # sorted, the oracle header's keys are in another order than its columns
+    (EXPECTED_HEADER_ORACLE.split(","),
+     [(0.005, 0.0004, 0.0992, 0.9008, 0.0, 0.0992, 0.9008, 1e-13),
+      (0.1, 0.008, 0.25, 0.75, 2.2e-16, math.nan, math.nan, math.nan)]),
+], ids=["no-rows", "nan-inf", "two-rows", "oracle-header"])
+def test_json_writer_matches_indented_dumps(header, rows):
     config = asdict(RunConfig(params=DEFAULT_PARAMS))
-    doc = {"config": config, "rows": rows}
+    doc = {"config": config, "rows": [dict(zip(header, row)) for row in rows]}
     expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
-    assert _json_text(config, rows) == expected
+    assert _json_text(config, header, rows) == expected
+
+
+def test_parser_reuse_keeps_outputs(monkeypatch, capsys):
+    argvs = [["scatter", "--table1", "--oracle", "--format", "json"],
+             ["scatter", "--table1"],
+             ["scatter", "--table1", "--fig3"],  # a usage error, exit 1
+             ["verify"]]
+    assert build_parser() is build_parser()
+    cached = [run(argv, capsys) for argv in argvs]
+    # each call again, on a parser built for it alone
+    monkeypatch.setattr(dengfan.cli, "build_parser", build_parser.__wrapped__)
+    fresh = [run(argv, capsys) for argv in argvs]
+    assert [code for code, _, _ in cached] == [0, 0, 1, 0]
+    assert cached == fresh
+
+
+def test_help_follows_columns_on_cached_parser(monkeypatch, capsys):
+    build_parser()
+    widths = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(["scatter", "--help"], capsys)
+        assert code == 0
+        widths.append(max(map(len, out.splitlines())))
+    assert widths[0] <= 60 < widths[1] <= 120
 
 
 def test_scatter_oracle_columns(capsys):
@@ -79,6 +110,31 @@ def test_scatter_oracle_columns(capsys):
         cols = [float(v) for v in line.split(",")]
         assert abs(cols[2] - cols[5]) <= 1e-6  # T vs T_oracle
         assert cols[7] <= 1e-6                 # delta_T
+
+
+def test_oracle_one_call_per_domain(monkeypatch, capsys):
+    # every energy above 200 (m = 1) has its own default step; the energies
+    # share a domain, so one call marches them all with the highest's step
+    calls = []
+
+    def counted(E, v, m, cfg):
+        calls.append((len(E), cfg))
+        return integrate_scatter(E, v, m, cfg)
+
+    monkeypatch.setattr(dengfan.cli, "integrate_scatter", counted)
+    code, out, _ = run(["scatter", "--emin", "300", "--emax", "600", "--n", "8",
+                        "--oracle", "--format", "json"], capsys)
+    assert code == 0
+    [(lanes, cfg)] = calls
+    v = lambda x: potential(x, DEFAULT_PARAMS)  # noqa: E731
+    seed = max(40.0 / DEFAULT_PARAMS.a, 10.0 * DEFAULT_PARAMS.x_e)
+    assert lanes == 8
+    assert cfg == default_config(600.0, v, x_max_seed=seed)
+    alone = integrate_scatter(np.array([600.0]), v, 1.0, cfg)
+    row = json.loads(out)["rows"][-1]
+    assert row["E"] == 600.0
+    assert row["T_oracle"] == alone.T[0]
+    assert row["delta_T"] <= 1e-6
 
 
 def test_scatter_paper_mode_fails_per_point(capsys):

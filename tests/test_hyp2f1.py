@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import loggamma as scipy_loggamma
@@ -262,6 +263,28 @@ def test_no_convergence_when_terms_exhausted():
     assert "did not converge in 20000 terms" in str(errors[0])
     with pytest.raises(NoConvergenceError):
         f21(1, 1, 2, 0.999)
+
+
+# a q -> 1 lane whose 1-z connection estimate (6.6e-14) misses the gate and
+# whose series at z = 0.99873 needs about 33,000 terms
+NEAR_ONE_LANE = (1.0047843945774284 + 0.00700419825355425j,
+                 1.0047843945774284 + 68.64407222877412j,
+                 1 + 68.65107642702768j, 0.9987341064168742)
+
+
+def test_rejected_connection_kept_when_series_fails_too(monkeypatch):
+    a, b, c, z = NEAR_ONE_LANE
+    values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
+    assert not errors
+    with mp.workdps(30):
+        want = complex(mp.hyp2f1(a, b, c, z))
+        want_deriv = complex(mp.diff(lambda t: mp.hyp2f1(a, b, c, t), z))
+    assert abs(values[0] - want) <= 1e-12 * abs(want)
+    assert abs(derivs[0] - want_deriv) <= 1e-12 * abs(want_deriv)
+    # without the looser gate the lane fails as the series does
+    monkeypatch.setattr(hyp2f1, "_FALLBACK_GATE", hyp2f1._CONNECTION_GATE)
+    _, _, errors = gauss_2f1_lanes(a, b, c, z)
+    assert "series did not converge in 20000 terms" in str(errors[0])
 
 
 def test_series_failure_beside_a_connection_attempt_fails_alone():

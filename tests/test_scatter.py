@@ -9,7 +9,7 @@ from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error,
                      match_coefficients, scan, side_coefficients,
                      solve_amplitudes)
 
-from helpers import draw_barrier_params, hyp2f1_bruteforce
+from helpers import draw_barrier_params, hyp2f1_bruteforce, reference_transmission
 
 # corrected-matching values at the table edges (40-digit reference run)
 T_AT_0p005 = 0.0992153077497754
@@ -105,6 +105,34 @@ def test_corrected_mode_reference_point():
     assert res.R == pytest.approx(R_AT_0p005, abs=1e-12)
     assert res.unitarity_residual <= 1e-12
     assert res.mode == "corrected"
+
+
+# opaque barriers (q -> 1) and the E -> 0 edge, where the computed numerator
+# of t cancels; T runs from 1.9e-17 to 1.1e-6
+@pytest.mark.parametrize("q, q_tilde, E", [
+    (0.99, 0.99, 0.05), (0.999, 0.999, 0.05), (0.999, 0.999, 0.5),
+    (0.99, 0.5, 0.05), (0.8, 0.8, 1e-12), (0.9, 0.55, 1e-12),
+])
+def test_tiny_transmission_against_reference(q, q_tilde, E):
+    params = BarrierParams(q=q, q_tilde=q_tilde)
+    T = float(compute_rt(E, params).T)
+    assert T == pytest.approx(reference_transmission(E, params), rel=1e-12, abs=0)
+
+
+# q -> 1 energies where a 2F1 lane's connection estimate misses its gate and
+# its series runs out of terms: the connection values are kept (T from 0.995
+# down to 2e-70)
+@pytest.mark.parametrize("params, E", [
+    (BarrierParams(v0=2.3845673699043797, a=0.5360454862660171, x_e=0.0349431808690953,
+                   q=0.9987341064168742, q_tilde=0.9987341064168742, m=0.7099020094002861),
+     238.45673699043797),
+    (BarrierParams(v0=2.121331511221271, a=1.590953937249249, x_e=1.1536542403992116,
+                   q=0.9984800358107725, q_tilde=0.9975344792952551, m=1.4626023020800538),
+     212.13315112212712),
+])
+def test_near_one_connection_fallback_against_reference(params, E):
+    T = float(compute_rt(E, params).T)
+    assert T == pytest.approx(reference_transmission(E, params), rel=1e-11, abs=0)
 
 
 def test_paper_mode_singular_for_symmetric_barrier():
