@@ -11,8 +11,8 @@ from .oracle import (BoundaryNotDecayedError, IntegrationConfig, OracleError,
                      OracleResult, StepTooCoarseError, default_config,
                      integrate_scatter, plane_wave_decompose)
 from .reference import DEFAULT_PARAMS, TABLE1
-from .scatter import (MatchCoefficients, ScatteringResult, SingularMatchingError,
-                      compute_rt, match_coefficients, scan, solve_amplitudes)
+from .scatter import (MatchCoefficients, ScatteringResult, compute_rt,
+                      match_coefficients, scan, solve_amplitudes)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "lngamma_complex",
     "MatchCoefficients",
     "ScatteringResult",
-    "SingularMatchingError",
     "match_coefficients",
     "solve_amplitudes",
     "compute_rt",

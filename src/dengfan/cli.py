@@ -4,8 +4,8 @@ Subcommands
 -----------
 potential   tabulate V(x)
 scatter     tabulate E, E/V_max, T, R (+ oracle columns with --oracle)
-verify      compare the closed-form R/T against the integration oracle and
-            report which matching mode reproduces the reference table
+verify      check the closed form against the reference table and compare
+            its R/T with the integration oracle
 
 A list-valued --v0 or --q emits one file per value, <prefix>_v0_<v0>.<format>
 or <prefix>_q_<q>.<format>.  The presets of scatter and verify, held in
@@ -43,7 +43,7 @@ from .oracle import (IntegrationConfig, OracleError, _default_step, default_conf
                      integrate_scatter)
 from .reference import DEFAULT_PARAMS, TABLE1
 # compute_rt and scan stay names of this module: benchmarks/worker.py wraps them
-from .scatter import MatchMode, ScatteringResult, compute_rt, scan  # noqa: F401
+from .scatter import ScatteringResult, compute_rt, scan  # noqa: F401
 
 OutputFormat = Literal["csv", "json"]
 
@@ -69,7 +69,6 @@ class RunConfig:
     e_min: float = 0.005
     e_max: float = 0.100
     n_points: int = 20
-    mode: MatchMode = "corrected"
     output_format: OutputFormat = "csv"
     oracle_enabled: bool = False
     log_grid: bool = False
@@ -88,8 +87,6 @@ class RunConfig:
         for name in ("oracle_enabled", "log_grid"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.mode not in ("corrected", "paper"):
-            raise ValueError(f"mode must be 'corrected' or 'paper', got {self.mode!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(
                 f"output_format must be 'csv' or 'json', got {self.output_format!r}"
@@ -215,8 +212,6 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
                      help="highest energy")
     sub.add_argument("--n", dest="n_points", metavar="N", type=int,
                      help="number of grid points")
-    sub.add_argument("--mode", choices=("corrected", "paper"),
-                     help="derivative-matching convention")
     presets = sub.add_mutually_exclusive_group()
     for name, preset in _PRESETS.items():
         presets.add_argument(f"--{name}", dest="preset", action="store_const",
@@ -445,7 +440,7 @@ def _scan_rows(config: RunConfig, args):
     (E, message) for each failure, in grid order."""
     params = config.params
     v_max = barrier_top(params)
-    res = scan(config.energies(), params, config.mode)
+    res = scan(config.energies(), params)
     e_over = res.E / v_max if v_max > 0 else np.full(res.E.shape, math.inf)
     columns = [res.E, e_over, res.T, res.R, res.unitarity_residual]
     errors = dict(res.errors)
@@ -497,39 +492,20 @@ def _cmd_scatter(args) -> int:
 # verify command
 # ----------------------------------------------------------------------------
 
-def _table_check(mode: MatchMode) -> tuple[str, float | None]:
-    """Max |dT| against the reference table, or the first failure."""
-    E, t_ref, r_ref = np.array(TABLE1).T
-    res = scan(E, DEFAULT_PARAMS, mode)
-    if res.errors:
-        return _message(next(iter(res.errors.values()))), None
-    return "", float(max(np.max(np.abs(res.T - t_ref)), np.max(np.abs(res.R - r_ref))))
-
-
 def _cmd_verify(args) -> int:
     [(_, variant)] = _variants(args)
     config = _run_config(args, variant)
 
-    print("mode check against the reference table "
-          "(v0=1.25, a=x_e=q=q_tilde=0.8, m=1):")
-    reproducing = []
-    for mode in ("corrected", "paper"):
-        failure, worst = _table_check(mode)
-        if failure:
-            print(f"  {mode}: {failure} -> does not reproduce the table")
-        elif worst <= 1e-5:
-            print(f"  {mode}: max deviation = {worst:.3g} -> reproduces the table")
-            reproducing.append(mode)
-        else:
-            print(f"  {mode}: max deviation = {worst:.3g} "
-                  f"-> does not reproduce the table")
-    print(f"  reproducing mode: {', '.join(reproducing) if reproducing else 'none'}")
+    e_ref, t_ref, r_ref = np.array(TABLE1).T
+    table = scan(e_ref, DEFAULT_PARAMS)
+    worst = max(np.max(np.abs(table.T - t_ref)), np.max(np.abs(table.R - r_ref)))
+    print(f"corrected matching reproduces Table 1: max deviation {worst:.3g}")
     print()
 
     energies = config.energies()
-    res = scan(energies, config.params, config.mode)
+    res = scan(energies, config.params)
     t_orc, r_orc, oracle_errors = _oracle_runs(res, config.params, args)
-    max_dt = max_dr = max_uni = 0.0
+    max_dt = max_rel_dt = max_dr = max_uni = 0.0
     offenders: list[tuple[float, str]] = []
     for i, (E, T, R, uni, t_o, r_o) in enumerate(zip(
             *(column.tolist() for column in (res.E, res.T, res.R, res.unitarity_residual,
@@ -543,14 +519,15 @@ def _cmd_verify(args) -> int:
             continue
         dt, dr = abs(T - t_o), abs(R - r_o)
         max_dt, max_dr = max(max_dt, dt), max(max_dr, dr)
+        max_rel_dt = max(max_rel_dt, dt / T if T else math.inf)
         if dt > _DT_TOL or dr > _DR_TOL:
             offenders.append((E, f"|dT|={dt:.3g}, |dR|={dr:.3g}"))
         if uni > _UNITARITY_TOL:
             offenders.append((E, f"unitarity residual {uni:.3g}"))
 
-    print(f"analytic vs oracle over {len(energies)} energies "
-          f"(mode={config.mode}):")
+    print(f"analytic vs oracle over {len(energies)} energies:")
     print(f"  max |T_analytic - T_oracle| = {max_dt:.3g}   (tol {_DT_TOL:g})")
+    print(f"  max |dT| / T_analytic       = {max_rel_dt:.3g}")
     print(f"  max |R_analytic - R_oracle| = {max_dr:.3g}   (tol {_DR_TOL:g})")
     print(f"  max unitarity residual      = {max_uni:.3g}   (tol {_UNITARITY_TOL:g})")
     if offenders:

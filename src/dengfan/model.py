@@ -27,7 +27,6 @@ from numpy.typing import ArrayLike, NDArray
 
 Side = Literal["left", "right"]
 TauBranch = Literal["plus", "minus"]
-SqrtBranch = Literal["plus", "minus"]
 
 __all__ = [
     "BarrierParams",
@@ -90,15 +89,14 @@ class SideCoefficients:
     field over a 1-D array (a lane) of energies; epsilon and tau do not
     depend on E and are floats.
 
-    For the right region the chi values play the role that chi4..chi6 play
-    in the left region; they are stored in the same slots.
+    For the right region the chi values play the role that chi4 and chi6
+    play in the left region; they are stored in the same slots.
     """
 
     side: Side
     E: NDArray
     k: NDArray
     chi1: NDArray
-    chi2: NDArray
     chi3: NDArray
     epsilon: float
     sigma: NDArray
@@ -152,7 +150,6 @@ def side_coefficients(
     params: BarrierParams,
     side: Side = "left",
     tau_branch: TauBranch = "plus",
-    sqrt_branch: SqrtBranch = "plus",
 ) -> SideCoefficients:
     """Derive the per-region scalars for scattering energies E > 0.
 
@@ -162,15 +159,17 @@ def side_coefficients(
 
         -chi1 = -2mE/a^2 + 2mV0 b^2/(a^2 q^2) + 4mV0 b/(a^2 q)
 
-    (with q_tilde in place of q on the right).  epsilon = chi1 + chi2 + chi3
-    collapses algebraically to -2mV0 b^2/(a^2 q^2) and is independent of E;
-    it and tau are floats.  sigma = ik/a encodes the asymptotic plane wave,
-    tau solves tau^2 - tau + epsilon = 0 on the requested branch, and
+    (with q_tilde in place of q on the right).  epsilon = chi1 + chi2 + chi3,
+    with chi2 = 4mV0 b/(a^2 q) - 2 chi3, collapses algebraically to
+    -2mV0 b^2/(a^2 q^2) and is independent of E; it and tau are floats.
+    sigma = ik/a encodes the asymptotic plane wave, tau solves
+    tau^2 - tau + epsilon = 0 on the requested branch, and
 
         alpha, beta = sigma + tau -/+ sqrt(-chi1),   gamma = 1 + 2*sigma.
 
-    sqrt_branch flips the sign of sqrt(-chi1), exchanging alpha and beta;
-    physical outputs must not depend on either branch choice.
+    Physical outputs must not depend on tau's branch.  The sign of
+    sqrt(-chi1) is fixed: flipping it would only exchange alpha and beta,
+    which 2F1 is symmetric in.
     """
     E = np.array(E, dtype=float, ndmin=1, copy=None)
     if np.count_nonzero((E > 0.0) & (E < math.inf)) < E.size:
@@ -178,8 +177,6 @@ def side_coefficients(
     _check_side(side)
     if tau_branch not in ("plus", "minus"):
         raise ValueError(f"tau_branch must be 'plus' or 'minus', got {tau_branch!r}")
-    if sqrt_branch not in ("plus", "minus"):
-        raise ValueError(f"sqrt_branch must be 'plus' or 'minus', got {sqrt_branch!r}")
 
     two_m = 2.0 * params.m
     chi3 = (two_m / (params.a * params.a)) * E
@@ -187,11 +184,10 @@ def side_coefficients(
     sigma = k * (1j / params.a)
     # 1 + 2*sigma, bit for bit (sigma is imaginary, so doubling is exact)
     gamma = 1.0 + k * (2j / params.a)
-    return _on_side((E, k, chi3, sigma, gamma), params, side, tau_branch, sqrt_branch)
+    return _on_side((E, k, chi3, sigma, gamma), params, side, tau_branch)
 
 
-def _on_side(lane, params: BarrierParams, side: Side, tau_branch: TauBranch,
-             sqrt_branch: SqrtBranch) -> SideCoefficients:
+def _on_side(lane, params: BarrierParams, side: Side, tau_branch: TauBranch) -> SideCoefficients:
     """``side_coefficients`` from the fields that do not depend on the side,
     lane = (E, k, chi3, sigma, gamma), which the two sides share."""
     E, k, chi3, sigma, gamma = lane
@@ -207,13 +203,10 @@ def _on_side(lane, params: BarrierParams, side: Side, tau_branch: TauBranch,
     tau = 0.5 + disc if tau_branch == "plus" else 0.5 - disc
 
     chi1 = chi3 - (well + cross)
-    chi2 = cross - (chi3 + chi3)
     root = np.sqrt(-chi1, dtype=complex)
-    if sqrt_branch == "minus":
-        root = -root
     shifted = sigma + tau
     alpha = shifted - root
     beta = shifted + root
-    return SideCoefficients(side=side, E=E, k=k, chi1=chi1, chi2=chi2, chi3=chi3,
+    return SideCoefficients(side=side, E=E, k=k, chi1=chi1, chi3=chi3,
                             epsilon=epsilon, sigma=sigma, tau=tau, alpha=alpha,
                             beta=beta, gamma=gamma)

@@ -5,7 +5,7 @@ solutions; gluing them at x = 0 (continuity of psi and of dpsi/dx) fixes the
 reflected and transmitted amplitudes relative to the incident one.  The
 matching data is condensed into
 
-    rho1 = q, rho2 = 1 - q, rho3 = q_tilde, rho4 = 1 - q_tilde,
+    rho1 = q, rho3 = q_tilde,
     zeta1..zeta3  (the hypergeometric factors of the three basis functions
                    at y = rho1, rho1, rho3),
     dzeta1..dzeta3  (their y-derivatives),
@@ -20,48 +20,37 @@ lane, a 1-D array of energies, and records a failed energy's error under
 its index with its fields nan.  ``scan`` runs a grid in chunks of lanes;
 ``compute_rt`` runs a lane of one and raises its error or unwraps it.
 
-``tau_branch`` and ``sqrt_branch`` pick the basis, one string for both
-sides ("plus" or "minus"); R and T do not depend on either.
+``tau_branch`` picks the basis, one string for both sides ("plus" or
+"minus"); R and T do not depend on it.
 
-Two derivative-matching conventions are provided:
-
-* ``corrected`` -- matches dpsi/dx including the chain-rule factors
-  dy/dx = +a*y (left) and dy/dx = -a*y (right).  This is the physical
-  convention: it conserves flux (R + T = 1) and is the authoritative mode.
-* ``paper`` -- equates the interior-variable derivatives dpsi/dy directly,
-  which reproduces the closed-form amplitude ratios in their widely printed
-  form.  Kept for comparison only: it violates unitarity and is exactly
-  singular for symmetric barriers (q == q_tilde), where c2 == c3 and
-  c5 == c6 make its denominator c2*c6 - c3*c5 vanish identically.
+The derivative row matches dpsi/dx, with the chain-rule factors
+dy/dx = +a*y on the left and -a*y on the right, so flux is conserved
+(R + T = 1).  The row as the closed form is widely printed equates dpsi/dy
+instead, c4 + r*c5 - t*c6 = 0; it is singular at q == q_tilde, the paper's
+own barrier, where c2 == c3 and c5 == c6 make c3*c5 - c2*c6 vanish exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # gauss_2f1 stays a name of this module: benchmarks/worker.py wraps it here
 from .hyp2f1 import gauss_2f1, gauss_2f1_lanes  # noqa: F401
-from .model import (BarrierParams, Side, SqrtBranch, TauBranch, _on_side,
-                    side_coefficients)
-
-MatchMode = Literal["corrected", "paper"]
+from .model import BarrierParams, TauBranch, _on_side, side_coefficients
 
 __all__ = [
-    "MatchMode",
     "MatchCoefficients",
     "ScatteringResult",
-    "SingularMatchingError",
     "match_coefficients",
     "solve_amplitudes",
     "compute_rt",
     "scan",
 ]
 
-_DET_FLOOR = 1e-300
 # the cancellation kappa = |c1 m10| / |num| past which t takes the exact
 # numerator -2 sigma (on a mirrored barrier kappa = 1/(2 sqrt(T)))
 _KAPPA_GATE = 100.0
@@ -69,10 +58,6 @@ _KAPPA_GATE = 100.0
 _CHUNK = 256
 # the per-energy fields of a ScatteringResult
 _COLUMNS = ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual")
-
-
-class SingularMatchingError(Exception):
-    """The matching system is numerically singular (degenerate parameters)."""
 
 
 @dataclass
@@ -87,9 +72,7 @@ class MatchCoefficients:
 
     E: np.ndarray
     rho1: float
-    rho2: float
     rho3: float
-    rho4: float
     zeta1: np.ndarray
     zeta2: np.ndarray
     zeta3: np.ndarray
@@ -117,7 +100,6 @@ class ScatteringResult:
     R: float
     T: float
     unitarity_residual: float
-    mode: MatchMode
     errors: dict = field(default_factory=dict, repr=False)
 
 
@@ -127,27 +109,25 @@ def match_coefficients(
     E,
     params: BarrierParams,
     tau_branch: TauBranch = "plus",
-    sqrt_branch: SqrtBranch = "plus",
 ) -> MatchCoefficients:
     """Assemble the matching coefficients lane-wise over the energies E
     (one energy is a lane of one).
 
-    ``tau_branch`` and ``sqrt_branch`` select the basis, one choice for
-    both sides; R and T do not depend on them.  One ``gauss_2f1_lanes``
-    call gives each 2F1 factor and its derivative: one lane per energy
-    (zeta1) when q == q_tilde, two (zeta1, zeta3) otherwise.  The left
+    ``tau_branch`` selects the basis, one choice for both sides; R and T
+    do not depend on it.  One ``gauss_2f1_lanes`` call gives each 2F1
+    factor and its derivative: one lane per energy (zeta1) when
+    q == q_tilde, two (zeta1, zeta3) otherwise.  The left
     y^{-sigma} function needs none: for E > 0 sigma is imaginary and tau
     real, so its (alpha+1-gamma, beta+1-gamma; 2-gamma) is (conj(alpha),
     conj(beta); conj(gamma)) up to order, and zeta2, dzeta2, c2 and c5 are
     the conjugates of zeta1, dzeta1, c1 and c4.  An energy's first failing
     zeta's error is recorded, never raised.
     """
-    left = side_coefficients(E, params, "left", tau_branch, sqrt_branch)
+    left = side_coefficients(E, params, "left", tau_branch)
     mirror = params.q == params.q_tilde
     right = left if mirror else _on_side((left.E, left.k, left.chi3, left.sigma, left.gamma),
-                                         params, "right", tau_branch, sqrt_branch)
-    rho1, rho2 = params.q, 1.0 - params.q
-    rho3, rho4 = params.q_tilde, 1.0 - params.q_tilde
+                                         params, "right", tau_branch)
+    rho1, rho3 = params.q, params.q_tilde
 
     # one row of (a, b, c) per evaluated function: the left y^{+sigma} one,
     # and the right y^{-sigma} one unless the sides mirror (sigma = ik/a on both)
@@ -182,73 +162,50 @@ def match_coefficients(
     # y^{-sigma} row) and the right row, which is the second when the sides mirror
     zv, zd, cv, cd = ((v[0], conj, conj if mirror else v[1])
                       for v in (zv, zd, cv, cd) for conj in (np.conj(v[0]),))
-    return MatchCoefficients(left.E, rho1, rho2, rho3, rho4, *zv, *zd, *cv, *cd,
-                             sigma, errors)
+    return MatchCoefficients(left.E, rho1, rho3, *zv, *zd, *cv, *cd, sigma, errors)
 
 
-def solve_amplitudes(mc: MatchCoefficients, mode: MatchMode = "corrected") -> ScatteringResult:
+def solve_amplitudes(mc: MatchCoefficients) -> ScatteringResult:
     """Solve the 2x2 matching system for (A2/A1, A4/A1) and form R, T
     lane-wise over the energies of ``mc``.
 
-    The mode fixes the derivative-matching row: ``corrected`` applies the
-    chain-rule factors (+rho1 on the left derivatives, -rho3 on the right),
-    ``paper`` equates the y-derivatives as printed.  A determinant below
-    1e-300 in magnitude records a SingularMatchingError and sets the
-    energy's fields to nan.
-
-    In corrected mode the numerator of t, c2*b1 + c1*m10 = rho1*(c1*c5 -
-    c2*c4), is the left basis pair's Wronskian over a, exactly -2*sigma
-    (Abel's identity: psi'' = 2m(V - E) psi has no psi' term).  Where the
-    computed one cancels, kappa = |c1*m10| / |c2*b1 + c1*m10| > 100 (an
-    opaque barrier, or E -> 0), t = -2*sigma/det; elsewhere the computed
-    numerator is kept, since it shares a common rounding factor of the
-    basis functions with det that cancels in the ratio.
+    The derivative row carries the chain-rule factors: +rho1 on the left
+    derivatives, -rho3 on the right.  Its numerator of t, c2*b1 + c1*m10 =
+    rho1*(c1*c5 - c2*c4), is the left basis pair's Wronskian over a,
+    exactly -2*sigma (Abel's identity: psi'' = 2m(V - E) psi has no psi'
+    term), so |det| = 2|sigma|/|t| >= 2|sigma| > 0.  Where the computed
+    numerator cancels, kappa = |c1*m10| / |c2*b1 + c1*m10| > 100 (an opaque
+    barrier, or E -> 0), t = -2*sigma/det; elsewhere the computed numerator
+    is kept, since it shares a common rounding factor of the basis
+    functions with det that cancels in the ratio.
     """
-    if mode not in ("corrected", "paper"):
-        raise ValueError(f"mode must be 'corrected' or 'paper', got {mode!r}")
-    E, c1, c2, c3, c4, c5, c6 = (mc.E, mc.c1, mc.c2, mc.c3, mc.c4, mc.c5, mc.c6)
+    c1, c2, c3, c4, c5, c6 = (mc.c1, mc.c2, mc.c3, mc.c4, mc.c5, mc.c6)
     # value row:      c1 + r*c2 - t*c3 = 0
-    # derivative row: corrected  rho1*c4 + r*rho1*c5 + t*rho3*c6 = 0
-    #                 paper      c4 + r*c5 - t*c6 = 0
-    # with the derivative row written as r*m10 + t*m11 = b1
-    if mode == "corrected":
-        m10, m11, b1 = mc.rho1 * c5, mc.rho3 * c6, -mc.rho1 * c4
-    else:
-        m10, m11, b1 = c5, -c6, -c4
+    # derivative row: rho1*c4 + r*rho1*c5 + t*rho3*c6 = 0, written as
+    #                 r*m10 + t*m11 = b1
+    m10, m11, b1 = mc.rho1 * c5, mc.rho3 * c6, -mc.rho1 * c4
     with np.errstate(all="ignore"):
         det = c2 * m11 + c3 * m10
         r_amp = (c3 * b1 - c1 * m11) / det
         c1m10 = c1 * m10
         num = c2 * b1 + c1m10
-        if mode == "corrected":
-            # kappa > _KAPPA_GATE, with kappa = |c1 m10| / |num|
-            num = np.where(np.abs(c1m10) > _KAPPA_GATE * np.abs(num), -2.0 * mc.sigma, num)
+        # kappa > _KAPPA_GATE, with kappa = |c1 m10| / |num|
+        num = np.where(np.abs(c1m10) > _KAPPA_GATE * np.abs(num), -2.0 * mc.sigma, num)
         t_amp = num / det
         R = r_amp.real * r_amp.real + r_amp.imag * r_amp.imag
         T = t_amp.real * t_amp.real + t_amp.imag * t_amp.imag
         residual = np.abs(R + T - 1.0)
-    errors = dict(mc.errors)
-    singular = (np.abs(det) < _DET_FLOOR).nonzero()[0]
-    for i in singular.tolist():
-        errors.setdefault(i, SingularMatchingError(
-            f"matching determinant {complex(det[i])!r} below {_DET_FLOOR} "
-            f"at E={float(E[i])} (mode={mode})"))
-    if singular.size:
-        for value in (r_amp, t_amp, R, T, residual):
-            value[singular] = np.nan
-    return ScatteringResult(E, r_amp, t_amp, R, T, residual, mode, errors)
+    return ScatteringResult(mc.E, r_amp, t_amp, R, T, residual, dict(mc.errors))
 
 
 def compute_rt(
     E: float,
     params: BarrierParams,
-    mode: MatchMode = "corrected",
     tau_branch: TauBranch = "plus",
-    sqrt_branch: SqrtBranch = "plus",
 ) -> ScatteringResult:
     """Reflection/transmission at a single energy: the lane code ``scan``
     runs, on a lane of one, unwrapped to numpy scalars.  The energy's
-    ``Hyp2F1Error`` or ``SingularMatchingError`` is raised.
+    ``Hyp2F1Error`` is raised.
 
     The energy range has an upper edge.  At the default parameters,
     E/V_max = 4e4 still returns T = 0.999999999999998 (about 2 ms), while
@@ -256,28 +213,25 @@ def compute_rt(
     ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
     asymptotic T -> 1 branch.
     """
-    res = solve_amplitudes(
-        match_coefficients([E], params, tau_branch, sqrt_branch), mode)
+    res = solve_amplitudes(match_coefficients([E], params, tau_branch))
     if res.errors:
         raise res.errors[0]
-    return ScatteringResult(*(getattr(res, name)[0] for name in _COLUMNS), mode)
+    return ScatteringResult(*(getattr(res, name)[0] for name in _COLUMNS))
 
 
 def scan(
     energies: Sequence[float],
     params: BarrierParams,
-    mode: MatchMode = "corrected",
     tau_branch: TauBranch = "plus",
-    sqrt_branch: SqrtBranch = "plus",
 ) -> ScatteringResult:
     """Evaluate R/T over a non-empty, strictly increasing, positive energy
     grid, in batches of ``_CHUNK`` energies, as one ScatteringResult of
     arrays in grid order; every value equals ``compute_rt`` at its energy
     bit for bit.
 
-    A point that fails with a ``Hyp2F1Error`` or ``SingularMatchingError``
-    is recorded in ``errors`` under its grid index, with its fields nan,
-    and the scan goes on; any other exception propagates.
+    A point that fails with a ``Hyp2F1Error`` is recorded in ``errors``
+    under its grid index, with its fields nan, and the scan goes on; any
+    other exception propagates.
     """
     es = np.array(energies, dtype=float, ndmin=1)
     if not es.size:
@@ -287,8 +241,8 @@ def scan(
     if np.any(np.diff(es) <= 0):
         raise ValueError("energies must be strictly increasing")
     starts = range(0, es.size, _CHUNK)
-    chunks = [solve_amplitudes(match_coefficients(
-        es[start:start + _CHUNK], params, tau_branch, sqrt_branch), mode) for start in starts]
+    chunks = [solve_amplitudes(match_coefficients(es[start:start + _CHUNK], params, tau_branch))
+              for start in starts]
     errors = {start + i: exc for start, res in zip(starts, chunks) for i, exc in res.errors.items()}
     columns = [np.concatenate([getattr(res, name) for res in chunks]) for name in _COLUMNS]
-    return ScatteringResult(*columns, mode, dict(sorted(errors.items())))
+    return ScatteringResult(*columns, dict(sorted(errors.items())))

@@ -17,11 +17,11 @@ from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error, NoConvergenceEr
 from helpers import hyp2f1_bruteforce
 
 
-def _outcome(E, params, mode="corrected"):
+def _outcome(E, params):
     """(T, R) or the failure's type name, from compute_rt."""
     try:
-        res = compute_rt(E, params, mode)
-    except (Hyp2F1Error, scatter.SingularMatchingError) as exc:
+        res = compute_rt(E, params)
+    except Hyp2F1Error as exc:
         return type(exc).__name__
     return res.T, res.R
 
@@ -64,19 +64,17 @@ def test_scan_equals_compute_rt_bit_for_bit(name, params, grid):
         assert "NoConvergenceError" in got and isinstance(got[0], tuple)
 
 
-@pytest.mark.parametrize("mode", ["corrected", "paper"])
-def test_scan_keys_failures_past_the_first_chunk_by_grid_index(mode):
-    # corrected: the energies above E/V_max = 4e4, all past the first chunk,
-    # fail with NoConvergenceError; paper: every energy of the symmetric
-    # barrier is a SingularMatchingError
+def test_scan_keys_failures_past_the_first_chunk_by_grid_index():
+    # the energies above E/V_max = 4e4, all past the first chunk, fail with
+    # NoConvergenceError
     v = barrier_top(DEFAULT_PARAMS)
     grid = np.geomspace(1e-3 * v, 1e5 * v, scatter._CHUNK + 44)
-    res = scan(grid, DEFAULT_PARAMS, mode)
-    outcomes = [_outcome(float(E), DEFAULT_PARAMS, mode) for E in grid]
+    res = scan(grid, DEFAULT_PARAMS)
+    outcomes = [_outcome(float(E), DEFAULT_PARAMS) for E in grid]
     want = {i: kind for i, kind in enumerate(outcomes) if isinstance(kind, str)}
     assert {i: type(exc).__name__ for i, exc in res.errors.items()} == want
-    if mode == "corrected":
-        assert min(want) >= scatter._CHUNK
+    assert set(want.values()) == {"NoConvergenceError"}
+    assert min(want) >= scatter._CHUNK
     assert list(res.errors) == sorted(res.errors)
     failed = np.zeros(grid.size, dtype=bool)
     failed[list(want)] = True

@@ -137,16 +137,6 @@ def test_oracle_one_call_per_domain(monkeypatch, capsys):
     assert row["delta_T"] <= 1e-6
 
 
-def test_scatter_paper_mode_fails_per_point(capsys):
-    code, out, err = run(["scatter", "--table1", "--mode", "paper"], capsys)
-    assert code == 2
-    lines = out.strip().split("\n")
-    assert lines[0] == EXPECTED_HEADER
-    assert len(lines) == 21
-    assert all(math.isnan(float(line.split(",")[2])) for line in lines[1:])
-    assert "SingularMatching" in err
-
-
 def test_scatter_fig3_preset_reaches_high_transmission(capsys):
     code, out, _ = run(["scatter", "--fig3", "--n", "60"], capsys)
     assert code == 0
@@ -247,6 +237,19 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert "nonsense" in err
 
 
+def test_matching_mode_is_not_a_setting(tmp_path, capsys):
+    # one matching convention: a config's "mode" is an unknown key, and
+    # --mode an unknown flag
+    cfg = tmp_path / "old.json"
+    cfg.write_text('{"mode": "corrected", "n_points": 2}')
+    code, out, err = run(["scatter", "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert "unknown config keys: ['mode']" in err
+    code, _, err = run(["scatter", "--table1", "--mode", "corrected"], capsys)
+    assert code == 1
+    assert "--mode" in err
+
+
 @pytest.mark.parametrize("n_points", [2.5, True, "5"])
 def test_non_integer_n_points_exits_1(n_points, tmp_path, capsys):
     cfg = tmp_path / "run.json"
@@ -339,9 +342,12 @@ def test_verify_small_grid_passes(capsys):
     code, out, _ = run(["verify", "--emin", "0.05", "--emax", "0.1", "--n", "2"],
                        capsys)
     assert code == 0
-    assert "reproducing mode: corrected" in out
-    assert "does not reproduce the table" in out  # the paper-literal line
-    assert "PASS" in out
+    assert out.startswith("corrected matching reproduces Table 1: max deviation 4.63e-07\n")
+    assert "\nanalytic vs oracle over 2 energies:\n" in out
+    # the relative |dT| is printed without a tolerance of its own
+    rel = float(out.split("max |dT| / T_analytic       = ")[1].split("\n")[0])
+    assert 0.0 <= rel <= 1e-10
+    assert out.endswith("PASS\n")
 
 
 def test_verify_coarse_oracle_step_fails(capsys):

@@ -2,14 +2,14 @@
 
 Each case runs ``dengfan.cli.main`` in an empty directory and compares its
 stdout, stderr and every file it writes with ``tests/data/cli/<case>/``.
-The fixtures pin the exact text the presets, the paper mode, the oracle
-columns, the multi-q files, the JSON config echo and config-file precedence
-produce.  After an intended output change, rewrite them with
+The fixtures pin the exact text the presets, the oracle columns, the
+multi-q files, the JSON config echo and config-file precedence produce.
+After an intended output change, rewrite them with
 ``python tests/test_cli_golden.py``.
 
 The fixtures hold the last bits of T and R (and so of the residual column)
 that numpy's FMA complex loops give.  Under its baseline loops
-(``NPY_DISABLE_CPU_FEATURES``), 4 of the 6 cases differ in those bits, so
+(``NPY_DISABLE_CPU_FEATURES``), 4 of the 5 cases differ in those bits, so
 re-record them on an x86-64-v3 or newer CPU.
 """
 
@@ -27,16 +27,14 @@ import pytest
 
 DATA = Path(__file__).parent / "data" / "cli"
 
-# the preset discards the file's parameters, grid and format; mode survives
+# the preset discards the file's parameters, grid and format
 CONFIG = {"params": {"v0": 1.15, "q": 0.6}, "n_points": 7, "e_min": 0.01,
-          "e_max": 0.03, "log_grid": True, "output_format": "csv",
-          "mode": "corrected"}
+          "e_max": 0.03, "log_grid": True, "output_format": "csv"}
 
 # name -> (argv, exit code); "{cfg}" stands for the path of CONFIG as JSON
 CASES = {
     "scatter_table1": (["scatter", "--table1"], 0),
     "scatter_fig4": (["scatter", "--fig4", "--n", "30"], 0),
-    "scatter_paper_mode": (["scatter", "--table1", "--mode", "paper"], 2),
     # every digit of the oracle's T and R, one batched call for the 20 energies
     "scatter_table1_oracle": (["scatter", "--table1", "--oracle", "--format", "json"], 0),
     "potential_multi_q": (["potential", "--q", "0.6", "0.7", "--n", "5",

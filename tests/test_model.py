@@ -85,8 +85,9 @@ def test_side_coefficients_frozen_values():
     sc = side_coefficients(0.02, DEFAULT_PARAMS, "left")
     assert sc.chi3 == pytest.approx(0.0625, abs=1e-15)
     assert sc.chi1 == pytest.approx(-17.983396762507821, rel=1e-13)
-    assert sc.chi2 == pytest.approx(10.582821086962416, rel=1e-13)
     assert sc.epsilon == pytest.approx(-7.338075675545406, rel=1e-13)
+    # epsilon = chi1 + chi2 + chi3
+    assert sc.epsilon - sc.chi1 - sc.chi3 == pytest.approx(10.582821086962416, rel=1e-13)
     assert sc.sigma == pytest.approx(0.25j, abs=1e-15)
     assert sc.k == pytest.approx(0.2, abs=1e-15)
 
@@ -137,17 +138,10 @@ def test_alpha_beta_sum_and_product():
         assert sc.alpha * sc.beta == pytest.approx(st * st + sc.chi1, rel=1e-12)
 
 
-def test_sqrt_branch_swaps_alpha_beta():
-    plus = side_coefficients(0.25, DEFAULT_PARAMS, sqrt_branch="plus")
-    minus = side_coefficients(0.25, DEFAULT_PARAMS, sqrt_branch="minus")
-    assert plus.alpha == minus.beta
-    assert plus.beta == minus.alpha
-
-
 def test_sides_identical_for_symmetric_barrier():
     left = side_coefficients(0.05, DEFAULT_PARAMS, "left")
     right = side_coefficients(0.05, DEFAULT_PARAMS, "right")
-    for field in ("chi1", "chi2", "chi3", "epsilon", "sigma", "tau",
+    for field in ("chi1", "chi3", "epsilon", "sigma", "tau",
                   "alpha", "beta", "gamma", "k"):
         assert getattr(left, field) == getattr(right, field)
 
@@ -192,5 +186,3 @@ def test_bad_side_and_branch_rejected():
         side_coefficients(0.1, DEFAULT_PARAMS, side="middle")
     with pytest.raises(ValueError):
         side_coefficients(0.1, DEFAULT_PARAMS, tau_branch="best")
-    with pytest.raises(ValueError):
-        side_coefficients(0.1, DEFAULT_PARAMS, sqrt_branch="pm")

@@ -12,7 +12,7 @@ from dengfan import (BarrierParams, BoundaryNotDecayedError, DEFAULT_PARAMS,
                      potential, scan)
 from dengfan.oracle import _CHUNK, _LANES, _grid
 
-from helpers import rk4_loop_rt
+from helpers import reference_transmission, rk4_loop_rt
 
 TABLE1_ENERGIES = [E for E, _, _ in TABLE1]
 
@@ -166,6 +166,21 @@ def test_tall_barrier():
     # V_max is about 1e4 over a core 0.19 wide; the uniform grid missed by 2.5e-7
     errors, _ = _oracle_rel_errors(BarrierParams(q=0.99, q_tilde=0.99), [0.05])
     assert errors.max() <= 1e-9
+
+
+@pytest.mark.parametrize("q, q_tilde", [(0.999, 0.999), (0.99, 0.5)])
+def test_tall_barrier_against_reference(q, q_tilde):
+    # V_max is about 1e6 at q = 0.999, and V jumps from about 1e4 to -0.42
+    # at x = 0 for (0.99, 0.5); T is 1.9e-17 and 1.1e-6.  The reference, not
+    # compute_rt, because the closed form's tiny-T numerator is what this
+    # oracle checks there
+    params = BarrierParams(q=q, q_tilde=q_tilde)
+    pot = lambda x: potential(x, params)
+    cfg = default_config(0.05, pot, params.m,
+                         x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    res = integrate_scatter(np.array([0.05]), pot, params.m, cfg)
+    assert res.errors == {}
+    assert res.T[0] == pytest.approx(reference_transmission(0.05, params), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("q_tilde", [0.55, 0.9])

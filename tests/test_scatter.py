@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import dengfan.scatter as scatter
-from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error,
-                     SingularMatchingError, barrier_top, compute_rt,
-                     match_coefficients, scan, side_coefficients,
-                     solve_amplitudes)
+from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error, NoConvergenceError,
+                     TABLE1, barrier_top, compute_rt, match_coefficients, scan,
+                     side_coefficients, solve_amplitudes)
 
 from helpers import draw_barrier_params, hyp2f1_bruteforce, reference_transmission
 
@@ -19,9 +18,8 @@ R_AT_0p005 = 0.9007846922502246
 def test_rho_values_for_default_params():
     mc = match_coefficients(0.05, DEFAULT_PARAMS)
     assert (mc.rho1, mc.rho3) == (0.8, 0.8)
-    assert mc.rho2 == 1.0 - 0.8 == pytest.approx(0.2, abs=1e-15)
-    assert mc.rho4 == 1.0 - 0.8
-    assert all(0.0 < r < 1.0 for r in (mc.rho1, mc.rho2, mc.rho3, mc.rho4))
+    mc = match_coefficients(0.05, BarrierParams(q=0.9, q_tilde=0.55))
+    assert (mc.rho1, mc.rho3) == (0.9, 0.55)
 
 
 def test_symmetric_barrier_collapses_right_onto_left():
@@ -32,16 +30,16 @@ def test_symmetric_barrier_collapses_right_onto_left():
     assert mc.c6 == mc.c5
 
 
-# parameter sets and branches for the 2F1 factors, symmetric and asymmetric
-_BASES = [(DEFAULT_PARAMS, "plus", "plus"), (DEFAULT_PARAMS, "minus", "minus"),
-          (BarrierParams(q=0.9, q_tilde=0.55), "plus", "minus")]
+# parameter sets and tau branches for the 2F1 factors, symmetric and asymmetric
+_BASES = [(DEFAULT_PARAMS, "plus"), (DEFAULT_PARAMS, "minus"),
+          (BarrierParams(q=0.9, q_tilde=0.55), "plus")]
 
 
-def _families(E, params, tau_branch, sqrt_branch):
+def _families(E, params, tau_branch):
     """(a, b, c, y) of zeta1..zeta3 from the side coefficients at one
     energy, a lane of one."""
-    left = side_coefficients(E, params, "left", tau_branch, sqrt_branch)
-    right = side_coefficients(E, params, "right", tau_branch, sqrt_branch)
+    left = side_coefficients(E, params, "left", tau_branch)
+    right = side_coefficients(E, params, "right", tau_branch)
     al, bl, gl = left.alpha[0], left.beta[0], left.gamma[0]
     ar, br, gr = right.alpha[0], right.beta[0], right.gamma[0]
     return {1: (al, bl, gl, params.q),
@@ -51,18 +49,18 @@ def _families(E, params, tau_branch, sqrt_branch):
 
 def test_zetas_against_bruteforce_series():
     # every zeta at E = 0.05 versus the 40-digit term-by-term summation
-    for params, tau_branch, sqrt_branch in _BASES:
-        mc = match_coefficients(0.05, params, tau_branch, sqrt_branch)
-        for r, (a, b, c, z) in _families(0.05, params, tau_branch, sqrt_branch).items():
+    for params, tau_branch in _BASES:
+        mc = match_coefficients(0.05, params, tau_branch)
+        for r, (a, b, c, z) in _families(0.05, params, tau_branch).items():
             ref = hyp2f1_bruteforce(a, b, c, z)
             assert abs(getattr(mc, f"zeta{r}")[0] - ref) <= 1e-13 * abs(ref), r
 
 
 def test_lambda_prefactors():
     # dzeta_r = dF/dy = (a b / c) F(a+1, b+1; c+1; y), DLMF 15.5.1
-    for params, tau_branch, sqrt_branch in _BASES:
-        mc = match_coefficients(0.05, params, tau_branch, sqrt_branch)
-        for r, (a, b, c, z) in _families(0.05, params, tau_branch, sqrt_branch).items():
+    for params, tau_branch in _BASES:
+        mc = match_coefficients(0.05, params, tau_branch)
+        for r, (a, b, c, z) in _families(0.05, params, tau_branch).items():
             ref = a * b / c * hyp2f1_bruteforce(a + 1, b + 1, c + 1, z)
             assert abs(getattr(mc, f"dzeta{r}")[0] - ref) <= 1e-13 * abs(ref), r
 
@@ -70,11 +68,10 @@ def test_lambda_prefactors():
 @pytest.mark.parametrize("params", [DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55)],
                          ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("tau_branch", ["plus", "minus"])
-@pytest.mark.parametrize("sqrt_branch", ["plus", "minus"])
-def test_left_minus_sigma_row_is_the_conjugate(params, tau_branch, sqrt_branch):
+def test_left_minus_sigma_row_is_the_conjugate(params, tau_branch):
     energies = np.geomspace(1e-3, 5.0, 9)
     for E in (energies, 0.05):
-        mc = match_coefficients(E, params, tau_branch, sqrt_branch)
+        mc = match_coefficients(E, params, tau_branch)
         for name, of in (("zeta2", "zeta1"), ("dzeta2", "dzeta1"), ("c2", "c1"), ("c5", "c4")):
             assert np.array_equal(getattr(mc, name), np.conj(getattr(mc, of))), name
 
@@ -91,11 +88,11 @@ def test_one_lane_per_energy_and_evaluated_side(monkeypatch):
 
     monkeypatch.setattr(scatter, "gauss_2f1_lanes", counting)
     energies = np.geomspace(1e-3, 5.0, 7)
-    for params, tau_branch, sqrt_branch in _BASES:
+    for params, tau_branch in _BASES:
         mirror = params.q == params.q_tilde
         for E, n in ((energies, 7), (0.05, 1)):
             sizes.clear()
-            match_coefficients(E, params, tau_branch, sqrt_branch)
+            match_coefficients(E, params, tau_branch)
             assert sizes == [n if mirror else 2 * n]
 
 
@@ -104,7 +101,6 @@ def test_corrected_mode_reference_point():
     assert res.T == pytest.approx(T_AT_0p005, abs=1e-12)
     assert res.R == pytest.approx(R_AT_0p005, abs=1e-12)
     assert res.unitarity_residual <= 1e-12
-    assert res.mode == "corrected"
 
 
 # opaque barriers (q -> 1) and the E -> 0 edge, where the computed numerator
@@ -135,24 +131,28 @@ def test_near_one_connection_fallback_against_reference(params, E):
     assert T == pytest.approx(reference_transmission(E, params), rel=1e-11, abs=0)
 
 
-def test_paper_mode_singular_for_symmetric_barrier():
-    # the lane records the error and sets the energy's fields to nan;
-    # compute_rt raises it
-    res = solve_amplitudes(match_coefficients(0.05, DEFAULT_PARAMS), mode="paper")
-    assert list(res.errors) == [0]
-    assert isinstance(res.errors[0], SingularMatchingError)
-    assert np.isnan(res.T).all() and np.isnan(res.R).all()
-    with pytest.raises(SingularMatchingError) as raised:
-        compute_rt(0.05, DEFAULT_PARAMS, mode="paper")
-    assert str(raised.value) == str(res.errors[0])
+def test_printed_derivative_row_singular_for_symmetric_barrier():
+    # the derivative row as the closed form is widely printed equates
+    # dpsi/dy, c4 + r*c5 - t*c6 = 0; with the value row its determinant is
+    # c3*c5 - c2*c6, and q == q_tilde makes c3 == c2 and c6 == c5
+    mc = match_coefficients([E for E, _, _ in TABLE1], DEFAULT_PARAMS)
+    assert not mc.errors
+    assert np.all(mc.c3 * mc.c5 - mc.c2 * mc.c6 == 0)
 
 
-def test_paper_mode_breaks_unitarity_on_asymmetric_barrier():
-    p = BarrierParams(q=0.8, q_tilde=0.6)
-    paper = compute_rt(0.5, p, mode="paper")
-    corrected = compute_rt(0.5, p, mode="corrected")
-    assert paper.unitarity_residual > 0.5
-    assert corrected.unitarity_residual <= 1e-12
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55),
+                                    BarrierParams(q=0.999, q_tilde=0.999)],
+                         ids=["default", "asymmetric", "q-0.999"])
+def test_matching_determinant_is_bounded_below(params):
+    # |det| = 2|sigma|/|t| >= 2|sigma| (the Wronskian of the left basis
+    # pair), so the dpsi/dx system is never singular at E > 0; the first
+    # energy is the smallest positive double
+    energies = np.append(5e-324, np.geomspace(1e-6, 100.0, 60))
+    mc = match_coefficients(energies, params)
+    assert not mc.errors
+    det = mc.c2 * mc.rho3 * mc.c6 + mc.c3 * mc.rho1 * mc.c5
+    assert np.all(np.abs(det) >= 2.0 * np.abs(mc.sigma) * (1.0 - 1e-9))
+    assert abs(det[0]) > 1e-3
 
 
 def test_asymmetric_barrier_conserves_flux_in_corrected_mode():
@@ -171,18 +171,9 @@ def test_tau_branch_invariance():
     assert abs(base.T - flip.T) <= 1e-10
 
 
-def test_sqrt_branch_invariance():
-    base = compute_rt(0.05, DEFAULT_PARAMS, sqrt_branch="plus")
-    flip = compute_rt(0.05, DEFAULT_PARAMS, sqrt_branch="minus")
-    assert abs(base.R - flip.R) <= 1e-10
-    assert abs(base.T - flip.T) <= 1e-10
-
-
-@pytest.mark.parametrize("branches", [dict(tau_branch=("plus", "minus")),
-                                      dict(sqrt_branch=("plus", "minus"))])
-def test_basis_choice_is_one_string_for_both_sides(branches):
+def test_basis_choice_is_one_string_for_both_sides():
     with pytest.raises(ValueError, match="must be 'plus' or 'minus'"):
-        compute_rt(0.05, DEFAULT_PARAMS, **branches)
+        compute_rt(0.05, DEFAULT_PARAMS, tau_branch=("plus", "minus"))
 
 
 def test_free_particle_transmits_fully():
@@ -224,7 +215,6 @@ def test_scan_matches_pointwise_solve():
     res = scan(energies, DEFAULT_PARAMS)
     assert res.E.tolist() == energies
     assert not res.errors
-    assert res.mode == "corrected"
     for i, E in enumerate(energies):
         direct = compute_rt(E, DEFAULT_PARAMS)
         assert res.T[i] == direct.T
@@ -266,9 +256,11 @@ def test_energy_past_float_range_fails_alone():
 
 
 def test_scan_records_errors_inline():
-    res = scan([0.01, 0.05], DEFAULT_PARAMS, mode="paper")
+    # past E/V_max = 4.01e4 a 2F1 series overflows
+    v = barrier_top(DEFAULT_PARAMS)
+    res = scan([1e5 * v, 2e5 * v], DEFAULT_PARAMS)
     assert sorted(res.errors) == [0, 1]
-    assert all(isinstance(exc, SingularMatchingError) for exc in res.errors.values())
+    assert all(isinstance(exc, NoConvergenceError) for exc in res.errors.values())
     for name in ("r_amp", "t_amp", "R", "T", "unitarity_residual"):
         assert np.isnan(getattr(res, name)).all(), name
 
@@ -278,12 +270,6 @@ def test_scan_records_errors_inline():
 def test_scan_rejects_bad_grids(grid):
     with pytest.raises(ValueError):
         scan(grid, DEFAULT_PARAMS)
-
-
-def test_solve_rejects_unknown_mode():
-    mc = match_coefficients(0.05, DEFAULT_PARAMS)
-    with pytest.raises(ValueError):
-        solve_amplitudes(mc, mode="literal")
 
 
 def test_amplitudes_reconstruct_rt():
