@@ -18,6 +18,10 @@ per v0 in {1.15, 1.25, 1.35}, with a transmission survey on stdout).
 the command-line flags.  Exit codes: 0 success, 1 usage error, 2 numerical
 failure or tolerance breach.
 
+``_scan_rows`` makes the rows of scatter and verify: the closed-form scan
+and, with the oracle, one ``default_config`` call (one domain and step budget
+for every energy the scan did not fail) and one ``integrate_scatter`` call.
+
 ``main`` may be called repeatedly in one process (scripts, notebooks, a
 benchmark loop): the parser is built on the first call, not at import,
 and reused by every later call.
@@ -35,12 +39,12 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-# potential_fn, default_config and integrate_scatter (called with cfg as its
-# 4th positional argument) stay names of this module: benchmarks/worker.py
-# wraps them here
+# potential_fn, default_config and integrate_scatter stay names of this
+# module: benchmarks/worker.py wraps them here, and reads the step count of
+# an integrate_scatter call from args[3].x_max and args[3].step, so cfg
+# stays its 4th positional argument
 from .model import BarrierParams, barrier_top, potential as potential_fn
-from .oracle import (IntegrationConfig, OracleError, _default_step, default_config,
-                     integrate_scatter)
+from .oracle import OracleError, default_config, integrate_scatter
 from .reference import DEFAULT_PARAMS, TABLE1
 # compute_rt and scan stay names of this module: benchmarks/worker.py wraps them
 from .scatter import ScatteringResult, compute_rt, scan  # noqa: F401
@@ -52,9 +56,6 @@ __all__ = ["RunConfig", "main"]
 _DT_TOL = 1e-6
 _DR_TOL = 1e-6
 _UNITARITY_TOL = 1e-9
-
-_SCATTER_HEADER = "E,E_over_Vmax,T,R,unitarity_residual"
-_SCATTER_HEADER_ORACLE = _SCATTER_HEADER + ",T_oracle,R_oracle,delta_T"
 
 
 class _UsageError(Exception):
@@ -217,10 +218,9 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
         presets.add_argument(f"--{name}", dest="preset", action="store_const",
                              const=name, help=preset.help)
     sub.add_argument("--oracle-step", dest="oracle_step", type=float,
-                     help="override the oracle step budget: its graded grid takes "
-                          "at most ceil(2 x_max / ORACLE_STEP) steps")
-    sub.add_argument("--oracle-xmax", dest="oracle_xmax", type=float,
-                     help="override the oracle half-domain")
+                     help="override the step budget of the scan's one oracle "
+                          "config: its graded grid takes at most "
+                          "ceil(2 x_max / ORACLE_STEP) steps")
 
 
 @functools.cache
@@ -389,67 +389,46 @@ def _cmd_potential(args) -> int:
 # scatter command
 # ----------------------------------------------------------------------------
 
-def _oracle_config(E: float, params: BarrierParams, args) -> IntegrationConfig:
-    seed = max(40.0 / params.a, 10.0 * params.x_e)
-    if args.oracle_step is None and args.oracle_xmax is None:
-        return default_config(E, lambda x: potential_fn(x, params),
-                              m=params.m, x_max_seed=seed)
-    x_max = args.oracle_xmax if args.oracle_xmax is not None else seed
-    step = (args.oracle_step if args.oracle_step is not None
-            else _default_step(E, params.m))
-    try:
-        return IntegrationConfig(x_max=x_max, step=step)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _message(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _oracle_runs(res: ScatteringResult, params: BarrierParams, args):
     """Oracle T and R at each energy of the scan ``res`` that did not fail
-    (nan elsewhere), and the OracleError of each failed one by index: one
-    integrate_scatter call per domain x_max shared, with the smallest step
-    of its energies (the grid is graded for the call's highest energy)."""
-    energies = res.E.tolist()
-    T, R = np.full((2, len(energies)), math.nan)
-    errors: dict[int, OracleError] = {}
-    groups: dict[float, tuple[IntegrationConfig, list[int]]] = {}
-    for i, E in enumerate(energies):
-        if i in res.errors:
-            continue
-        try:
-            cfg = _oracle_config(E, params, args)
-        except OracleError as exc:
-            errors[i] = exc
-            continue
-        shared, idx = groups.setdefault(cfg.x_max, (cfg, []))
-        idx.append(i)
-        if cfg.step < shared.step:
-            groups[cfg.x_max] = (cfg, idx)
-    for cfg, idx in groups.values():
-        orc = integrate_scatter(res.E[idx], lambda x: potential_fn(x, params), params.m, cfg)
-        T[idx], R[idx] = orc.T, orc.R
-        errors.update((i, orc.errors[j]) for j, i in enumerate(idx) if j in orc.errors)
-    return T, R, errors
+    (nan elsewhere), and the OracleError of each failed one by index, from
+    one default_config call for them all and one integrate_scatter call."""
+    T, R = np.full((2, res.E.size), math.nan)
+    ok = [i for i in range(res.E.size) if i not in res.errors]
+    if not ok:
+        return T, R, {}
+    v = lambda x: potential_fn(x, params)  # noqa: E731
+    try:
+        cfg = default_config(res.E[ok], v, m=params.m,
+                             x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    except OracleError as exc:
+        return T, R, dict.fromkeys(ok, exc)
+    try:
+        cfg = replace(cfg, step=cfg.step if args.oracle_step is None else args.oracle_step)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    orc = integrate_scatter(res.E[ok], v, params.m, cfg)
+    T[ok], R[ok] = orc.T, orc.R
+    return T, R, {ok[j]: exc for j, exc in orc.errors.items()}
 
 
 def _scan_rows(config: RunConfig, args):
-    """Run one scan; returns (rows, errors) with nan-filled failed rows and
-    (E, message) for each failure, in grid order."""
+    """Run one scan.  Returns its named columns, nan at a failed energy, and
+    (stage, "<error type>: <message>") by index of each failed energy, in
+    grid order, where the stage is "analytic" or "oracle"."""
     params = config.params
     v_max = barrier_top(params)
     res = scan(config.energies(), params)
-    e_over = res.E / v_max if v_max > 0 else np.full(res.E.shape, math.inf)
-    columns = [res.E, e_over, res.T, res.R, res.unitarity_residual]
-    errors = dict(res.errors)
+    columns = {"E": res.E,
+               "E_over_Vmax": res.E / v_max if v_max > 0 else np.full(res.E.shape, math.inf),
+               "T": res.T, "R": res.R, "unitarity_residual": res.unitarity_residual}
+    failures = {i: ("analytic", exc) for i, exc in res.errors.items()}
     if config.oracle_enabled:
         T, R, oracle_errors = _oracle_runs(res, params, args)
-        columns += [T, R, np.abs(res.T - T)]
-        errors.update(oracle_errors)
-    rows = list(zip(*(column.tolist() for column in columns)))
-    return rows, [(rows[i][0], _message(errors[i])) for i in sorted(errors)]
+        columns.update(T_oracle=T, R_oracle=R, delta_T=np.abs(res.T - T))
+        failures.update((i, ("oracle", exc)) for i, exc in oracle_errors.items())
+    return columns, {i: (stage, f"{type(exc).__name__}: {exc}")
+                     for i, (stage, exc) in sorted(failures.items())}
 
 
 def _survey_line(tag: str, config: RunConfig, rows) -> str:
@@ -470,21 +449,18 @@ def _cmd_scatter(args) -> int:
     preset = _PRESETS.get(args.preset, _NO_PRESET)
     runs = [(tag, _run_config(args, variant))
             for tag, variant in _variants(args, preset.v0s)]
-    any_errors = False
-    survey = []
+    any_errors, survey = False, []
     for tag, config in runs:
-        header = _SCATTER_HEADER_ORACLE if config.oracle_enabled else _SCATTER_HEADER
-        rows, errors = _scan_rows(config, args)
-        any_errors = any_errors or bool(errors)
-        for E, message in errors:
-            print(f"dengfan scatter: E={E:g}: {message}", file=sys.stderr)
-        _write(args, tag, header.split(","), rows, config)
+        columns, failures = _scan_rows(config, args)
+        any_errors = any_errors or bool(failures)
+        for i, (_, message) in failures.items():
+            print(f"dengfan scatter: E={columns['E'][i]:g}: {message}", file=sys.stderr)
+        rows = list(zip(*(column.tolist() for column in columns.values())))
+        _write(args, tag, list(columns), rows, config)
         if preset.survey:
             survey.append(_survey_line(tag or "run", config, rows))
     if preset.survey:
-        print(preset.survey)
-        for line in survey:
-            print(line)
+        print("\n".join([preset.survey] + survey))
     return 2 if any_errors else 0
 
 
@@ -502,20 +478,16 @@ def _cmd_verify(args) -> int:
     print(f"corrected matching reproduces Table 1: max deviation {worst:.3g}")
     print()
 
-    energies = config.energies()
-    res = scan(energies, config.params)
-    t_orc, r_orc, oracle_errors = _oracle_runs(res, config.params, args)
+    columns, failures = _scan_rows(replace(config, oracle_enabled=True), args)
     max_dt = max_rel_dt = max_dr = max_uni = 0.0
     offenders: list[tuple[float, str]] = []
-    for i, (E, T, R, uni, t_o, r_o) in enumerate(zip(
-            *(column.tolist() for column in (res.E, res.T, res.R, res.unitarity_residual,
-                                             t_orc, r_orc)))):
-        if i in res.errors:
-            offenders.append((E, f"analytic: {_message(res.errors[i])}"))
-            continue
-        max_uni = max(max_uni, uni)
-        if i in oracle_errors:
-            offenders.append((E, f"oracle: {_message(oracle_errors[i])}"))
+    for i, (E, T, R, uni, t_o, r_o) in enumerate(zip(*(columns[key].tolist() for key in (
+            "E", "T", "R", "unitarity_residual", "T_oracle", "R_oracle")))):
+        stage, message = failures.get(i, ("", ""))
+        if stage != "analytic":
+            max_uni = max(max_uni, uni)
+        if stage:
+            offenders.append((E, f"{stage}: {message}"))
             continue
         dt, dr = abs(T - t_o), abs(R - r_o)
         max_dt, max_dr = max(max_dt, dt), max(max_dr, dr)
@@ -525,7 +497,7 @@ def _cmd_verify(args) -> int:
         if uni > _UNITARITY_TOL:
             offenders.append((E, f"unitarity residual {uni:.3g}"))
 
-    print(f"analytic vs oracle over {len(energies)} energies:")
+    print(f"analytic vs oracle over {len(columns['E'])} energies:")
     print(f"  max |T_analytic - T_oracle| = {max_dt:.3g}   (tol {_DT_TOL:g})")
     print(f"  max |dT| / T_analytic       = {max_rel_dt:.3g}")
     print(f"  max |R_analytic - R_oracle| = {max_dr:.3g}   (tol {_DR_TOL:g})")

@@ -14,9 +14,10 @@ shares of its integral of sqrt(|w_top| + k_top^2), w_top = 2m(V - E_top),
 k_top^2 = 2m E_top, E_top the call's highest energy, from a pilot sampling
 of V: a step is about _C0 / sqrt(|w| + k^2) long.  ``IntegrationConfig.step``
 is a budget: a half takes at most half of ceil(2 x_max / step) steps, the
-count of a uniform grid of that step.  The right half ends on V(0) and the
-left half starts on V(0-), the potential at nextafter(0, -1), so the order
-holds across a jump at x = 0 (q != q_tilde in this package's barriers).
+count of a uniform grid of that step.  The right half ends on V(0+) and
+the left half starts on V(0-), the potential at nextafter(0, +-1), so the
+order holds across a jump at x = 0 (q != q_tilde in this package's
+barriers) whichever side's limit V(0) itself is.
 That is the only jump handled: elsewhere one costs an order unless it falls
 on a node, as it does where the density, and so the grid, is uniform.
 
@@ -105,17 +106,21 @@ class OracleResult:
     errors: dict = field(default_factory=dict, repr=False)
 
 
-def default_config(E: float, potential: Potential, m: float = 1.0,
+def default_config(E: float | np.ndarray, potential: Potential, m: float = 1.0,
                    x_max_seed: float = 20.0) -> IntegrationConfig:
-    """Pick a domain and step budget for the given energy and potential.
+    """Pick one domain and step budget for the energies ``E`` (one energy or
+    a 1-D array of them) and the potential.
 
     The half-width starts at ``x_max_seed`` and doubles until
-    |V(+-x_max)| <= 1e-12 * max(E, 1); the step, min(0.001, 0.02/k), caps
-    the graded grid at the step count of a uniform grid of that step.
+    |V(+-x_max)| <= 1e-12 * max(E, 1) at the lowest energy, whose bound is
+    the tightest; the step, min(0.001, 0.02/k) at the highest energy, the
+    smallest, caps the graded grid at the step count of a uniform grid of
+    that step.
     """
-    if not (math.isfinite(E) and E > 0):
+    es = np.array(E, dtype=float, ndmin=1)
+    if es.ndim != 1 or es.size == 0 or not np.all((es > 0.0) & (es < np.inf)):
         raise ValueError(f"E must be > 0, got {E!r}")
-    bound = _DECAY_TOL * max(E, 1.0)
+    bound = _DECAY_TOL * max(float(es.min()), 1.0)
     x_max = float(x_max_seed)
     for _ in range(26):
         edge = float(np.max(np.abs(_eval_potential(potential, np.array([-x_max, x_max])))))
@@ -125,11 +130,8 @@ def default_config(E: float, potential: Potential, m: float = 1.0,
     else:
         raise BoundaryNotDecayedError(
             f"|V| still {edge:g} at x = +-{x_max:g}; potential does not decay")
-    return IntegrationConfig(x_max=x_max, step=_default_step(E, m))
-
-
-def _default_step(E: float, m: float) -> float:
-    return min(1e-3, 0.02 / math.sqrt(2.0 * m * E))
+    return IntegrationConfig(x_max=x_max,
+                             step=min(1e-3, 0.02 / math.sqrt(2.0 * m * float(es.max()))))
 
 
 def plane_wave_decompose(psi: complex, dpsi: complex, k: float,
@@ -172,8 +174,8 @@ def _grid(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float):
         nodes = np.interp(q[::-1], acc, s) if sign > 0 else -np.interp(q, acc, s)
         x = np.empty(2 * n + 1)
         x[0::2], x[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
-        if sign < 0:
-            x[0] = np.nextafter(0.0, -1.0)  # the left limit V(0-) at the seam
+        # the seam's node takes the limit from its own side, V(0+) or V(0-)
+        x[-1 if sign > 0 else 0] = np.nextafter(0.0, sign)
         h = np.diff(nodes)
         c = np.empty((6, n))  # one block: on six separate arrays the march ran 1.5x slower
         c[0], c[5] = h, h * h

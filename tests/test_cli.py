@@ -1,13 +1,14 @@
 import json
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import dengfan.cli
-from dengfan import (DEFAULT_PARAMS, TABLE1, barrier_top, default_config,
-                     integrate_scatter, potential)
+from dengfan import (DEFAULT_PARAMS, TABLE1, BoundaryNotDecayedError, barrier_top,
+                     default_config, integrate_scatter, potential)
 from dengfan.cli import RunConfig, _json_text, build_parser, config_from_dict, main
 
 EXPECTED_HEADER = "E,E_over_Vmax,T,R,unitarity_residual"
@@ -112,29 +113,108 @@ def test_scatter_oracle_columns(capsys):
         assert cols[7] <= 1e-6                 # delta_T
 
 
-def test_oracle_one_call_per_domain(monkeypatch, capsys):
-    # every energy above 200 (m = 1) has its own default step; the energies
-    # share a domain, so one call marches them all with the highest's step
+def test_oracle_one_config_and_one_call_per_scan(tmp_path, monkeypatch, capsys):
+    # every energy above 200 (m = 1) has its own default step: the scan's
+    # one config takes the highest energy's, and one call marches them all
     calls = []
 
-    def counted(E, v, m, cfg):
-        calls.append((len(E), cfg))
+    def config(E, *args, **kwargs):
+        calls.append(("config", np.asarray(E).tolist()))
+        return default_config(E, *args, **kwargs)
+
+    def march(E, v, m, cfg):
+        calls.append(("march", np.asarray(E).tolist(), cfg))
         return integrate_scatter(E, v, m, cfg)
 
-    monkeypatch.setattr(dengfan.cli, "integrate_scatter", counted)
+    monkeypatch.setattr(dengfan.cli, "default_config", config)
+    monkeypatch.setattr(dengfan.cli, "integrate_scatter", march)
     code, out, _ = run(["scatter", "--emin", "300", "--emax", "600", "--n", "8",
                         "--oracle", "--format", "json"], capsys)
     assert code == 0
-    [(lanes, cfg)] = calls
+    energies = np.linspace(300.0, 600.0, 8).tolist()
+    [config, (march, lanes, cfg)] = calls
+    assert config == ("config", energies)
+    assert (march, lanes) == ("march", energies)
     v = lambda x: potential(x, DEFAULT_PARAMS)  # noqa: E731
     seed = max(40.0 / DEFAULT_PARAMS.a, 10.0 * DEFAULT_PARAMS.x_e)
-    assert lanes == 8
     assert cfg == default_config(600.0, v, x_max_seed=seed)
     alone = integrate_scatter(np.array([600.0]), v, 1.0, cfg)
     row = json.loads(out)["rows"][-1]
     assert row["E"] == 600.0
     assert row["T_oracle"] == alone.T[0]
     assert row["delta_T"] <= 1e-6
+    # verify's one scan with the oracle, and one scan per --q value
+    for argv, scans in ((["verify", "--n", "3"], 1),
+                        (["scatter", "--table1", "--oracle", "--q", "0.6", "0.7",
+                          "--out", str(tmp_path / "t1")], 2)):
+        calls.clear()
+        assert run(argv, capsys)[0] == 0
+        assert [call[0] for call in calls] == ["config", "march"] * scans
+
+
+# ---------------------------------------------------------------------------
+# failures, by stage
+# ---------------------------------------------------------------------------
+
+# past the upper energy edge every 2F1 lane fails with NoConvergenceError
+PAST_EDGE = ["--emin", "3e6", "--emax", "6e6", "--n", "3"]
+PAST_EDGE_E = ("3e+06", "4.5e+06", "6e+06")
+
+
+def test_scatter_failures_exit_2_with_nan_rows(capsys):
+    # one stderr line per failed energy, in the layout benchmarks/run.py
+    # parses: "dengfan scatter: E=<E>: <Type>: <message>"
+    code, out, err = run(["scatter", "--oracle"] + PAST_EDGE, capsys)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for line, E in zip(lines, PAST_EDGE_E):
+        assert re.fullmatch(rf"dengfan scatter: E={re.escape(E)}: NoConvergenceError: .+", line)
+    for row in out.splitlines()[1:]:
+        assert row.split(",")[2:] == ["nan"] * 6
+
+
+def test_verify_reports_analytic_failures(capsys):
+    code, out, _ = run(["verify"] + PAST_EDGE, capsys)
+    assert code == 2
+    assert "max unitarity residual      = 0   (tol 1e-09)" in out
+    for E in PAST_EDGE_E:
+        assert f"\n  E = {E}: analytic: NoConvergenceError: 2F1 " in out
+    assert out.endswith("FAIL\n")
+
+
+def test_verify_reports_oracle_disagreement(monkeypatch, capsys):
+    def shifted(E, v, m, cfg):
+        res = integrate_scatter(E, v, m, cfg)
+        return replace(res, T=res.T + 1e-5)
+
+    monkeypatch.setattr(dengfan.cli, "integrate_scatter", shifted)
+    code, out, _ = run(["verify", "--emin", "0.05", "--emax", "0.1", "--n", "2"], capsys)
+    assert code == 2
+    assert "max |T_analytic - T_oracle| = 1e-05   (tol 1e-06)" in out
+    for E in ("0.05", "0.1"):
+        assert re.search(rf"\n  E = {E}: \|dT\|=1e-05, \|dR\|=\d\.?\d*e-1\d\n", out)
+    assert out.endswith("FAIL\n")
+
+
+def test_failing_oracle_config_fails_every_energy(monkeypatch, capsys):
+    def undecayed(*args, **kwargs):
+        raise BoundaryNotDecayedError("|V| still 1 at x = +-50; potential does not decay")
+
+    monkeypatch.setattr(dengfan.cli, "default_config", undecayed)
+    grid = ["--emin", "0.05", "--emax", "0.1", "--n", "2"]
+    code, out, err = run(["scatter", "--oracle"] + grid, capsys)
+    assert code == 2
+    assert err.splitlines() == [
+        f"dengfan scatter: E={E}: BoundaryNotDecayedError: |V| still 1 at x = +-50; "
+        "potential does not decay" for E in ("0.05", "0.1")]
+    for row in out.splitlines()[1:]:
+        assert row.split(",")[5:] == ["nan"] * 3
+    code, out, _ = run(["verify"] + grid, capsys)
+    assert code == 2
+    for E in ("0.05", "0.1"):
+        assert f"\n  E = {E}: oracle: BoundaryNotDecayedError: |V| still 1" in out
+    assert out.endswith("FAIL\n")
 
 
 def test_scatter_fig3_preset_reaches_high_transmission(capsys):
@@ -217,6 +297,8 @@ def test_config_file_q_sets_q_tilde(params, q_tilde, tmp_path, capsys):
     ["verify", "--oracle"],
     ["verify", "--format", "json"],
     ["verify", "--out", "report.txt"],
+    # one oracle domain per scan, chosen by the oracle
+    ["verify", "--oracle-xmax", "60"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, _, err = run(argv, capsys)

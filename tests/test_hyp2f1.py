@@ -173,7 +173,7 @@ def test_connection_fallback_matches_series(monkeypatch):
     assert calls == []
 
 
-def test_against_bruteforce_reference():
+def test_against_bruteforce_reference(monkeypatch):
     rng = np.random.default_rng(20)
     for _ in range(20):
         a, b, c = _draw_abc(rng)
@@ -181,6 +181,17 @@ def test_against_bruteforce_reference():
         got = f21(a, b, c, z)
         ref = hyp2f1_bruteforce(a, b, c, z)
         assert got == pytest.approx(ref, rel=5e-13)
+    # c - b = -1 exactly: the connection's 1/Gamma(c - b) is a denominator
+    # pole of _lngammas, so that term is 0.  F and F' come out 1.9e-15 and
+    # 1.7e-15 off
+    calls = connection_calls(monkeypatch)
+    a, b, c, z = 0.25, 2.5, 1.5, 0.85
+    values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
+    assert not errors and calls
+    ref = hyp2f1_bruteforce(a, b, c, z)
+    dref = a * b / c * hyp2f1_bruteforce(a + 1, b + 1, c + 1, z)
+    assert abs(values[0] - ref) <= 1e-13 * abs(ref)
+    assert abs(derivs[0] - dref) <= 1e-13 * abs(dref)
 
 
 # ---------------------------------------------------------------------------

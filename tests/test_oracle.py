@@ -132,7 +132,7 @@ def _oracle_rel_errors(params, energies):
     # relative T error of one oracle call against the closed form, on the
     # domain and step the CLI picks, and the call's step count
     pot = lambda x: potential(x, params)
-    cfg = default_config(min(energies), pot, params.m,
+    cfg = default_config(np.array(energies), pot, params.m,
                          x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
     res = integrate_scatter(np.array(energies), pot, params.m, cfg)
     assert res.errors == {}
@@ -185,16 +185,31 @@ def test_tall_barrier_against_reference(q, q_tilde):
 
 @pytest.mark.parametrize("q_tilde", [0.55, 0.9])
 def test_halves_meet_at_x_zero(q_tilde):
-    # the right half ends on V(0), the x >= 0 branch; the left half starts
-    # on the left limit V(0-), which equals it when the sides mirror
+    # the right half ends on the right limit V(0+), which is V(0) on these
+    # barriers; the left half starts on the left limit V(0-), which equals
+    # it when the sides mirror
     params = BarrierParams(q=0.9, q_tilde=q_tilde)
     pot = lambda x: potential(x, params)
     (vr, cr), (vl, cl) = _grid(pot, 1.0, IntegrationConfig(x_max=50.0, step=1e-3), 0.1)
-    assert vr[-1] == potential(0.0, params)
+    assert vr[-1] == potential(np.nextafter(0.0, 1.0), params) == potential(0.0, params)
     assert vl[0] == potential(np.nextafter(0.0, -1.0), params)
     assert (vl[0] == vr[-1]) == (q_tilde == params.q)
     for c in (cr, cl):
         assert np.all(c[0] < 0.0) and math.isclose(c[0].sum(), -50.0, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("q, q_tilde, E", [(0.9, 0.55, 0.3), (0.99, 0.5, 0.05),
+                                           (0.8, 0.7, 0.05)])
+def test_mirrored_barrier_transmits_alike(q, q_tilde, E):
+    # T is the same from either side.  V(-x) takes its left branch at x = 0,
+    # so a right half ending on V(0) instead of V(0+) was first order there
+    # and missed the unmirrored T by 7.5e-4, 1.1e-3 and 3.9e-4
+    params = BarrierParams(q=q, q_tilde=q_tilde)
+    pot = lambda x: potential(x, params)
+    cfg = default_config(E, pot, params.m, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    T = integrate_scatter(E, pot, params.m, cfg).T
+    mirrored = integrate_scatter(E, lambda x: pot(-x), params.m, cfg).T
+    assert mirrored == pytest.approx(T, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +286,19 @@ def test_default_config_doubles_until_decay():
     cfg = default_config(1.0, slow, m=1.0, x_max_seed=20.0)
     assert cfg.x_max == 640.0  # 20 * 2^5 is the first width with |V| <= 1e-12
     assert cfg.step == min(1e-3, 0.02 / math.sqrt(2.0))
+
+
+def test_default_config_for_energies():
+    # one config for them all: the lowest energy's decay bound, the
+    # tightest, sets the domain, and the highest energy's step, the
+    # smallest, the budget
+    slow = lambda x: np.exp(-np.abs(np.asarray(x, float)) / 20.0)
+    assert default_config(1e6, slow, m=1.0).x_max == 320.0
+    cfg = default_config(np.array([4.0, 0.5, 1e6]), slow, m=1.0)
+    assert cfg == IntegrationConfig(x_max=640.0, step=0.02 / math.sqrt(2e6))
+    for bad in ([], [0.5, 0.0], [0.5, math.inf], [[0.5]]):
+        with pytest.raises(ValueError):
+            default_config(np.array(bad), slow)
 
 
 def test_default_config_gives_up_on_nondecaying_potential():
