@@ -5,8 +5,7 @@ plus an independent ODE-integration oracle.
 
 from .hyp2f1 import (GammaPoleError, Hyp2F1Error, Hyp2F1Request, NoConvergenceError,
                      PoleAtCError, gauss_2f1, gauss_2f1_lanes, lngamma_complex)
-from .model import (BarrierParams, SideCoefficients, barrier_top, compute_b,
-                    potential, side_coefficients)
+from .model import BarrierParams, SideCoefficients, barrier_top, potential, side_coefficients
 from .oracle import (BoundaryNotDecayedError, IntegrationConfig, OracleError,
                      OracleResult, StepTooCoarseError, default_config,
                      integrate_scatter, plane_wave_decompose)
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierParams",
     "SideCoefficients",
-    "compute_b",
     "potential",
     "barrier_top",
     "side_coefficients",

@@ -25,13 +25,11 @@ from typing import Literal, Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-Side = Literal["left", "right"]
 TauBranch = Literal["plus", "minus"]
 
 __all__ = [
     "BarrierParams",
     "SideCoefficients",
-    "compute_b",
     "potential",
     "barrier_top",
     "side_coefficients",
@@ -56,6 +54,11 @@ class BarrierParams:
         Deformation for the region x >= 0, in (0, 1).
     m : float
         Particle mass, > 0.
+
+    The package is checked on the box v0 in [0.05, 2.5], a in [0.5, 1.6],
+    x_e in [0, 1.2], m in [0.5, 1.5], 1 - q and 1 - q_tilde in [1e-3, 0.7]
+    and E/v0 in [1e-6, 1e2].  Energies have an upper edge (``compute_rt``):
+    at the defaults, from E/V_max = 4.01e4 on, a 2F1 series overflows.
     """
 
     v0: float = 1.25
@@ -83,17 +86,14 @@ class BarrierParams:
         if not 0.0 < self.q_tilde < 1.0:
             raise ValueError(f"q_tilde must lie in (0, 1), got {self.q_tilde}")
 
+
 @dataclass
 class SideCoefficients:
     """Every scalar feeding one region's hypergeometric solution, field by
     field over a 1-D array (a lane) of energies; epsilon and tau do not
-    depend on E and are floats.
+    depend on E and are floats.  For the right region the chi values play
+    the role that chi4 and chi6 play in the left one, in the same slots."""
 
-    For the right region the chi values play the role that chi4 and chi6
-    play in the left region; they are stored in the same slots.
-    """
-
-    side: Side
     E: NDArray
     k: NDArray
     chi1: NDArray
@@ -106,17 +106,9 @@ class SideCoefficients:
     gamma: NDArray
 
 
-def _check_side(side: str) -> None:
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def compute_b(params: BarrierParams) -> float:
-    """Shape constant b = exp(a*x_e) - q.
-
-    Both regions share this value; it is always built from q, not q_tilde,
-    even for asymmetric deformations.
-    """
+def _compute_b(params: BarrierParams) -> float:
+    """Shape constant b = exp(a*x_e) - q, shared by both regions: always
+    built from q, never q_tilde."""
     return math.exp(params.a * params.x_e) - params.q
 
 
@@ -127,7 +119,7 @@ def potential(x: Union[float, ArrayLike], params: BarrierParams) -> Union[float,
     the result is an even function of x.  The denominator e^{a|x|} - q is
     bounded below by 1 - q > 0, so the expression is finite everywhere.
     """
-    b = compute_b(params)
+    b = _compute_b(params)
     xs = np.asarray(x, dtype=float)
     qq = np.where(xs < 0, params.q, params.q_tilde)
     # 1/(e^{a|x|} - q) = t/(1 - q t) with t = e^{-a|x|}; t underflows to 0
@@ -148,14 +140,15 @@ def barrier_top(params: BarrierParams) -> float:
 def side_coefficients(
     E,
     params: BarrierParams,
-    side: Side = "left",
     tau_branch: TauBranch = "plus",
-) -> SideCoefficients:
-    """Derive the per-region scalars for scattering energies E > 0.
+) -> tuple[SideCoefficients, SideCoefficients]:
+    """Derive the per-region scalars for scattering energies E > 0, as
+    (left, right); ``right is left`` when q == q_tilde.
 
     E is one energy or a 1-D array of them; one energy is a lane of one,
-    so every field that depends on E is a 1-D array.  chi1 is recovered by
-    negating the combination
+    so every field that depends on E is a 1-D array, and E, k, chi3, sigma
+    and gamma, which do not depend on the side, are shared by both sides.
+    chi1 is recovered by negating the combination
 
         -chi1 = -2mE/a^2 + 2mV0 b^2/(a^2 q^2) + 4mV0 b/(a^2 q)
 
@@ -174,7 +167,6 @@ def side_coefficients(
     E = np.array(E, dtype=float, ndmin=1, copy=None)
     if np.count_nonzero((E > 0.0) & (E < math.inf)) < E.size:
         raise ValueError(f"scattering requires finite E > 0, got {E}")
-    _check_side(side)
     if tau_branch not in ("plus", "minus"):
         raise ValueError(f"tau_branch must be 'plus' or 'minus', got {tau_branch!r}")
 
@@ -184,15 +176,18 @@ def side_coefficients(
     sigma = k * (1j / params.a)
     # 1 + 2*sigma, bit for bit (sigma is imaginary, so doubling is exact)
     gamma = 1.0 + k * (2j / params.a)
-    return _on_side((E, k, chi3, sigma, gamma), params, side, tau_branch)
+    lane = (E, k, chi3, sigma, gamma)
+    left = _on_side(lane, params, params.q, tau_branch)
+    if params.q == params.q_tilde:
+        return left, left
+    return left, _on_side(lane, params, params.q_tilde, tau_branch)
 
 
-def _on_side(lane, params: BarrierParams, side: Side, tau_branch: TauBranch) -> SideCoefficients:
-    """``side_coefficients`` from the fields that do not depend on the side,
-    lane = (E, k, chi3, sigma, gamma), which the two sides share."""
+def _on_side(lane, params: BarrierParams, qs: float, tau_branch: TauBranch) -> SideCoefficients:
+    """One side's ``SideCoefficients``, deformation qs, from the fields
+    lane = (E, k, chi3, sigma, gamma) that the two sides share."""
     E, k, chi3, sigma, gamma = lane
-    qs = params.q if side == "left" else params.q_tilde
-    b = compute_b(params)
+    b = _compute_b(params)
     a2 = params.a * params.a
     two_m = 2.0 * params.m
 
@@ -207,6 +202,5 @@ def _on_side(lane, params: BarrierParams, side: Side, tau_branch: TauBranch) -> 
     shifted = sigma + tau
     alpha = shifted - root
     beta = shifted + root
-    return SideCoefficients(side=side, E=E, k=k, chi1=chi1, chi3=chi3,
-                            epsilon=epsilon, sigma=sigma, tau=tau, alpha=alpha,
-                            beta=beta, gamma=gamma)
+    return SideCoefficients(E=E, k=k, chi1=chi1, chi3=chi3, epsilon=epsilon, sigma=sigma,
+                            tau=tau, alpha=alpha, beta=beta, gamma=gamma)

@@ -70,7 +70,7 @@ class BoundaryNotDecayedError(OracleError):
 
 
 class StepTooCoarseError(OracleError):
-    """Flux residual after integration exceeds 1e-6; reduce the step."""
+    """Flux residual after integration exceeds 1e-6; reduce the step budget."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     for i, e in enumerate(energies):
         if boundary > _DECAY_TOL * max(e, 1.0):
             errors[i] = BoundaryNotDecayedError(
-                f"|V(+-{L:g})| = {boundary:g} exceeds decay_tol*max(E,1) = "
+                f"|V(+-{L:g})| = {boundary:g} exceeds {_DECAY_TOL:g}*max(E,1) = "
                 f"{_DECAY_TOL * max(e, 1.0):g}; enlarge x_max")
     lanes = [i for i in range(es.size) if i not in errors]
     R, T, flux = np.full((3, es.size), math.nan)
@@ -261,7 +261,8 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
             else:
                 errors[i] = StepTooCoarseError(
                     f"flux residual {residual:g} exceeds {_FLUX_TOL:g} at E={energies[i]} "
-                    f"(step={cfg.step}); reduce the step")
+                    f"(step={cfg.step}); reduce the step budget "
+                    "(IntegrationConfig.step, --oracle-step)")
     n_steps = sum(c.shape[1] for _, c in halves)
     if np.ndim(E) == 0:
         if errors:

@@ -3,17 +3,11 @@
 In each region the wave function is a combination of hypergeometric basis
 solutions; gluing them at x = 0 (continuity of psi and of dpsi/dx) fixes the
 reflected and transmitted amplitudes relative to the incident one.  The
-matching data is condensed into
-
-    rho1 = q, rho3 = q_tilde,
-    zeta1..zeta3  (the hypergeometric factors of the three basis functions
-                   at y = rho1, rho1, rho3),
-    dzeta1..dzeta3  (their y-derivatives),
-    c1..c6  (the assembled matching coefficients),
-
-from which a 2x2 linear system yields A2/A1 and A4/A1 and then
-R = |A2/A1|^2, T = |A4/A1|^2 (the asymptotic wave number is the same on both
-sides, so no flux-ratio factor appears).
+matching data is rho1 = q, rho3 = q_tilde and c1..c6, the three basis
+functions at y = rho1, rho1, rho3 and their y-derivatives, from which a 2x2
+linear system yields A2/A1 and A4/A1 and then R = |A2/A1|^2, T = |A4/A1|^2
+(the asymptotic wave number is the same on both sides, so no flux-ratio
+factor appears).
 
 Every layer from ``side_coefficients`` to ``solve_amplitudes`` works on a
 lane, a 1-D array of energies, and records a failed energy's error under
@@ -40,7 +34,7 @@ import numpy as np
 
 # gauss_2f1 stays a name of this module: benchmarks/worker.py wraps it here
 from .hyp2f1 import gauss_2f1, gauss_2f1_lanes  # noqa: F401
-from .model import BarrierParams, TauBranch, _on_side, side_coefficients
+from .model import BarrierParams, TauBranch, side_coefficients
 
 __all__ = [
     "MatchCoefficients",
@@ -64,21 +58,14 @@ _COLUMNS = ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual")
 class MatchCoefficients:
     """All quantities entering the x = 0 matching system, field by field
     over a lane of energies.  ``errors`` maps the index of a failed energy
-    to its error; its fields there are nan.  zeta_r and dzeta_r are the 2F1
-    factor of basis function r at x = 0 and its y-derivative, c_r and
-    c_{r+3} the function's value and y-derivative: r = 1, 2 are the left
+    to its error; its fields there are nan.  c_r and c_{r+3} are basis
+    function r's value and y-derivative at x = 0: r = 1, 2 are the left
     y^{+sigma} and y^{-sigma} functions, r = 3 the right y^{-sigma} one.
     sigma = ik/a is the left side's, for the exact transmission numerator."""
 
     E: np.ndarray
     rho1: float
     rho3: float
-    zeta1: np.ndarray
-    zeta2: np.ndarray
-    zeta3: np.ndarray
-    dzeta1: np.ndarray
-    dzeta2: np.ndarray
-    dzeta3: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
@@ -115,18 +102,16 @@ def match_coefficients(
 
     ``tau_branch`` selects the basis, one choice for both sides; R and T
     do not depend on it.  One ``gauss_2f1_lanes`` call gives each 2F1
-    factor and its derivative: one lane per energy (zeta1) when
-    q == q_tilde, two (zeta1, zeta3) otherwise.  The left
-    y^{-sigma} function needs none: for E > 0 sigma is imaginary and tau
-    real, so its (alpha+1-gamma, beta+1-gamma; 2-gamma) is (conj(alpha),
-    conj(beta); conj(gamma)) up to order, and zeta2, dzeta2, c2 and c5 are
-    the conjugates of zeta1, dzeta1, c1 and c4.  An energy's first failing
-    zeta's error is recorded, never raised.
+    factor and its derivative: one lane per energy (the left y^{+sigma}
+    function's) when q == q_tilde, two (and the right one's) otherwise.
+    The left y^{-sigma} function needs none: for E > 0 sigma is imaginary
+    and tau real, so its (alpha+1-gamma, beta+1-gamma; 2-gamma) is
+    (conj(alpha), conj(beta); conj(gamma)) up to order, and c2 and c5 are
+    the conjugates of c1 and c4.  An energy's first failing 2F1 factor's
+    error is recorded, never raised.
     """
-    left = side_coefficients(E, params, "left", tau_branch)
-    mirror = params.q == params.q_tilde
-    right = left if mirror else _on_side((left.E, left.k, left.chi3, left.sigma, left.gamma),
-                                         params, "right", tau_branch)
+    left, right = side_coefficients(E, params, tau_branch)
+    mirror = right is left
     rho1, rho3 = params.q, params.q_tilde
 
     # one row of (a, b, c) per evaluated function: the left y^{+sigma} one,
@@ -139,7 +124,7 @@ def match_coefficients(
         lane[0, 1], lane[1, 1], lane[2, 1] = right.alpha + 1 - gr, right.beta + 1 - gr, 2 - gr
     # per row: y, the sign of sigma in y^{+-sigma}, and tau
     rows = ((rho1, 1.0, left.tau), (rho3, -1.0, right.tau))[:n_rows]
-    # lanes in zeta order: an energy's first failing lane is its first zeta
+    # lanes in row order: an energy's first failing lane is its first factor
     values, derivs, failed = gauss_2f1_lanes(
         *lane.reshape(3, -1), np.repeat([y for y, _, _ in rows], n))
     errors: dict[int, Exception] = {}
@@ -160,9 +145,9 @@ def match_coefficients(
 
     # rows 1, 2, 3: the left y^{+sigma} row, its conjugate (the left
     # y^{-sigma} row) and the right row, which is the second when the sides mirror
-    zv, zd, cv, cd = ((v[0], conj, conj if mirror else v[1])
-                      for v in (zv, zd, cv, cd) for conj in (np.conj(v[0]),))
-    return MatchCoefficients(left.E, rho1, rho3, *zv, *zd, *cv, *cd, sigma, errors)
+    c2, c5 = np.conj(cv[0]), np.conj(cd[0])
+    c3, c6 = (c2, c5) if mirror else (cv[1], cd[1])
+    return MatchCoefficients(left.E, rho1, rho3, cv[0], c2, c3, cd[0], c5, c6, sigma, errors)
 
 
 def solve_amplitudes(mc: MatchCoefficients) -> ScatteringResult:

@@ -33,13 +33,19 @@ def hyp2f1_bruteforce(a, b, c, z, tol="1e-18", max_terms=100_000):
         return complex(total)
 
 
+def load_benchmark_module(name: str):
+    """``benchmarks/<name>.py`` loaded as a module, read only."""
+    path = Path(__file__).parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def reference_transmission(E: float, params: BarrierParams) -> float:
     """T(E) from the benchmark's mpmath reference (``benchmarks/reference.py``,
     which calls nothing in dengfan), accurate far below double rounding."""
-    path = Path(__file__).parents[1] / "benchmarks" / "reference.py"
-    spec = importlib.util.spec_from_file_location("benchmark_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_benchmark_module("reference")
     return module.transmission(E, params.v0, params.a, params.x_e, params.q,
                                params.q_tilde, params.m)
 

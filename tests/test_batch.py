@@ -107,7 +107,7 @@ def _lane_errors(monkeypatch, energies_over_vmax, zs):
     series, F' = (ab/c) F(a+1, b+1; c+1; z).  A lane took the connection
     formula when its value is the one ``_connection`` returned for it."""
     v = barrier_top(DEFAULT_PARAMS)
-    sc = side_coefficients(np.asarray(energies_over_vmax) * v, DEFAULT_PARAMS)
+    sc, _ = side_coefficients(np.asarray(energies_over_vmax) * v, DEFAULT_PARAMS)
     lanes = []
     for al, bl, gl in zip(sc.alpha.tolist(), sc.beta.tolist(), sc.gamma.tolist()):
         for a, b, c in ((al, bl, gl), (al + 1 - gl, bl + 1 - gl, 2 - gl)):
@@ -161,7 +161,7 @@ def test_failing_lane_leaves_batch_unchanged(monkeypatch):
     # move.  Beside them: a pole in c, a degenerate c - a - b = 1 at
     # |z| >= 0.7 (never handed to the connection formula) and |z| < 0.7.
     def family_lanes(E, params):
-        sc = side_coefficients(E, params)
+        sc, _ = side_coefficients(E, params)
         al, bl, gl = sc.alpha[0], sc.beta[0], sc.gamma[0]
         a = [al, al + 1 - gl, al + 1, al + 2 - gl]
         b = [bl, bl + 1 - gl, bl + 1, bl + 2 - gl]

@@ -1,15 +1,19 @@
+import inspect
 import json
 import math
 import re
+import typing
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import dengfan.cli
-from dengfan import (DEFAULT_PARAMS, TABLE1, BoundaryNotDecayedError, barrier_top,
-                     default_config, integrate_scatter, potential)
+from dengfan import (DEFAULT_PARAMS, TABLE1, BoundaryNotDecayedError, IntegrationConfig,
+                     barrier_top, default_config, integrate_scatter, potential)
 from dengfan.cli import RunConfig, _json_text, build_parser, config_from_dict, main
+
+from helpers import load_benchmark_module
 
 EXPECTED_HEADER = "E,E_over_Vmax,T,R,unitarity_residual"
 EXPECTED_HEADER_ORACLE = EXPECTED_HEADER + ",T_oracle,R_oracle,delta_T"
@@ -150,6 +154,28 @@ def test_oracle_one_config_and_one_call_per_scan(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert run(argv, capsys)[0] == 0
         assert [call[0] for call in calls] == ["config", "march"] * scans
+
+
+def test_benchmark_tracer_names_resolve(capsys):
+    # the benchmark's tracer (benchmarks/worker.py) wraps every (module,
+    # attribute) of TRACED and reads each integrate_scatter call's config
+    # as its 4th positional argument, args[3]
+    worker = load_benchmark_module("worker")
+    for module, attr, _ in worker.TRACED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    fourth = list(inspect.signature(integrate_scatter).parameters.values())[3]
+    assert fourth.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert typing.get_type_hints(integrate_scatter)[fourth.name] is IntegrationConfig
+    # a traced oracle scan: the CLI passes the config positionally
+    tracer = worker.Tracer(seed=0)
+    tracer.install()
+    try:
+        code, _, _ = run(["scatter", "--emin", "0.05", "--emax", "0.1", "--n", "2",
+                          "--oracle"], capsys)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.steps > 0 and not tracer.errors
 
 
 # ---------------------------------------------------------------------------

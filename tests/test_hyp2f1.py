@@ -137,7 +137,7 @@ def test_paths_agree_on_production_parameters(monkeypatch):
     # connection formula is tried on each
     rel_tol = 2e-15
     calls = connection_calls(monkeypatch)
-    sc = side_coefficients(np.arange(0.005, 0.1001, 0.005), DEFAULT_PARAMS)
+    sc, _ = side_coefficients(np.arange(0.005, 0.1001, 0.005), DEFAULT_PARAMS)
     for al, be, ga in zip(sc.alpha, sc.beta, sc.gamma):
         families = [
             (al, be, ga),
@@ -302,7 +302,7 @@ def test_series_failure_beside_a_connection_attempt_fails_alone():
     # lane 0 tries the 1-z connection formula; lane 1 (c - a - b = 0) takes
     # the series from the start, summed in the same call as the attempt's
     # two series, and runs out of terms
-    sc = side_coefficients(0.05, DEFAULT_PARAMS)
+    sc, _ = side_coefficients(0.05, DEFAULT_PARAMS)
     a, b, c = sc.alpha[0], sc.beta[0], sc.gamma[0]
     values, derivs, errors = gauss_2f1_lanes([a, 1], [b, 1], [c, 2], [0.8, 0.999])
     assert list(errors) == [1] and isinstance(errors[1], NoConvergenceError)

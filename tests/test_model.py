@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dengfan import (BarrierParams, DEFAULT_PARAMS, barrier_top, compute_b,
-                     potential, side_coefficients)
+from dengfan import BarrierParams, DEFAULT_PARAMS, barrier_top, potential, side_coefficients
+from dengfan.model import _compute_b
 
 from helpers import draw_barrier_params
 
@@ -16,18 +16,18 @@ VMAX_TABLE = 23.864936467480586
 
 
 def test_compute_b_default_params():
-    assert compute_b(DEFAULT_PARAMS) == pytest.approx(B_TABLE, abs=1e-15)
+    assert _compute_b(DEFAULT_PARAMS) == pytest.approx(B_TABLE, abs=1e-15)
 
 
 def test_compute_b_uses_q_not_q_tilde():
     p = BarrierParams(q=0.5, q_tilde=0.8)
-    assert compute_b(p) == pytest.approx(B_Q_HALF, abs=1e-15)
+    assert _compute_b(p) == pytest.approx(B_Q_HALF, abs=1e-15)
 
 
 def test_compute_b_zero_xe_limit():
     # b = 1 - q exactly when x_e = 0; the q -> 0 limit of the formula is 1
     p = BarrierParams(a=1.0, x_e=0.0, q=1e-12, q_tilde=1e-12)
-    assert compute_b(p) == 1.0 - 1e-12
+    assert _compute_b(p) == 1.0 - 1e-12
 
 
 def test_potential_vanishes_at_infinity():
@@ -70,7 +70,7 @@ def test_potential_monotone_beyond_well_minimum():
 
 
 def test_barrier_top_is_peak_on_grid():
-    assert compute_b(DEFAULT_PARAMS) == pytest.approx(B_TABLE, abs=1e-15)
+    assert _compute_b(DEFAULT_PARAMS) == pytest.approx(B_TABLE, abs=1e-15)
     v_max = barrier_top(DEFAULT_PARAMS)
     assert v_max == pytest.approx(VMAX_TABLE, rel=1e-12)
     # x = 0 is the maximum on a grid spanning several potential ranges
@@ -82,7 +82,7 @@ def test_barrier_top_is_peak_on_grid():
 
 def test_side_coefficients_frozen_values():
     # E = 0.02, default parameters, left region (40-digit reference values)
-    sc = side_coefficients(0.02, DEFAULT_PARAMS, "left")
+    sc, _ = side_coefficients(0.02, DEFAULT_PARAMS)
     assert sc.chi3 == pytest.approx(0.0625, abs=1e-15)
     assert sc.chi1 == pytest.approx(-17.983396762507821, rel=1e-13)
     assert sc.epsilon == pytest.approx(-7.338075675545406, rel=1e-13)
@@ -96,11 +96,10 @@ def test_epsilon_is_energy_independent():
     rng = np.random.default_rng(11)
     for _ in range(30):
         p = draw_barrier_params(rng)
-        for side, qs in (("left", p.q), ("right", p.q_tilde)):
-            b = compute_b(p)
-            closed = -2.0 * p.m * p.v0 * b * b / (p.a**2 * qs**2)
-            for E in (1e-4, 0.02, 1.0, 50.0):
-                sc = side_coefficients(E, p, side)
+        b = _compute_b(p)
+        for E in (1e-4, 0.02, 1.0, 50.0):
+            for sc, qs in zip(side_coefficients(E, p), (p.q, p.q_tilde)):
+                closed = -2.0 * p.m * p.v0 * b * b / (p.a**2 * qs**2)
                 assert sc.epsilon == pytest.approx(closed, rel=1e-12)
 
 
@@ -109,22 +108,22 @@ def test_tau_solves_its_quadratic_on_both_branches():
     for _ in range(30):
         p = draw_barrier_params(rng)
         for branch in ("plus", "minus"):
-            sc = side_coefficients(0.37, p, "left", tau_branch=branch)
-            resid = sc.tau**2 - sc.tau + sc.epsilon
-            assert abs(resid) <= 1e-12 * max(1.0, abs(sc.epsilon))
+            for sc in side_coefficients(0.37, p, tau_branch=branch):
+                resid = sc.tau**2 - sc.tau + sc.epsilon
+                assert abs(resid) <= 1e-12 * max(1.0, abs(sc.epsilon))
 
 
 def test_tau_branch_values():
     # epsilon = 0 (v0 = 0) gives the roots 1 and 0
     p = BarrierParams(v0=0.0)
-    assert side_coefficients(0.1, p, tau_branch="plus").tau == 1.0
-    assert side_coefficients(0.1, p, tau_branch="minus").tau == 0.0
+    assert side_coefficients(0.1, p, tau_branch="plus")[0].tau == 1.0
+    assert side_coefficients(0.1, p, tau_branch="minus")[0].tau == 0.0
     # barrier parameters give epsilon < 0, so the plus root exceeds 1
-    assert side_coefficients(0.1, DEFAULT_PARAMS).tau > 1.0
+    assert side_coefficients(0.1, DEFAULT_PARAMS)[0].tau > 1.0
 
 
 def test_gamma_equals_one_plus_two_sigma_exactly():
-    sc = side_coefficients(0.7, DEFAULT_PARAMS)
+    sc, _ = side_coefficients(0.7, DEFAULT_PARAMS)
     assert sc.gamma - 1.0 == 2.0 * sc.sigma
 
 
@@ -132,18 +131,26 @@ def test_alpha_beta_sum_and_product():
     rng = np.random.default_rng(13)
     for _ in range(30):
         p = draw_barrier_params(rng)
-        sc = side_coefficients(0.9, p, "right")
+        _, sc = side_coefficients(0.9, p)
         st = sc.sigma + sc.tau
         assert sc.alpha + sc.beta == pytest.approx(2 * st, rel=1e-12)
         assert sc.alpha * sc.beta == pytest.approx(st * st + sc.chi1, rel=1e-12)
 
 
-def test_sides_identical_for_symmetric_barrier():
-    left = side_coefficients(0.05, DEFAULT_PARAMS, "left")
-    right = side_coefficients(0.05, DEFAULT_PARAMS, "right")
-    for field in ("chi1", "chi3", "epsilon", "sigma", "tau",
-                  "alpha", "beta", "gamma", "k"):
-        assert getattr(left, field) == getattr(right, field)
+@pytest.mark.parametrize("q, q_tilde", [
+    (0.8, 0.8), (0.9, 0.55), (0.55, 0.9), (0.999, 0.999), (0.8, math.nextafter(0.8, 0.0)),
+], ids=["mirror", "asymmetric", "swapped", "opaque-mirror", "one-ulp-apart"])
+def test_right_is_left_exactly_when_q_equals_q_tilde(q, q_tilde):
+    # the sides share every field that does not depend on the deformation;
+    # tau, chi1, alpha and beta are the right side's own when q != q_tilde
+    p = BarrierParams(q=q, q_tilde=q_tilde)
+    left, right = side_coefficients(np.geomspace(1e-3, 5.0, 4), p)
+    assert (right is left) == (q == q_tilde)
+    for field in ("E", "k", "chi3", "sigma", "gamma"):
+        assert getattr(right, field) is getattr(left, field)
+    if q != q_tilde:
+        assert right.tau != left.tau
+        assert not np.any(right.chi1 == left.chi1)
 
 
 def test_deformation_per_side():
@@ -152,8 +159,8 @@ def test_deformation_per_side():
     xs = np.linspace(0.25, 5.0, 20)
     assert np.array_equal(potential(-xs, p), potential(-xs, other))
     assert not np.any(potential(xs, p) == potential(xs, other))
-    assert side_coefficients(0.05, p, "left").tau == side_coefficients(0.05, other, "left").tau
-    assert side_coefficients(0.05, p, "right").tau != side_coefficients(0.05, other, "right").tau
+    assert side_coefficients(0.05, p)[0].tau == side_coefficients(0.05, other)[0].tau
+    assert side_coefficients(0.05, p)[1].tau != side_coefficients(0.05, other)[1].tau
 
 
 @pytest.mark.parametrize("bad", [
@@ -182,7 +189,5 @@ def test_nonpositive_energy_rejected(E):
 
 
 def test_bad_side_and_branch_rejected():
-    with pytest.raises(ValueError):
-        side_coefficients(0.1, DEFAULT_PARAMS, side="middle")
     with pytest.raises(ValueError):
         side_coefficients(0.1, DEFAULT_PARAMS, tau_branch="best")

@@ -259,7 +259,8 @@ def test_unstable_step_raises_cleanly():
     # k*h = 4.5: the explicit march blows up; must surface as
     # StepTooCoarseError, not an arithmetic exception
     cfg = IntegrationConfig(x_max=50.0, step=0.45)
-    with pytest.raises(StepTooCoarseError):
+    budget = r"reduce the step budget \(IntegrationConfig\.step, --oracle-step\)$"
+    with pytest.raises(StepTooCoarseError, match=budget):
         integrate_scatter(50.0, barrier, 1.0, cfg)
 
 
@@ -277,7 +278,8 @@ def test_overflowing_march_raises_cleanly(step):
 def test_boundary_not_decayed_raises():
     flat = lambda x: np.full_like(np.asarray(x, float), 0.5)
     cfg = IntegrationConfig(x_max=20.0, step=0.01)
-    with pytest.raises(BoundaryNotDecayedError):
+    bound = r"^\|V\(\+-20\)\| = 0\.5 exceeds 1e-12\*max\(E,1\) = 1e-12; enlarge x_max$"
+    with pytest.raises(BoundaryNotDecayedError, match=bound):
         integrate_scatter(1.0, flat, 1.0, cfg)
 
 

@@ -24,8 +24,6 @@ def test_rho_values_for_default_params():
 
 def test_symmetric_barrier_collapses_right_onto_left():
     mc = match_coefficients(0.05, DEFAULT_PARAMS)
-    assert mc.zeta3 == mc.zeta2
-    assert mc.dzeta3 == mc.dzeta2
     assert mc.c3 == mc.c2
     assert mc.c6 == mc.c5
 
@@ -36,33 +34,44 @@ _BASES = [(DEFAULT_PARAMS, "plus"), (DEFAULT_PARAMS, "minus"),
 
 
 def _families(E, params, tau_branch):
-    """(a, b, c, y) of zeta1..zeta3 from the side coefficients at one
-    energy, a lane of one."""
-    left = side_coefficients(E, params, "left", tau_branch)
-    right = side_coefficients(E, params, "right", tau_branch)
+    """Per basis function r = 1..3 at one energy (a lane of one): the 2F1
+    parameters (a, b, c) and y, the basis factor y^{s sigma} (1-y)^tau and
+    the coefficient s sigma/y - tau/(1-y) of its y-derivative, where s is
+    the sign of sigma = ik/a in the function."""
+    left, right = side_coefficients(E, params, tau_branch)
     al, bl, gl = left.alpha[0], left.beta[0], left.gamma[0]
     ar, br, gr = right.alpha[0], right.beta[0], right.gamma[0]
-    return {1: (al, bl, gl, params.q),
-            2: (al + 1 - gl, bl + 1 - gl, 2 - gl, params.q),
-            3: (ar + 1 - gr, br + 1 - gr, 2 - gr, params.q_tilde)}
+    sigma = 1j * math.sqrt(2.0 * params.m * E) / params.a
+    out = {}
+    for r, (a, b, c, y, s, tau) in {
+            1: (al, bl, gl, params.q, 1.0, left.tau),
+            2: (al + 1 - gl, bl + 1 - gl, 2 - gl, params.q, -1.0, left.tau),
+            3: (ar + 1 - gr, br + 1 - gr, 2 - gr, params.q_tilde, -1.0, right.tau)}.items():
+        basis = complex(y) ** (s * sigma) * (1.0 - y) ** tau
+        out[r] = (a, b, c, y, basis, s * sigma / y - tau / (1.0 - y))
+    return out
 
 
 def test_zetas_against_bruteforce_series():
-    # every zeta at E = 0.05 versus the 40-digit term-by-term summation
+    # c1..c3 at E = 0.05: the basis factor times the 40-digit term-by-term
+    # summation of the function's 2F1 factor
     for params, tau_branch in _BASES:
         mc = match_coefficients(0.05, params, tau_branch)
-        for r, (a, b, c, z) in _families(0.05, params, tau_branch).items():
-            ref = hyp2f1_bruteforce(a, b, c, z)
-            assert abs(getattr(mc, f"zeta{r}")[0] - ref) <= 1e-13 * abs(ref), r
+        for r, (a, b, c, y, basis, _) in _families(0.05, params, tau_branch).items():
+            ref = basis * hyp2f1_bruteforce(a, b, c, y)
+            assert abs(getattr(mc, f"c{r}")[0] - ref) <= 1e-13 * abs(ref), r
 
 
 def test_lambda_prefactors():
-    # dzeta_r = dF/dy = (a b / c) F(a+1, b+1; c+1; y), DLMF 15.5.1
+    # c4..c6, the y-derivatives of c1..c3: the basis factor times
+    # coef*F + F', with F' = (a b / c) F(a+1, b+1; c+1; y) (DLMF 15.5.1)
     for params, tau_branch in _BASES:
         mc = match_coefficients(0.05, params, tau_branch)
-        for r, (a, b, c, z) in _families(0.05, params, tau_branch).items():
-            ref = a * b / c * hyp2f1_bruteforce(a + 1, b + 1, c + 1, z)
-            assert abs(getattr(mc, f"dzeta{r}")[0] - ref) <= 1e-13 * abs(ref), r
+        for r, (a, b, c, y, basis, coef) in _families(0.05, params, tau_branch).items():
+            terms = (coef * hyp2f1_bruteforce(a, b, c, y),
+                     a * b / c * hyp2f1_bruteforce(a + 1, b + 1, c + 1, y))
+            ref, scale = basis * sum(terms), abs(basis) * sum(map(abs, terms))
+            assert abs(getattr(mc, f"c{r + 3}")[0] - ref) <= 1e-13 * scale, r
 
 
 @pytest.mark.parametrize("params", [DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55)],
@@ -72,7 +81,7 @@ def test_left_minus_sigma_row_is_the_conjugate(params, tau_branch):
     energies = np.geomspace(1e-3, 5.0, 9)
     for E in (energies, 0.05):
         mc = match_coefficients(E, params, tau_branch)
-        for name, of in (("zeta2", "zeta1"), ("dzeta2", "dzeta1"), ("c2", "c1"), ("c5", "c4")):
+        for name, of in (("c2", "c1"), ("c5", "c4")):
             assert np.array_equal(getattr(mc, name), np.conj(getattr(mc, of))), name
 
 
@@ -230,11 +239,11 @@ def test_scan_single_point():
 
 def test_one_energy_is_a_lane_of_one():
     # a scalar E gives lanes of one in every layer; compute_rt unwraps lane 0
-    sc = side_coefficients(0.05, DEFAULT_PARAMS)
+    sc, _ = side_coefficients(0.05, DEFAULT_PARAMS)
     mc = match_coefficients(0.05, DEFAULT_PARAMS)
     res = solve_amplitudes(mc)
-    for value in (sc.E, sc.k, sc.sigma, sc.alpha, sc.beta, sc.gamma, mc.E, mc.zeta1,
-                  mc.dzeta3, mc.c1, mc.c6, res.E, res.r_amp, res.t_amp, res.R, res.T):
+    for value in (sc.E, sc.k, sc.sigma, sc.alpha, sc.beta, sc.gamma, mc.E, mc.c1,
+                  mc.c3, mc.c4, mc.c6, res.E, res.r_amp, res.t_amp, res.R, res.T):
         assert isinstance(value, np.ndarray) and value.shape == (1,)
     one = compute_rt(0.05, DEFAULT_PARAMS)
     assert np.ndim(one.T) == 0 and not one.errors
