@@ -390,32 +390,35 @@ def _cmd_potential(args) -> int:
 # ----------------------------------------------------------------------------
 
 def _oracle_runs(res: ScatteringResult, params: BarrierParams, args):
-    """Oracle T and R at each energy of the scan ``res`` that did not fail
-    (nan elsewhere), and the OracleError of each failed one by index, from
-    one default_config call for them all and one integrate_scatter call."""
-    T, R = np.full((2, res.E.size), math.nan)
+    """Oracle T, R and T_err at each energy of the scan ``res`` that did not
+    fail (nan elsewhere), and the OracleError of each failed one by index,
+    from one default_config call for them all and one integrate_scatter
+    call."""
+    T, R, T_err = np.full((3, res.E.size), math.nan)
     ok = [i for i in range(res.E.size) if i not in res.errors]
     if not ok:
-        return T, R, {}
+        return T, R, T_err, {}
     v = lambda x: potential_fn(x, params)  # noqa: E731
     try:
         cfg = default_config(res.E[ok], v, m=params.m,
                              x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
     except OracleError as exc:
-        return T, R, dict.fromkeys(ok, exc)
+        return T, R, T_err, dict.fromkeys(ok, exc)
     try:
         cfg = replace(cfg, step=cfg.step if args.oracle_step is None else args.oracle_step)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     orc = integrate_scatter(res.E[ok], v, params.m, cfg)
-    T[ok], R[ok] = orc.T, orc.R
-    return T, R, {ok[j]: exc for j, exc in orc.errors.items()}
+    T[ok], R[ok], T_err[ok] = orc.T, orc.R, orc.T_err
+    return T, R, T_err, {ok[j]: exc for j, exc in orc.errors.items()}
 
 
 def _scan_rows(config: RunConfig, args):
     """Run one scan.  Returns its named columns, nan at a failed energy, and
     (stage, "<error type>: <message>") by index of each failed energy, in
-    grid order, where the stage is "analytic" or "oracle"."""
+    grid order, where the stage is "analytic" or "oracle".  With the oracle
+    the columns end with T_err, its error estimate, which scatter does not
+    write."""
     params = config.params
     v_max = barrier_top(params)
     res = scan(config.energies(), params)
@@ -424,8 +427,8 @@ def _scan_rows(config: RunConfig, args):
                "T": res.T, "R": res.R, "unitarity_residual": res.unitarity_residual}
     failures = {i: ("analytic", exc) for i, exc in res.errors.items()}
     if config.oracle_enabled:
-        T, R, oracle_errors = _oracle_runs(res, params, args)
-        columns.update(T_oracle=T, R_oracle=R, delta_T=np.abs(res.T - T))
+        T, R, T_err, oracle_errors = _oracle_runs(res, params, args)
+        columns.update(T_oracle=T, R_oracle=R, delta_T=np.abs(res.T - T), T_err=T_err)
         failures.update((i, ("oracle", exc)) for i, exc in oracle_errors.items())
     return columns, {i: (stage, f"{type(exc).__name__}: {exc}")
                      for i, (stage, exc) in sorted(failures.items())}
@@ -452,6 +455,7 @@ def _cmd_scatter(args) -> int:
     any_errors, survey = False, []
     for tag, config in runs:
         columns, failures = _scan_rows(config, args)
+        columns.pop("T_err", None)
         any_errors = any_errors or bool(failures)
         for i, (_, message) in failures.items():
             print(f"dengfan scatter: E={columns['E'][i]:g}: {message}", file=sys.stderr)
@@ -502,6 +506,8 @@ def _cmd_verify(args) -> int:
     print(f"  max |dT| / T_analytic       = {max_rel_dt:.3g}")
     print(f"  max |R_analytic - R_oracle| = {max_dr:.3g}   (tol {_DR_TOL:g})")
     print(f"  max unitarity residual      = {max_uni:.3g}   (tol {_UNITARITY_TOL:g})")
+    max_err = max((t for t in columns["T_err"].tolist() if not math.isnan(t)), default=math.nan)
+    print(f"  max oracle T_err            = {max_err:.3g}")
     if offenders:
         print("offending energies:")
         for E, why in offenders:

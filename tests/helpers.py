@@ -1,5 +1,5 @@
 """Shared test oracles: high-precision brute-force 2F1, the benchmark's
-high-precision T, a step-by-step RK4 march and parameter draws."""
+high-precision T, a step-by-step Magnus-6 march and parameter draws."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 
 from dengfan import BarrierParams
-from dengfan.oracle import _grid
+from dengfan.oracle import _nodes
 
 
 def hyp2f1_bruteforce(a, b, c, z, tol="1e-18", max_terms=100_000):
@@ -70,31 +70,43 @@ def draw_barrier_params(rng, symmetric: bool | None = None) -> BarrierParams:
 def _rt_from_state(psi, dpsi, k, x):
     # plane-wave split psi = A e^{ikx} + B e^{-ikx} at x, then T, R
     ik = 1j * k
-    A = (psi + dpsi / ik) * np.exp(-ik * x) / 2
-    B = (psi - dpsi / ik) * np.exp(ik * x) / 2
-    return float(1 / abs(A) ** 2), float(abs(B) ** 2 / abs(A) ** 2)
+    A = (psi + dpsi / ik) * cmath.exp(-ik * x) / 2
+    B = (psi - dpsi / ik) * cmath.exp(ik * x) / 2
+    return 1 / abs(A) ** 2, abs(B) ** 2 / abs(A) ** 2
 
 
-def rk4_loop_rt(E, potential, m, cfg):
-    """(T, R) from a step-by-step RK4 march in Python floats over the
-    oracle's graded nodes for E alone; the reference for the package's
-    product of step maps."""
+def magnus_loop_rt(E, potential, m, cfg):
+    """(T, R) from step-by-step sixth-order Magnus marches in Python floats
+    (Blanes, Casas & Ros, three Gauss points) over the oracle's graded nodes
+    for E alone and over their every-other-node subgrid, extrapolated as
+    T_f + (T_f - T_c)/63; the reference for the package's product of step
+    maps.  A step adds (M - I) psi, M - I = 2 sinh^2(mu/2) I + sinh(mu)/mu Omega."""
     L = cfg.x_max
     k = math.sqrt(2.0 * m * E)
-    psi = cmath.exp(1j * k * L)
-    phi = 1j * k * psi
-    for v, c in _grid(potential, m, cfg, E):
-        w = (2.0 * m * (v - E)).tolist()
-        for i, dt in enumerate(c[0].tolist()):
-            w0, w1, w2 = w[2 * i], w[2 * i + 1], w[2 * i + 2]
-            k1p = phi
-            k1f = w0 * psi
-            k2p = phi + 0.5 * dt * k1f
-            k2f = w1 * (psi + 0.5 * dt * k1p)
-            k3p = phi + 0.5 * dt * k2f
-            k3f = w1 * (psi + 0.5 * dt * k2p)
-            k4p = phi + dt * k3f
-            k4f = w2 * (psi + dt * k3p)
-            psi += dt * (k1p + 2.0 * (k2p + k3p) + k4p) / 6.0
-            phi += dt * (k1f + 2.0 * (k2f + k3f) + k4f) / 6.0
-    return _rt_from_state(psi, phi, k, -L)
+    g = math.sqrt(15.0) / 10.0
+    rt = []
+    for coarse in (False, True):
+        psi = cmath.exp(1j * k * L)
+        phi = 1j * k * psi
+        fine = _nodes(potential, m, cfg, E)[0][0].tolist()
+        zero = fine.index(0.0)
+        for x in (fine[:zero + 1], fine[zero:]):
+            if coarse:  # every other node of a half, and its last
+                x = x[::2] if len(x) % 2 else x[::2] + x[-1:]
+            x0, h = np.array(x[:-1]), np.diff(x)
+            v = potential(np.concatenate([x0 + c * h for c in (0.5 - g, 0.5, 0.5 + g)]))
+            w = (2.0 * m * (np.asarray(v, dtype=float) - E)).reshape(3, -1).T.tolist()
+            for h, (w1, w2, w3) in zip(h.tolist(), w):
+                a2 = math.sqrt(15.0) / 3.0 * h * (w3 - w1)
+                a3 = 10.0 / 3.0 * h * (w3 - 2.0 * w2 + w1)
+                p = a2 * h / 240.0 * (-20.0 + 4.0 / 3.0 * h * h * w2 + h * a3 / 30.0)
+                q = h + h * h * (h * a2 * a2 - 20.0 * a3) / 3600.0
+                r = (h * w2 + a3 / 12.0 - (a2 * a2 * (h - h ** 3 * w2 / 30.0)
+                                           - (20.0 * h * w2 + a3) * a3 * h / 30.0) / 120.0)
+                mu = cmath.sqrt(p * p + q * r)
+                cm, sc = 2.0 * cmath.sinh(mu / 2.0) ** 2, (cmath.sinh(mu) / mu if mu else 1.0)
+                psi, phi = (psi + (cm * psi + sc * (p * psi + q * phi)),
+                            phi + (cm * phi + sc * (r * psi - p * phi)))
+        rt.append(_rt_from_state(psi, phi, k, -L))
+    (tf, rf), (tc, rc) = rt
+    return tf + (tf - tc) / 63.0, rf + (rf - rc) / 63.0

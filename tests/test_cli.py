@@ -455,14 +455,20 @@ def test_verify_small_grid_passes(capsys):
     # the relative |dT| is printed without a tolerance of its own
     rel = float(out.split("max |dT| / T_analytic       = ")[1].split("\n")[0])
     assert 0.0 <= rel <= 1e-10
+    # the oracle's own error estimate, on the line before the verdict
+    t_err = out.splitlines()[-2]
+    assert t_err.startswith("  max oracle T_err            = ")
+    assert 0.0 < float(t_err.split("= ")[1]) <= 1e-10
     assert out.endswith("PASS\n")
 
 
 def test_verify_coarse_oracle_step_fails(capsys):
-    code, out, _ = run(["verify", "--emin", "0.05", "--emax", "0.1", "--n", "2",
-                        "--oracle-step", "0.4"], capsys)
+    # a budget of 250 steps per half leaves T_err at 2.3e-5 and 3.0e-5
+    code, out, _ = run(["verify", "--emin", "1", "--emax", "3", "--n", "2",
+                        "--oracle-step", "0.2"], capsys)
     assert code == 2
     assert "StepTooCoarse" in out
+    assert "\n  max oracle T_err            = nan\n" in out
     assert "FAIL" in out
 
 
