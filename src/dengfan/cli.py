@@ -220,7 +220,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--oracle-step", dest="oracle_step", type=float,
                      help="override the step budget of the scan's one oracle "
                           "config: its graded grid takes at most "
-                          "ceil(2 x_max / ORACLE_STEP) steps")
+                          "ceil(2 x_max / ORACLE_STEP) steps, which binds only "
+                          "where the grid wants more (high energies)")
 
 
 @functools.cache

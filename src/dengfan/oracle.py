@@ -5,30 +5,30 @@ integrated backward from the transmitted wave psi = e^{ikx} at x = +x_max;
 at -x_max, psi = A e^{ikx} + B e^{-ikx} gives T = 1/|A|^2, R = |B|^2/|A|^2.
 
 The steps are the sixth-order Magnus maps of Blanes, Casas & Ros (BIT 40,
-2000): a step samples V at its Gauss points x_n + (1/2 -+ sqrt(15)/10, 1/2) h,
-and its map M = exp(Omega) is exact where w = 2m(V - E) is constant.  The
-halves [x_max, 0] and [0, -x_max] are graded: a step is about
-_C0 / sqrt(|w_top| + k_top^2) long (E_top the call's highest energy, from a
-pilot sampling of V), and a half takes at most half of ceil(2 x_max / step)
-steps, ``IntegrationConfig.step`` being a budget that refines only a half it
-caps.  No sample falls on a node, so the order holds across a jump at x = 0;
-a jump elsewhere falls inside a step unless the grid happens to put a node
-on it, and the march is first order there at any budget.
+2000), which sample V at the Gauss points x_n + (1/2 -+ sqrt(15)/10, 1/2) h
+and are exact where w = 2m(V - E) is constant, so the grid (from a pilot
+sampling of V) is graded by where w varies.  A step is about _C0 / rho, with
+rho^2 = f^2 (|w_top| + k_top^2) + |w'|^(2/3) and E_top the call's highest
+energy: where |V| < E_top a step's error, about h^7 times derivatives of w,
+falls with |V|, and f = (|V|/E_top)^(1/7) lengthens it (at most _STRETCH
+times); the slope keeps steps short where V crosses E or 0.  The halves
+[x_max, 0] and [0, -x_max] meet at a node at x = 0, and each jump of V that
+the pilot sees gets a node by bisection: no sample falls on a node, so a
+piecewise-constant w marches exactly.  ``IntegrationConfig.step`` is a
+budget that refines only a half it caps.
 
-det M = 1, so the flux residual |R + T - 1| only reports rounding, however
-coarse the step.  The error check is a nested pair: the call also marches
-the every-other-node subgrid (plus the last node of an odd half), with its
-own Gauss samples, and reports T = T_f + (T_f - T_c)/63, likewise R, and
-T_err = |T_f - T_c|/63, the sixth-order estimate of the fine march's error.
+det M = 1, so the flux residual |R + T - 1| only reports rounding.  The error
+check is a nested pair: the call also marches the subgrid of every other node
+of each segment between jumps (and its last when its count is odd), and
+reports T = T_f + (T_f - T_c)/63, likewise R, and T_err = |T_f - T_c|/63.
 
-A map is kept as D = M - I = (cosh mu - 1) I + (sinh mu / mu) Omega,
-mu^2 = -det Omega (I + D would round off its O(h) part); pairs combine as
-(I + B)(I + A) = I + (BA + A + B).  cosh mu - 1 and sinh mu / mu are series
-in mu^2 with a term count the grid sets, exact to rounding at every energy
-up to E_top, or closed forms where |mu^2| may pass 1.  Energies march in
-blocks of ``_LANES``, in chunks of ``_CHUNK`` maps multiplied pairwise (a
-tree), all elementwise in the lanes: an energy rounds as in any call with
-the same highest energy, and a failed energy leaves the others as they are.
+A map is kept as D = M - I = (cosh mu - 1) I + (sinh mu / mu) Omega, with
+mu^2 = -det Omega (I + D would round off its O(h) part), and pairs combine
+as (I + B)(I + A) = I + (BA + A + B); cosh mu - 1 and sinh mu / mu are series
+in mu^2 exact to rounding up to E_top, or closed forms on long steps.
+Energies march in blocks of ``_LANES``, in chunks of ``_CHUNK`` maps
+multiplied pairwise (a tree), elementwise in the lanes: an energy rounds as
+in any call with the same highest energy, and a failed one leaves the others.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ __all__ = ["OracleError", "BoundaryNotDecayedError", "StepTooCoarseError",
 
 _ERR_TOL = 1e-6     # T_err above this fails an energy
 _DECAY_TOL = 1e-12  # |V| at the edges must be <= _DECAY_TOL * max(E, 1)
-_C0 = 0.012    # the graded step times sqrt(|w_top| + k_top^2)
-_PILOT = 4096  # pilot cells per half, where the step density is sampled
-_CHUNK = 2048  # steps per tree product: numpy per-call cost against cache size
-_LANES = 4     # energies per march; lanes x _CHUNK cells bound the map arrays
+_C0 = 0.02       # a graded step times its density rho (module docstring)
+_STRETCH = 1e3   # the most a step lengthens where |V| << E_top
+_PILOT = 4096    # pilot intervals per half, where the density is sampled
+_CHUNK = 2048    # steps per tree product: numpy per-call cost against cache size
+_LANES = 10      # energies per march; lanes x _CHUNK cells bound the map arrays
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
@@ -63,13 +64,14 @@ class BoundaryNotDecayedError(OracleError):
 
 
 class StepTooCoarseError(OracleError):
-    """T_err exceeds 1e-6 or is not finite; the message says if a smaller step helps."""
+    """T_err exceeds 1e-6 or is not finite; the message says if the step budget caps the grid."""
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Integration domain [-x_max, x_max] and step budget: the graded grid
-    takes at most ceil(2 x_max / step) steps, half of them per half."""
+    takes at most ceil(2 x_max / step) steps, half of them per half, which
+    binds only where it wants more (high energies on long domains)."""
 
     x_max: float
     step: float
@@ -86,17 +88,15 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """R, T from direct integration plus integration diagnostics, for one
-    energy or, field by field, for an array of energies with ``errors``
-    mapping the index of a failed energy to its OracleError.  ``T_err`` is
-    |T_f - T_c|/63, ``flux_residual`` |R + T - 1| (rounding only), and
-    ``n_steps`` the fine grid's count (the coarse one's is about half)."""
+    """R, T and diagnostics for one energy or, field by field, an array of
+    energies, ``errors`` mapping the index of a failed one to its OracleError:
+    ``T_err`` is |T_f - T_c|/63, ``flux_residual`` |R + T - 1| (rounding
+    only), ``n_steps`` the fine grid's count (the coarse one's about half)."""
 
     R: float
     T: float
     T_err: float
     flux_residual: float
-    boundary_potential: float
     n_steps: int
     errors: dict = field(default_factory=dict, repr=False)
 
@@ -147,29 +147,51 @@ def _eval_potential(potential: Potential, xs: np.ndarray) -> np.ndarray:
 
 def _nodes(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float):
     """The nodes, x_max through 0 to -x_max, of the fine grid for energies up
-    to ``e_top`` and of its subgrid (every other node of each half and its
-    last when its count is odd), and whether the budget caps either half."""
+    to ``e_top`` and of its subgrid, and whether the budget caps either half."""
     cap = math.ceil(2.0 * cfg.x_max / cfg.step) // 2
-    t = np.linspace(0.0, cfg.x_max, 2 * _PILOT + 1)
-    w = (2.0 * m) * (_eval_potential(potential, np.concatenate((t, -t))) - e_top)
-    rho = np.sqrt(np.abs(w) + 2.0 * m * e_top).reshape(2, t.size)
-    # a cell's density is its largest at ends and midpoint, so that a peak
-    # inside a cell (x = 0 on tall barriers) still gets short steps
-    rho = np.maximum(np.maximum(rho[:, :-2:2], rho[:, 1::2]), rho[:, 2::2])
+    t = np.linspace(0.0, cfg.x_max, _PILOT + 1)  # the left half from V(0-) on
+    v = _eval_potential(potential, np.concatenate((t, [-5e-324], -t[1:]))).reshape(2, t.size)
+    # a jump changes V over 4 times as much as the intervals two away from it
+    # together (a smooth V, about half); bisection brings [lo, hi] down to it
+    d = np.abs(np.diff(v, axis=1))
+    e = np.pad(d, ((0, 0), (2, 2)), mode="edge")
+    jump = d > 4.0 * (e[:, :-4] + e[:, 4:])
+    half, i = np.nonzero(jump)
+    lo, hi, va, vb = t[i], t[i + 1], v[half, i], v[half, i + 1]
+    for _ in range(64 if half.size else 0):  # enough from any pilot interval
+        mid = 0.5 * (lo + hi)
+        vm = _eval_potential(potential, np.where(half, -mid, mid))
+        lo, hi = np.where(np.abs(vm - va) <= np.abs(vb - va) / 2.0, (mid, hi), (lo, mid))
+    # an interval's rho^2, its wave term taken at the larger end so that a
+    # peak inside it (x = 0 on tall barriers) still gets short steps
+    wave = (2.0 * m) * (np.abs(v - e_top) + e_top) * np.clip(
+        np.abs(v) / e_top, _STRETCH ** -7, 1.0) ** (2.0 / 7.0)
+    slope = np.where(jump, 0.0, (2.0 * m * _PILOT / cfg.x_max) * d) ** (2.0 / 3.0)
+    rho = np.sqrt(np.maximum(wave[:, :-1], wave[:, 1:]) + slope)
     cum = np.pad(np.cumsum(rho * (cfg.x_max / _PILOT), axis=1), ((0, 0), (1, 0)))
     n = [min(math.ceil(acc[-1] / _C0), cap) for acc in cum]
-    right, left = (np.interp(np.linspace(0.0, acc[-1], k + 1), acc, t[::2])
-                   for acc, k in zip(cum, n))
-    halves = [right[::-1], -left]
-    sub = [x[::2] if x.size % 2 else np.append(x[::2], x[-1]) for x in halves]
-    return [np.concatenate((a, b[1:])) for a, b in (halves, sub)], cap in n
+    halves = []
+    for h, (acc, count) in enumerate(zip(cum, n)):
+        # a node on each jump, just past it; the segments between share the
+        # steps as they share the density, at least one each
+        ends = np.concatenate(([0.0], hi[half == h], [cfg.x_max]))
+        c = np.interp(ends, t, acc)
+        j = np.arange(ends.size)
+        idx = j + np.maximum.accumulate(np.round(c / acc[-1] * count) - j).astype(int)
+        nodes = np.interp(np.interp(np.arange(idx[-1] + 1), idx, c), acc, t)
+        nodes[idx] = ends
+        halves.append([nodes[a:b + 1] for a, b in zip(idx[:-1], idx[1:])])
+    # in marching order, each segment's subgrid its every other node and last
+    segs = [s[::-1] for s in halves[0][::-1]] + [-s for s in halves[1]]
+    subs = [s[::2] if s.size % 2 else np.append(s[::2], s[-1]) for s in segs]
+    return [np.concatenate([g[0]] + [s[1:] for s in g[1:]]) for g in (segs, subs)], cap in n
 
 
 def _steps(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
-    """The steps between ``nodes`` as (v, c, terms): V at their middle Gauss
-    points, the rows (p0, p1, q, r0, r1) of Omega = [[p0 + p1 w, q],
-    [r0 + r1 w, -p0 - p1 w]], w = 2m(v - E), and the series' term count for
-    energies up to ``e_top`` (0: closed forms)."""
+    """The steps between ``nodes`` as (v, c, terms, long): V at their middle
+    Gauss points, the rows (p0, p1, q, r0, r1) of Omega = [[p, q], [r, -p]],
+    p = p0 + p1 w, r = r0 + r1 w, w = 2m(v - E), and for E up to ``e_top``
+    the series' term count and the long steps, which take closed forms."""
     h = np.diff(nodes)
     v1, v, v3 = _eval_potential(potential, nodes[:-1] + np.outer(_GAUSS, h))
     a2 = (2.0 * m * math.sqrt(15.0) / 3.0) * h * (v3 - v1)
@@ -182,35 +204,35 @@ def _steps(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
     # |mu^2| = |p^2 + q r| at most, for every w from 2m(v - e_top) to 2mv
     w = (2.0 * m) * np.maximum(np.abs(v), np.abs(v - e_top))
     a = np.abs(c)
-    bound = float(np.max((a[0] + a[1] * w) ** 2 + a[2] * (a[3] + a[4] * w), initial=0.0))
+    bound = (a[0] + a[1] * w) ** 2 + a[2] * (a[3] + a[4] * w)
+    long = bound > 1.0
     # the first omitted term below 2^-54 of the sum, which is >= 5/6 there
-    terms = next((n for n in range(1, 10)
-                  if bound ** n <= 2.0 ** -54 * math.factorial(2 * n + 1)), 0)
-    return v, c, terms
+    top = float(np.max(bound, where=~long, initial=0.0))
+    terms = next(n for n in range(1, 10) if top ** n <= 2.0 ** -54 * math.factorial(2 * n + 1))
+    return v, c, terms, long
 
 
-def _maps(c: np.ndarray, terms: int, w: np.ndarray) -> np.ndarray:
-    # D = M - I of the steps (c, terms) of _steps, (2, 2, lanes, n), from w
-    # (lanes, n) at their middle points
+def _maps(c: np.ndarray, terms: int, long: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # D = M - I, (2, 2, lanes, n), of the steps (c, terms, long) of _steps at w (lanes, n)
     p, r = c[0] + c[1] * w, c[3] + c[4] * w
     z = p * p + c[2] * r  # mu^2
-    # where it is exact, the series makes the Table-1 call about 20% faster
-    if terms:  # Horner: s = sum z^n / (2n+1)!, cm = z sum z^n / (2n+2)!
-        f = [1.0 / math.factorial(j) for j in range(2 * terms + 1)]
-        s, cm = np.full(z.shape, f[-2]), np.full(z.shape, f[-1])
-        for j in range(2 * terms - 3, 0, -2):
-            s *= z
-            s += f[j]
-            cm *= z
-            cm += f[j + 1]
+    # Horner: s = sum z^n / (2n+1)!, cm = z sum z^n / (2n+2)!
+    f = [1.0 / math.factorial(j) for j in range(2 * terms + 1)]
+    s, cm = np.full(z.shape, f[-2]), np.full(z.shape, f[-1])
+    for j in range(2 * terms - 3, 0, -2):
+        s *= z
+        s += f[j]
         cm *= z
-    else:  # sinh mu / mu = sh ch / t and cosh mu - 1 = 2 sh^2, t = mu / 2
-        t = 0.5 * np.sqrt(np.abs(z))
-        grow = z > 0.0
+        cm += f[j + 1]
+    cm *= z
+    if long.any():  # sinh mu / mu = sh ch / t and cosh mu - 1 = 2 sh^2, t = mu / 2
+        zl = z[:, long]
+        t = 0.5 * np.sqrt(np.abs(zl))
+        grow = zl > 0.0
         sh = np.where(grow, np.sinh(t), np.sin(t))
-        s = np.divide(sh * np.where(grow, np.cosh(t), np.cos(t)), t,
-                      out=np.ones_like(t), where=t > 0.0)
-        cm = 2.0 * np.copysign(sh * sh, z)
+        s[:, long] = np.divide(sh * np.where(grow, np.cosh(t), np.cos(t)), t,
+                               out=np.ones_like(t), where=t > 0.0)
+        cm[:, long] = 2.0 * np.copysign(sh * sh, zl)
     d = np.empty((2, 2) + z.shape)  # filled in place: np.array copies 4 rows
     sp = np.multiply(s, p, out=d[1, 0])
     np.add(cm, sp, out=d[0, 0])
@@ -220,11 +242,11 @@ def _maps(c: np.ndarray, terms: int, w: np.ndarray) -> np.ndarray:
     return d
 
 
-def _march(v, c, terms, eb: np.ndarray, m: float, state: np.ndarray):
-    # the steps (v, c, terms) of _steps applied to the (2, lanes) state at eb
+def _march(v, c, terms, long, eb: np.ndarray, m: float, state: np.ndarray):
+    # the steps (v, c, terms, long) of _steps applied to the (2, lanes) state at eb
     for lo in range(0, c.shape[1], _CHUNK):
         hi = min(lo + _CHUNK, c.shape[1])
-        dev = _maps(c[:, lo:hi], terms, (2.0 * m) * (v[lo:hi] - eb))
+        dev = _maps(c[:, lo:hi], terms, long[lo:hi], (2.0 * m) * (v[lo:hi] - eb))
         while dev.shape[-1] > 1:
             # I + (ba + a + b), a the earlier step of each pair, in place
             a, b = dev[..., 0:-1:2], dev[..., 1::2]
@@ -243,15 +265,13 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     """Integrate backward across [-x_max, x_max] and extract R and T.
 
     ``E`` is one energy or a 1-D array of energies that share ``cfg`` and a
-    grid graded for the highest of them.  Each marches on the grid and its
-    every-other-node subgrid: T = T_f + (T_f - T_c)/63, likewise R, and
-    T_err = |T_f - T_c|/63.  An energy fails with BoundaryNotDecayedError
-    when V has not decayed at the edges, and with StepTooCoarseError when
-    T_err exceeds 1e-6 or it or R is not finite.  One energy returns floats
-    and raises its error; an array returns arrays, nan at a failed energy,
-    and ``errors`` maps its index to its error.  ``potential`` must return
-    an array of its argument's shape.
-    """
+    grid graded for the highest of them; T, R and T_err are those of the
+    nested pair (module docstring).  An energy fails with
+    BoundaryNotDecayedError when V has not decayed at the edges, and with
+    StepTooCoarseError when T_err exceeds 1e-6 or it or R is not finite.
+    One energy returns floats and raises its error; an array returns
+    arrays, nan at a failed energy, and ``errors`` maps its index to its
+    error.  ``potential`` must return an array of its argument's shape."""
     es = np.array(E, dtype=float, ndmin=1)
     if es.ndim != 1 or not np.all((es > 0.0) & (es < np.inf)):
         raise ValueError(f"E must be > 0, got {E!r}")
@@ -289,12 +309,12 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
             T[i], R[i] = (tf + (tf - tc) / 63.0)[ok], (rf + (rf - rc) / 63.0)[ok]
             T_err[i], flux[i] = err[ok], np.abs(R[i] + T[i] - 1.0)
             for i, e in zip(block[~ok].tolist(), err[~ok].tolist()):
+                why = advice if e < math.inf else advice + ", or T is below float range"
                 errors[i] = StepTooCoarseError(f"T error estimate {e:g} exceeds {_ERR_TOL:g} "
-                                               f"at E={energies[i]} (step={cfg.step}); {advice}")
+                                               f"at E={energies[i]} (step={cfg.step}); {why}")
     if np.ndim(E) == 0:
         if errors:
             raise errors[0]
         R, T, T_err, flux = float(R[0]), float(T[0]), float(T_err[0]), float(flux[0])
-    return OracleResult(R=R, T=T, T_err=T_err, flux_residual=flux,
-                        boundary_potential=boundary, n_steps=n_steps,
+    return OracleResult(R=R, T=T, T_err=T_err, flux_residual=flux, n_steps=n_steps,
                         errors=dict(sorted(errors.items())))

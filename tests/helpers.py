@@ -78,9 +78,10 @@ def _rt_from_state(psi, dpsi, k, x):
 def magnus_loop_rt(E, potential, m, cfg):
     """(T, R) from step-by-step sixth-order Magnus marches in Python floats
     (Blanes, Casas & Ros, three Gauss points) over the oracle's graded nodes
-    for E alone and over their every-other-node subgrid, extrapolated as
-    T_f + (T_f - T_c)/63; the reference for the package's product of step
-    maps.  A step adds (M - I) psi, M - I = 2 sinh^2(mu/2) I + sinh(mu)/mu Omega."""
+    for E alone and over their every-other-node subgrid (per half: for a
+    potential with no jump off x = 0), extrapolated as T_f + (T_f - T_c)/63;
+    the reference for the package's product of step maps.  A step adds
+    (M - I) psi, M - I = 2 sinh^2(mu/2) I + sinh(mu)/mu Omega."""
     L = cfg.x_max
     k = math.sqrt(2.0 * m * E)
     g = math.sqrt(15.0) / 10.0

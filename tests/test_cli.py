@@ -463,9 +463,9 @@ def test_verify_small_grid_passes(capsys):
 
 
 def test_verify_coarse_oracle_step_fails(capsys):
-    # a budget of 250 steps per half leaves T_err at 2.3e-5 and 3.0e-5
-    code, out, _ = run(["verify", "--emin", "1", "--emax", "3", "--n", "2",
-                        "--oracle-step", "0.2"], capsys)
+    # a budget of 111 steps per half leaves T_err at 1.1e-5 and 3.2e-5
+    code, out, _ = run(["verify", "--emin", "300", "--emax", "20000", "--n", "2",
+                        "--oracle-step", "0.45"], capsys)
     assert code == 2
     assert "StepTooCoarse" in out
     assert "\n  max oracle T_err            = nan\n" in out

@@ -88,25 +88,26 @@ def test_free_propagation(tol):
                             1.0, cfg)
     assert res.T == pytest.approx(1.0, abs=tol)
     assert res.R <= tol
-    assert res.boundary_potential == 0.0
 
 
 def test_rectangular_barrier_rk4():
-    # |w| + k^2 is 4 everywhere, so the grid is uniform; a budget of 128
-    # steps per half caps it and puts the jumps at +-0.5 on nodes of both
-    # grids, where the maps are exact for piecewise-constant w
-    res = integrate_scatter(1.0, rect_barrier, 1.0, IntegrationConfig(x_max=2.0, step=2.0**-6))
-    assert res.n_steps == 256
-    assert abs(res.T - T_RECT) <= 1e-12
-    assert abs(res.R - (1.0 - T_RECT)) <= 1e-12
-    # a jump off x = 0 and off the nodes is not resolved at any budget: the
-    # graded grid takes 334 steps per half under any budget above that, a
-    # jump falls inside a step, the march is first order there, and T_err
-    # (5.6e-6) reports it, with an error that says a smaller step won't help
-    uncapped = "the budget does not cap this grid, so a smaller step will not refine it$"
-    for step in (2.0**-10, 2.0**-14):
-        with pytest.raises(StepTooCoarseError, match=uncapped):
-            integrate_scatter(1.0, rect_barrier, 1.0, IntegrationConfig(x_max=2.0, step=step))
+    # the pilot finds the jumps at +-0.5 (at x_max = 2 it samples the
+    # window, which makes two jumps 2e-9 apart on each side) and bisection
+    # puts a node on each, in both grids: the maps are exact for
+    # piecewise-constant w, at any budget (53 steps per half; the window's
+    # two halves shift T by O(1e-18))
+    edges = [0.5 - 1e-9, 0.5 + 1e-9]
+    for step in (2.0**-6, 2.0**-10, 2.0**-14):
+        cfg = IntegrationConfig(x_max=2.0, step=step)
+        res = integrate_scatter(1.0, rect_barrier, 1.0, cfg)
+        assert res.n_steps == 106
+        assert abs(res.T - T_RECT) <= 1e-12
+        assert abs(res.R - (1.0 - T_RECT)) <= 1e-12
+        (fine, coarse), capped = _nodes(rect_barrier, 1.0, cfg, 1.0)
+        assert not capped
+        for x in (fine, coarse):
+            for edge in edges:
+                assert np.count_nonzero(np.abs(np.abs(x) - edge) <= 1e-15) == 2
 
 
 def test_matches_analytic_at_default_config():
@@ -120,10 +121,11 @@ def test_matches_analytic_at_default_config():
 
 def test_rk4_richardson_order(monkeypatch):
     # sixth order: halving _C0 halves every graded step and cuts T_err,
-    # |T_f - T_c| / 63, by about 2^6 (61.6 measured from 0.016 to 0.008)
+    # |T_f - T_c| / 63, by about 2^6 (62.7 measured from 0.04 to 0.02;
+    # below that T_err nears rounding)
     cfg = default_config(0.5, barrier, m=1.0, x_max_seed=50.0)
     errs = []
-    for c0 in (0.016, 0.008):
+    for c0 in (0.04, 0.02):
         monkeypatch.setattr(oracle, "_C0", c0)
         errs.append(integrate_scatter(0.5, barrier, 1.0, cfg).T_err)
     assert 48.0 <= errs[0] / errs[1] <= 80.0
@@ -131,8 +133,8 @@ def test_rk4_richardson_order(monkeypatch):
 
 def test_flux_residual_reports_rounding():
     # det M = 1: R + T = 1 to rounding however coarse the step, so T_err is
-    # the error check (2.0e-7 at a budget of 625 steps per half)
-    res = integrate_scatter(3.0, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.08))
+    # the error check (1.1e-7 at E = 20000 and a budget of 312 steps per half)
+    res = integrate_scatter(20000.0, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.16))
     assert res.flux_residual <= 1e-14
     assert res.T_err >= 1e-8
 
@@ -161,10 +163,10 @@ def test_steps_within_budget(E):
 
 
 def test_table1_energies_on_the_graded_grid():
-    # 5,814 steps (and 2,908 coarse ones) and 3.6e-13
+    # 1,402 steps (and 701 coarse ones) and 2.8e-14
     errors, n_steps = _oracle_rel_errors(DEFAULT_PARAMS, TABLE1_ENERGIES)
-    assert n_steps <= 6_000
-    assert errors.max() <= 1e-12
+    assert n_steps <= 3_000
+    assert errors.max() <= 1e-13
 
 
 @pytest.mark.parametrize("q, q_tilde", [(0.9, 0.55), (0.55, 0.9)])
@@ -200,19 +202,33 @@ def test_tall_barrier_against_reference(q, q_tilde):
 def test_high_energies_against_reference(E):
     # E/V_max 12.6 to 25.1, one energy per call.  RK4 dissipated the free
     # wave and missed by 1.1e-7 to 1.5e-7 in up to 173,206 steps; a Magnus
-    # map is exact on constant w, and the 2e-3 budget's 50,000 steps read
-    # 9e-14 at most
+    # map is exact on constant w, so the steps lengthen where V is small,
+    # and 15,486 to 19,818 steps (the 2e-3 budget allows 50,000) read
+    # 2e-14 at most
     cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
     res = integrate_scatter(E, barrier, 1.0, cfg)
-    assert res.n_steps == 50_000
-    assert abs(res.T - reference_transmission(E, DEFAULT_PARAMS)) <= 1e-10
+    assert res.n_steps <= 20_000
+    assert abs(res.T - reference_transmission(E, DEFAULT_PARAMS)) <= 1e-12
+
+
+@pytest.mark.parametrize("E", [3e3, 3e4])
+def test_tall_barrier_at_high_energy_against_reference(E):
+    # q = q~ = 0.999 (V_max about 1e6) at E/V_max 3e-3 and 3e-2, one energy
+    # per call: grading by the free wave put nearly every step into the
+    # tails, and T missed by 5.5e-11 and 1.1e-11 relative
+    params = BarrierParams(q=0.999, q_tilde=0.999)
+    pot = lambda x: potential(x, params)
+    cfg = default_config(E, pot, params.m, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    res = integrate_scatter(E, pot, params.m, cfg)
+    assert res.T == pytest.approx(reference_transmission(E, params), rel=1e-12, abs=0)
 
 
 # T_err = |T_f - T_c| / 63 estimates the fine march's error, so it bounds the
-# extrapolated T's: measured, the error is at most 0.35 T_err where steps
-# set it.  At E >= 300 T_err (about 3e-15) falls below rounding (up to 9e-14
-# relative), hence the floor
-_SLACK, _ROUNDING = 1.0, 2e-13
+# extrapolated T's: measured, the error is at most 0.09 T_err where steps
+# set it.  On the grids below T_err (down to 1e-18 relative) falls below
+# rounding and the closed form's own error (up to 4e-14 relative), hence the
+# floor; the cases read at most 0.29 of the bound
+_SLACK, _ROUNDING = 1.0, 1e-13
 # name: (params, energies, x_max seed; None for the CLI's, max(40/a, 10 x_e))
 _T_ERR_CASES = {
     "table1": (DEFAULT_PARAMS, TABLE1_ENERGIES, None),
@@ -227,6 +243,8 @@ _T_ERR_CASES = {
     "high-300": (DEFAULT_PARAMS, [300.0], 50.0),
     "high-450": (DEFAULT_PARAMS, [450.0], 50.0),
     "high-600": (DEFAULT_PARAMS, [600.0], 50.0),
+    "tall-0.999-3e3": (BarrierParams(q=0.999, q_tilde=0.999), [3e3], None),
+    "tall-0.999-3e4": (BarrierParams(q=0.999, q_tilde=0.999), [3e4], None),
 }
 
 
@@ -290,10 +308,12 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def _config_with_steps(n, x_max=64.0):
+def _config_with_steps(n, monkeypatch, x_max=64.0):
     # a step just above x_max / n, so that ceil(2 x_max / step) == 2n: a
-    # budget of n steps per half, which binds at the energies below (the
-    # graded grid wants about 11,700 steps per half for E = 1.2)
+    # budget of n steps per half, which binds at the energies below on a
+    # grid graded five times as fine as the default (it wants about 9,400
+    # steps per half for E = 5)
+    monkeypatch.setattr(oracle, "_C0", oracle._C0 / 5.0)
     cfg = IntegrationConfig(x_max=x_max, step=x_max / n * (1.0 + 1e-12))
     assert math.ceil(2.0 * x_max / cfg.step) == 2 * n
     return cfg
@@ -311,11 +331,11 @@ def test_rk4_product_matches_sequential_loop(E):
 # budgets of about four chunks per half: the fine march takes 2n steps, eight
 # chunks and -2, 0 or +2 steps, and the coarse one 8192 or 8194
 @pytest.mark.parametrize("n", [4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
-def test_rk4_product_around_chunk_size(n):
-    cfg = _config_with_steps(n)
-    res = integrate_scatter(3.0, barrier, 1.0, cfg)
+def test_rk4_product_around_chunk_size(n, monkeypatch):
+    cfg = _config_with_steps(n, monkeypatch)
+    res = integrate_scatter(5.0, barrier, 1.0, cfg)
     assert res.n_steps == 2 * n
-    T, R = magnus_loop_rt(3.0, barrier, 1.0, cfg)
+    T, R = magnus_loop_rt(5.0, barrier, 1.0, cfg)
     assert _rel(res.T, T) <= 1e-13
     assert _rel(res.R, R) <= 1e-13
 
@@ -327,11 +347,12 @@ def test_rk4_product_around_chunk_size(n):
 def test_step_functions_exact_to_rounding(lo, hi, terms):
     # cosh mu - 1 and sinh mu / mu at mu^2 = z, within 4 eps of what rounding
     # z alone costs, eps (|f| + |z f'(z)|): read off D for Omega = [[0, 1], [z, 0]]
+    # (terms 0: every step a long one, which takes the closed forms)
     z = np.random.default_rng(7).uniform(lo, hi, 100)
     c = np.zeros((5, z.size))
     c[2], c[3] = 1.0, z
     with np.errstate(over="ignore"):  # sinh and cosh of the branch not taken
-        d = oracle._maps(c, terms, np.zeros((1, z.size)))
+        d = oracle._maps(c, terms or 1, np.full(z.size, terms == 0), np.zeros((1, z.size)))
     with mp.workdps(40):
         for zi, cm, s in zip(z.tolist(), d[0, 0, 0].tolist(), d[0, 1, 0].tolist()):
             mu = mp.sqrt(mp.mpf(zi))
@@ -341,34 +362,37 @@ def test_step_functions_exact_to_rounding(lo, hi, terms):
 
 
 def test_step_too_coarse_raises():
-    # graded nodes resolve E = 3 with T_err 2.0e-7 at a budget of 625 steps
-    # per half (step 0.08); at 312 per half T_err is 1.6e-5
-    assert integrate_scatter(3.0, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.08)).T_err <= 1e-6
-    cfg = IntegrationConfig(x_max=50.0, step=0.16)
+    # graded nodes resolve E = 300 with T_err 1.1e-8 at a budget of 312
+    # steps per half (step 0.16); at 111 per half T_err is 1.1e-5
+    res = integrate_scatter(300.0, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.16))
+    assert res.T_err <= 1e-6
+    cfg = IntegrationConfig(x_max=50.0, step=0.45)
     with pytest.raises(StepTooCoarseError):
-        integrate_scatter(3.0, barrier, 1.0, cfg)
+        integrate_scatter(300.0, barrier, 1.0, cfg)
 
 
 def test_unstable_step_raises_cleanly():
-    # k*h = 4.5, where RK4 blew up: the Magnus maps stay bounded, but the
-    # barrier is unresolved (T_err 0.012); must surface as
+    # k*h = 90, where RK4 would blow up: the Magnus maps stay bounded, but
+    # the barrier is unresolved (T_err 3.2e-5); must surface as
     # StepTooCoarseError, not an arithmetic exception
     cfg = IntegrationConfig(x_max=50.0, step=0.45)
     budget = r"reduce the step budget \(IntegrationConfig\.step, --oracle-step\)$"
     with pytest.raises(StepTooCoarseError, match=budget):
-        integrate_scatter(50.0, barrier, 1.0, cfg)
+        integrate_scatter(20000.0, barrier, 1.0, cfg)
 
 
 @pytest.mark.parametrize("step", [pytest.param(0.45, id="rk4")])
 def test_overflowing_march_raises_cleanly(step):
-    # under a barrier 1e4 times the default one the decaying wave, marched
-    # backward, grows past float range (T < 1e-308): the overflow is
-    # reported as StepTooCoarseError, with no numpy RuntimeWarning
+    # under a barrier 1e5 times the default one the decaying wave, marched
+    # backward, grows past float range (T < 1e-308; 1e4 times reads T =
+    # 1.1e-199): the overflow is reported as StepTooCoarseError, with no
+    # numpy RuntimeWarning
     cfg = IntegrationConfig(x_max=200.0, step=step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StepTooCoarseError, match="^T error estimate nan "):
-            integrate_scatter(50.0, lambda x: 1e4 * barrier(x), 1.0, cfg)
+        with pytest.raises(StepTooCoarseError,
+                           match="^T error estimate nan .*, or T is below float range$"):
+            integrate_scatter(50.0, lambda x: 1e5 * barrier(x), 1.0, cfg)
 
 
 def test_boundary_not_decayed_raises():
@@ -405,10 +429,9 @@ def test_default_config_gives_up_on_nondecaying_potential():
         default_config(1.0, flat, m=1.0)
 
 
-def test_result_reports_boundary_potential():
+def test_default_config_leaves_decayed_edges():
     cfg = default_config(0.05, barrier, m=1.0, x_max_seed=50.0)
-    res = integrate_scatter(0.05, barrier, 1.0, cfg)
-    assert 0.0 < res.boundary_potential <= 1e-12
+    assert 0.0 < np.max(np.abs(barrier(np.array([-cfg.x_max, cfg.x_max])))) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [
@@ -464,32 +487,34 @@ def _assert_lanes_equal_scalar_calls(res, energies, pot, cfg, failed=()):
                 one.T, one.R, one.T_err, one.flux_residual)
 
 
+# lane counts around a block of 4, the size these cases set
 @pytest.mark.parametrize("n", [4 * _CHUNK - 1, 4 * _CHUNK + 5], ids=lambda n: f"{n}-rk4")
-@pytest.mark.parametrize("count", [_LANES - 1, _LANES, _LANES + 1])
-def test_batch_equals_scalar_calls_bit_for_bit(n, count):
-    cfg = _config_with_steps(n)
-    energies = np.linspace(0.02, 1.2, count).tolist()
+@pytest.mark.parametrize("count", [3, 4, 5])
+def test_batch_equals_scalar_calls_bit_for_bit(n, count, monkeypatch):
+    monkeypatch.setattr(oracle, "_LANES", 4)
+    cfg = _config_with_steps(n, monkeypatch)
+    energies = np.linspace(0.02, 5.0, count).tolist()
     res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
     assert res.errors == {} and res.n_steps == 2 * n
     _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg)
 
 
-@pytest.mark.parametrize("step", [pytest.param(0.07, id="rk4")])
+@pytest.mark.parametrize("step", [pytest.param(0.45, id="rk4")])
 def test_coarse_lanes_fail_alone(step):
-    # on a grid graded for E = 20000, a step of 0.07 resolves E <= 1 (T_err
-    # at most 3.0e-7) but not E = 20 (3.3e-6) or E = 20000 (k h = 14,
-    # 5.4e-5, from the closed-form maps), with no numpy RuntimeWarning
+    # on a grid graded for E = 20000, a step of 0.45 resolves E <= 1 (T_err
+    # at most 1.3e-7) but not E = 300 (1.1e-5) or E = 20000 (k h = 90,
+    # 3.2e-5), with no numpy RuntimeWarning
     cfg = IntegrationConfig(x_max=50.0, step=step)
-    energies = [0.05, 0.1, 20.0, 0.5, 20000.0, 1.0]
+    energies = [0.05, 0.1, 300.0, 0.5, 20000.0, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
     assert sorted(res.errors) == [2, 4]
     assert all(isinstance(exc, StepTooCoarseError) for exc in res.errors.values())
-    assert "at E=20.0 " in str(res.errors[2])
+    assert "at E=300.0 " in str(res.errors[2])
     _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg, failed=(2, 4))
     with pytest.raises(StepTooCoarseError):
-        integrate_scatter(20.0, barrier, 1.0, cfg)
+        integrate_scatter(300.0, barrier, 1.0, cfg)
 
 
 def test_boundary_check_per_lane():
@@ -502,7 +527,7 @@ def test_boundary_check_per_lane():
     res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
     assert sorted(res.errors) == [0, 2]
     assert all(isinstance(exc, BoundaryNotDecayedError) for exc in res.errors.values())
-    assert res.boundary_potential == edge
+    assert f"|V(+-35)| = {edge:g} exceeds" in str(res.errors[0])
     _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg, failed=(0, 2))
     with pytest.raises(BoundaryNotDecayedError):
         integrate_scatter(0.5, barrier, 1.0, cfg)
@@ -525,9 +550,9 @@ def _peak_bytes(E, cfg):
 
 
 def test_batch_memory_is_bounded_by_lane_blocks():
-    # 5.0 MB for the highest Table-1 energy alone and 5.4 MB for the 20
-    # energies, which share its grid, in blocks of _LANES; 15.9 MB when all
-    # 20 lanes march at once
+    # 0.64 MB for the highest Table-1 energy alone (1.7 MB on a process's
+    # first call) and 1.34 MB for the 20 energies, which share its grid, in
+    # blocks of _LANES (10); 2.47 MB when all 20 lanes march at once
     cfg = default_config(0.05, barrier, m=1.0, x_max_seed=50.0)
     one = _peak_bytes(max(TABLE1_ENERGIES), cfg)
     batch = _peak_bytes(np.array(TABLE1_ENERGIES), cfg)
