@@ -19,8 +19,8 @@ the command-line flags.  Exit codes: 0 success, 1 usage error, 2 numerical
 failure or tolerance breach.
 
 ``_scan_rows`` makes the rows of scatter and verify: the closed-form scan
-and, with the oracle, one ``default_config`` call (one domain and step budget
-for every energy the scan did not fail) and one ``integrate_scatter`` call.
+and, with the oracle, one ``default_config`` call (one domain for every
+energy the scan did not fail) and one ``integrate_scatter`` call.
 
 ``main`` may be called repeatedly in one process (scripts, notebooks, a
 benchmark loop): the parser is built on the first call, not at import,
@@ -40,11 +40,11 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 # potential_fn, default_config and integrate_scatter stay names of this
-# module: benchmarks/worker.py wraps them here, and reads the step count of
-# an integrate_scatter call from args[3].x_max and args[3].step, so cfg
-# stays its 4th positional argument
+# module: benchmarks/worker.py wraps them here, and counts a nominal
+# ceil(2 x_max / step) steps per integrate_scatter call from args[3].x_max
+# and args[3].step, so cfg stays its 4th positional argument
 from .model import BarrierParams, barrier_top, potential as potential_fn
-from .oracle import OracleError, default_config, integrate_scatter
+from .oracle import IntegrationConfig, OracleError, default_config, integrate_scatter
 from .reference import DEFAULT_PARAMS, TABLE1
 # compute_rt and scan stay names of this module: benchmarks/worker.py wraps them
 from .scatter import ScatteringResult, compute_rt, scan  # noqa: F401
@@ -206,6 +206,14 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="output file, or filename prefix for multi-curve runs")
 
 
+def _oracle_step(text: str) -> float:
+    # checked as IntegrationConfig checks a step; x_max plays no part
+    try:
+        return IntegrationConfig(x_max=1.0, step=float(text)).step
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--emin", dest="e_min", metavar="EMIN", type=float,
                      help="lowest energy")
@@ -217,11 +225,9 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     for name, preset in _PRESETS.items():
         presets.add_argument(f"--{name}", dest="preset", action="store_const",
                              const=name, help=preset.help)
-    sub.add_argument("--oracle-step", dest="oracle_step", type=float,
-                     help="override the step budget of the scan's one oracle "
-                          "config: its graded grid takes at most "
-                          "ceil(2 x_max / ORACLE_STEP) steps, which binds only "
-                          "where the grid wants more (high energies)")
+    sub.add_argument("--oracle-step", dest="oracle_step", type=_oracle_step,
+                     help="step scale of the oracle's graded grid, in [0.001, 0.5] "
+                          "(default 0.02): a smaller value refines it")
 
 
 @functools.cache
@@ -401,14 +407,10 @@ def _oracle_runs(res: ScatteringResult, params: BarrierParams, args):
         return T, R, T_err, {}
     v = lambda x: potential_fn(x, params)  # noqa: E731
     try:
-        cfg = default_config(res.E[ok], v, m=params.m,
-                             x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+        cfg = default_config(res.E[ok], v, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
     except OracleError as exc:
         return T, R, T_err, dict.fromkeys(ok, exc)
-    try:
-        cfg = replace(cfg, step=cfg.step if args.oracle_step is None else args.oracle_step)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    cfg = replace(cfg, step=args.oracle_step or cfg.step)  # a given step is >= 1e-3
     orc = integrate_scatter(res.E[ok], v, params.m, cfg)
     T[ok], R[ok], T_err[ok] = orc.T, orc.R, orc.T_err
     return T, R, T_err, {ok[j]: exc for j, exc in orc.errors.items()}
@@ -453,6 +455,8 @@ def _cmd_scatter(args) -> int:
     preset = _PRESETS.get(args.preset, _NO_PRESET)
     runs = [(tag, _run_config(args, variant))
             for tag, variant in _variants(args, preset.v0s)]
+    if args.oracle_step is not None and not runs[0][1].oracle_enabled:
+        raise _UsageError("--oracle-step needs an oracle run (--oracle)")
     any_errors, survey = False, []
     for tag, config in runs:
         columns, failures = _scan_rows(config, args)
@@ -484,35 +488,34 @@ def _cmd_verify(args) -> int:
     print()
 
     columns, failures = _scan_rows(replace(config, oracle_enabled=True), args)
-    max_dt = max_rel_dt = max_dr = max_uni = 0.0
+    E, T, dT, uni = (columns[key] for key in ("E", "T", "delta_T", "unitarity_residual"))
+    dR = np.abs(columns["R"] - columns["R_oracle"])
+    # nan at a failed energy: the maxima over the energies compared, nan if
+    # none (unitarity over those the closed form did not fail, 0 if none)
+    with np.errstate(divide="ignore", invalid="ignore"):  # T = 0
+        max_dt, max_rel_dt, max_dr, max_err = (np.fmax.reduce(a, initial=math.nan)
+                                               for a in (dT, dT / T, dR, columns["T_err"]))
+    max_uni = np.fmax.reduce(uni, initial=0.0)
     offenders: list[tuple[float, str]] = []
-    for i, (E, T, R, uni, t_o, r_o) in enumerate(zip(*(columns[key].tolist() for key in (
-            "E", "T", "R", "unitarity_residual", "T_oracle", "R_oracle")))):
-        stage, message = failures.get(i, ("", ""))
-        if stage != "analytic":
-            max_uni = max(max_uni, uni)
-        if stage:
-            offenders.append((E, f"{stage}: {message}"))
+    for i, (e, dt, dr, u) in enumerate(zip(E.tolist(), dT.tolist(), dR.tolist(), uni.tolist())):
+        if i in failures:
+            offenders.append((e, "{}: {}".format(*failures[i])))
             continue
-        dt, dr = abs(T - t_o), abs(R - r_o)
-        max_dt, max_dr = max(max_dt, dt), max(max_dr, dr)
-        max_rel_dt = max(max_rel_dt, dt / T if T else math.inf)
         if dt > _DT_TOL or dr > _DR_TOL:
-            offenders.append((E, f"|dT|={dt:.3g}, |dR|={dr:.3g}"))
-        if uni > _UNITARITY_TOL:
-            offenders.append((E, f"unitarity residual {uni:.3g}"))
+            offenders.append((e, f"|dT|={dt:.3g}, |dR|={dr:.3g}"))
+        if u > _UNITARITY_TOL:
+            offenders.append((e, f"unitarity residual {u:.3g}"))
 
-    print(f"analytic vs oracle over {len(columns['E'])} energies:")
+    print(f"analytic vs oracle over {E.size} energies:")
     print(f"  max |T_analytic - T_oracle| = {max_dt:.3g}   (tol {_DT_TOL:g})")
     print(f"  max |dT| / T_analytic       = {max_rel_dt:.3g}")
     print(f"  max |R_analytic - R_oracle| = {max_dr:.3g}   (tol {_DR_TOL:g})")
     print(f"  max unitarity residual      = {max_uni:.3g}   (tol {_UNITARITY_TOL:g})")
-    max_err = max((t for t in columns["T_err"].tolist() if not math.isnan(t)), default=math.nan)
     print(f"  max oracle T_err            = {max_err:.3g}")
     if offenders:
         print("offending energies:")
-        for E, why in offenders:
-            print(f"  E = {E:g}: {why}")
+        for e, why in offenders:
+            print(f"  E = {e:g}: {why}")
         print("FAIL")
         return 2
     print("PASS")

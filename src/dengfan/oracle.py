@@ -7,15 +7,14 @@ at -x_max, psi = A e^{ikx} + B e^{-ikx} gives T = 1/|A|^2, R = |B|^2/|A|^2.
 The steps are the sixth-order Magnus maps of Blanes, Casas & Ros (BIT 40,
 2000), which sample V at the Gauss points x_n + (1/2 -+ sqrt(15)/10, 1/2) h
 and are exact where w = 2m(V - E) is constant, so the grid (from a pilot
-sampling of V) is graded by where w varies.  A step is about _C0 / rho, with
+sampling of V) is graded by where w varies: a step spans cfg.step / rho, with
 rho^2 = f^2 (|w_top| + k_top^2) + |w'|^(2/3) and E_top the call's highest
 energy: where |V| < E_top a step's error, about h^7 times derivatives of w,
 falls with |V|, and f = (|V|/E_top)^(1/7) lengthens it (at most _STRETCH
 times); the slope keeps steps short where V crosses E or 0.  The halves
 [x_max, 0] and [0, -x_max] meet at a node at x = 0, and each jump of V that
 the pilot sees gets a node by bisection: no sample falls on a node, so a
-piecewise-constant w marches exactly.  ``IntegrationConfig.step`` is a
-budget that refines only a half it caps.
+piecewise-constant w marches exactly.
 
 det M = 1, so the flux residual |R + T - 1| only reports rounding.  The error
 check is a nested pair: the call also marches the subgrid of every other node
@@ -47,7 +46,7 @@ __all__ = ["OracleError", "BoundaryNotDecayedError", "StepTooCoarseError",
 
 _ERR_TOL = 1e-6     # T_err above this fails an energy
 _DECAY_TOL = 1e-12  # |V| at the edges must be <= _DECAY_TOL * max(E, 1)
-_C0 = 0.02       # a graded step times its density rho (module docstring)
+_STEPS = (1e-3, 0.5)  # the step scales IntegrationConfig allows
 _STRETCH = 1e3   # the most a step lengthens where |V| << E_top
 _PILOT = 4096    # pilot intervals per half, where the density is sampled
 _CHUNK = 2048    # steps per tree product: numpy per-call cost against cache size
@@ -64,26 +63,26 @@ class BoundaryNotDecayedError(OracleError):
 
 
 class StepTooCoarseError(OracleError):
-    """T_err exceeds 1e-6 or is not finite; the message says if the step budget caps the grid."""
+    """T_err exceeds 1e-6 or is not finite; a smaller IntegrationConfig.step refines the grid."""
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Integration domain [-x_max, x_max] and step budget: the graded grid
-    takes at most ceil(2 x_max / step) steps, half of them per half, which
-    binds only where it wants more (high energies on long domains)."""
+    """Integration domain [-x_max, x_max] and the grid's step scale, in
+    [1e-3, 0.5]: a graded step spans a phase of about ``step`` (module
+    docstring), and halving it doubles the steps and cuts T_err about 2^6
+    times, to near 1e-18 at 0.005 on the paper's energies; the floor stops a
+    step asking for ever more steps that add only rounding.  Above 0.5,
+    T_err read up to 22 times under the error, and 0 on a one-step segment."""
 
     x_max: float
-    step: float
+    step: float = 0.02
 
     def __post_init__(self) -> None:
         if not self.x_max > 0:
             raise ValueError(f"x_max must be > 0, got {self.x_max}")
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if self.step > self.x_max / 100.0:
-            raise ValueError(f"step {self.step} too large for x_max "
-                             f"{self.x_max} (need step <= x_max/100)")
+        if not _STEPS[0] <= self.step <= _STEPS[1]:
+            raise ValueError(f"step must be in [{_STEPS[0]:g}, {_STEPS[1]:g}], got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,12 @@ class OracleResult:
     errors: dict = field(default_factory=dict, repr=False)
 
 
-def default_config(E: float | np.ndarray, potential: Potential, m: float = 1.0,
+def default_config(E: float | np.ndarray, potential: Potential, *,
                    x_max_seed: float = 20.0) -> IntegrationConfig:
-    """One domain and step budget for the energies ``E`` (one or a 1-D array)
-    and the potential: the half-width doubles from ``x_max_seed`` until
-    |V(+-x_max)| <= 1e-12 * max(E, 1) at the lowest energy, the tightest
-    bound; the step is min(0.002, 0.07/k) at the highest, the smallest."""
+    """One domain for the energies ``E`` (one or a 1-D array) and the
+    potential, at the default step: the half-width doubles from
+    ``x_max_seed`` until |V(+-x_max)| <= 1e-12 * max(E, 1) at the lowest
+    energy, the tightest bound."""
     es = np.array(E, dtype=float, ndmin=1)
     if es.ndim != 1 or es.size == 0 or not np.all((es > 0.0) & (es < np.inf)):
         raise ValueError(f"E must be > 0, got {E!r}")
@@ -120,8 +119,7 @@ def default_config(E: float | np.ndarray, potential: Potential, m: float = 1.0,
     else:
         raise BoundaryNotDecayedError(
             f"|V| still {edge:g} at x = +-{x_max:g}; potential does not decay")
-    return IntegrationConfig(x_max=x_max,
-                             step=min(2e-3, 0.07 / math.sqrt(2.0 * m * float(es.max()))))
+    return IntegrationConfig(x_max=x_max)
 
 
 def plane_wave_decompose(psi: np.ndarray, dpsi: np.ndarray, k: np.ndarray,
@@ -147,8 +145,7 @@ def _eval_potential(potential: Potential, xs: np.ndarray) -> np.ndarray:
 
 def _nodes(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float):
     """The nodes, x_max through 0 to -x_max, of the fine grid for energies up
-    to ``e_top`` and of its subgrid, and whether the budget caps either half."""
-    cap = math.ceil(2.0 * cfg.x_max / cfg.step) // 2
+    to ``e_top`` and of its subgrid."""
     t = np.linspace(0.0, cfg.x_max, _PILOT + 1)  # the left half from V(0-) on
     v = _eval_potential(potential, np.concatenate((t, [-5e-324], -t[1:]))).reshape(2, t.size)
     # a jump changes V over 4 times as much as the intervals two away from it
@@ -169,9 +166,9 @@ def _nodes(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float)
     slope = np.where(jump, 0.0, (2.0 * m * _PILOT / cfg.x_max) * d) ** (2.0 / 3.0)
     rho = np.sqrt(np.maximum(wave[:, :-1], wave[:, 1:]) + slope)
     cum = np.pad(np.cumsum(rho * (cfg.x_max / _PILOT), axis=1), ((0, 0), (1, 0)))
-    n = [min(math.ceil(acc[-1] / _C0), cap) for acc in cum]
     halves = []
-    for h, (acc, count) in enumerate(zip(cum, n)):
+    for h, acc in enumerate(cum):
+        count = math.ceil(acc[-1] / cfg.step)
         # a node on each jump, just past it; the segments between share the
         # steps as they share the density, at least one each
         ends = np.concatenate(([0.0], hi[half == h], [cfg.x_max]))
@@ -184,7 +181,7 @@ def _nodes(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float)
     # in marching order, each segment's subgrid its every other node and last
     segs = [s[::-1] for s in halves[0][::-1]] + [-s for s in halves[1]]
     subs = [s[::2] if s.size % 2 else np.append(s[::2], s[-1]) for s in segs]
-    return [np.concatenate([g[0]] + [s[1:] for s in g[1:]]) for g in (segs, subs)], cap in n
+    return [np.concatenate([g[0]] + [s[1:] for s in g[1:]]) for g in (segs, subs)]
 
 
 def _steps(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
@@ -286,11 +283,9 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
         for i, b in enumerate(_DECAY_TOL * max(e, 1.0) for e in energies) if boundary > b}
     lanes = np.array([i for i in range(es.size) if i not in errors], dtype=int)
     R, T, T_err, flux = np.full((4, es.size), math.nan)
-    nodes, capped = _nodes(potential, m, cfg, max(energies)) if lanes.size else ([], True)
+    nodes = _nodes(potential, m, cfg, max(energies)) if lanes.size else []
     grids = [_steps(potential, m, x, max(energies)) for x in nodes]
     n_steps = grids[0][1].shape[1] if grids else 0
-    advice = ("reduce the step budget (IntegrationConfig.step, --oracle-step)" if capped
-              else "the budget does not cap this grid, so a smaller step will not refine it")
     # a march that overflows gives a T_err that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, lanes.size, _LANES):
@@ -309,9 +304,10 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
             T[i], R[i] = (tf + (tf - tc) / 63.0)[ok], (rf + (rf - rc) / 63.0)[ok]
             T_err[i], flux[i] = err[ok], np.abs(R[i] + T[i] - 1.0)
             for i, e in zip(block[~ok].tolist(), err[~ok].tolist()):
-                why = advice if e < math.inf else advice + ", or T is below float range"
-                errors[i] = StepTooCoarseError(f"T error estimate {e:g} exceeds {_ERR_TOL:g} "
-                                               f"at E={energies[i]} (step={cfg.step}); {why}")
+                errors[i] = StepTooCoarseError(
+                    f"T error estimate {e:g} exceeds {_ERR_TOL:g} at E={energies[i]} "
+                    f"(step={cfg.step}); reduce the step (IntegrationConfig.step, "
+                    "--oracle-step)" + ("" if e < math.inf else ", or T is below float range"))
     if np.ndim(E) == 0:
         if errors:
             raise errors[0]

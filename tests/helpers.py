@@ -89,7 +89,7 @@ def magnus_loop_rt(E, potential, m, cfg):
     for coarse in (False, True):
         psi = cmath.exp(1j * k * L)
         phi = 1j * k * psi
-        fine = _nodes(potential, m, cfg, E)[0][0].tolist()
+        fine = _nodes(potential, m, cfg, E)[0].tolist()
         zero = fine.index(0.0)
         for x in (fine[:zero + 1], fine[zero:]):
             if coarse:  # every other node of a half, and its last

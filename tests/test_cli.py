@@ -118,8 +118,8 @@ def test_scatter_oracle_columns(capsys):
 
 
 def test_oracle_one_config_and_one_call_per_scan(tmp_path, monkeypatch, capsys):
-    # every energy above 200 (m = 1) has its own default step: the scan's
-    # one config takes the highest energy's, and one call marches them all
+    # the scan's one config, its domain at the default step, serves every
+    # energy, and one call marches them all on the grid of the highest
     calls = []
 
     def config(E, *args, **kwargs):
@@ -463,13 +463,56 @@ def test_verify_small_grid_passes(capsys):
 
 
 def test_verify_coarse_oracle_step_fails(capsys):
-    # a budget of 111 steps per half leaves T_err at 1.1e-5 and 3.2e-5
-    code, out, _ = run(["verify", "--emin", "300", "--emax", "20000", "--n", "2",
-                        "--oracle-step", "0.45"], capsys)
+    # the coarsest step, 0.5, leaves T_err at 1.4e-4 and 3.3e-4: no energy
+    # is compared, so every maximum but the closed form's unitarity is nan
+    code, out, _ = run(["verify", "--emin", "0.0003", "--emax", "0.001", "--n", "2",
+                        "--oracle-step", "0.5"], capsys)
     assert code == 2
-    assert "StepTooCoarse" in out
-    assert "\n  max oracle T_err            = nan\n" in out
+    assert out.count("StepTooCoarseError") == 2
+    for line in ("max |T_analytic - T_oracle| = nan   (tol 1e-06)",
+                 "max |dT| / T_analytic       = nan",
+                 "max |R_analytic - R_oracle| = nan   (tol 1e-06)",
+                 "max oracle T_err            = nan"):
+        assert f"\n  {line}\n" in out
+    assert "max unitarity residual      = nan" not in out
     assert "FAIL" in out
+
+
+def test_verify_finer_oracle_step_refines(capsys):
+    # --oracle-step sets the graded grid's step: halving it from the default
+    # cuts the largest T_err about 2^6 times (4.4e-15 to 6.9e-17 on Table 1)
+    t_err = []
+    for step in ([], ["--oracle-step", "0.01"]):
+        code, out, _ = run(["verify"] + step, capsys)
+        assert code == 0
+        t_err.append(float(out.split("max oracle T_err            = ")[1].split()[0]))
+    assert t_err[0] >= 32.0 * t_err[1]
+
+
+def test_oracle_step_is_checked_before_any_scan(tmp_path, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(dengfan.cli, "scan", no_scan)
+    # outside [0.001, 0.5], with or without an oracle run, and even where
+    # every closed-form energy would fail
+    for argv in (["scatter", "--n", "2", "--oracle-step", "-1"],
+                 ["scatter", "--oracle", "--oracle-step", "5e-4"] + PAST_EDGE,
+                 ["verify", "--oracle-step", "0.6"]):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "argument --oracle-step: step must be in [0.001, 0.5]" in err
+    # a valid step with no oracle run to take it
+    code, _, err = run(["scatter", "--n", "2", "--oracle-step", "0.01"], capsys)
+    assert code == 1
+    assert err == "dengfan scatter: error: --oracle-step needs an oracle run (--oracle)\n"
+    monkeypatch.undo()
+    # an oracle run that a config file asks for takes the step
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(json.dumps({"oracle_enabled": True}))
+    code, out, _ = run(["scatter", "--config", str(cfg), "--n", "2", "--oracle-step", "0.04"],
+                       capsys)
+    assert code == 0 and out.startswith(EXPECTED_HEADER_ORACLE + "\n")
 
 
 def test_verify_free_particle(capsys):

@@ -1,6 +1,8 @@
+import functools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -94,49 +96,57 @@ def test_rectangular_barrier_rk4():
     # the pilot finds the jumps at +-0.5 (at x_max = 2 it samples the
     # window, which makes two jumps 2e-9 apart on each side) and bisection
     # puts a node on each, in both grids: the maps are exact for
-    # piecewise-constant w, at any budget (53 steps per half; the window's
-    # two halves shift T by O(1e-18))
+    # piecewise-constant w, at any step (the window's two halves shift T by
+    # O(1e-18)), from the coarsest to the finest
     edges = [0.5 - 1e-9, 0.5 + 1e-9]
-    for step in (2.0**-6, 2.0**-10, 2.0**-14):
+    for step, n_steps in ((0.5, 10), (0.02, 106), (1e-3, 2008)):
         cfg = IntegrationConfig(x_max=2.0, step=step)
         res = integrate_scatter(1.0, rect_barrier, 1.0, cfg)
-        assert res.n_steps == 106
+        assert res.n_steps == n_steps
         assert abs(res.T - T_RECT) <= 1e-12
         assert abs(res.R - (1.0 - T_RECT)) <= 1e-12
-        (fine, coarse), capped = _nodes(rect_barrier, 1.0, cfg, 1.0)
-        assert not capped
-        for x in (fine, coarse):
+        for x in _nodes(rect_barrier, 1.0, cfg, 1.0):
             for edge in edges:
                 assert np.count_nonzero(np.abs(np.abs(x) - edge) <= 1e-15) == 2
 
 
 def test_matches_analytic_at_default_config():
     for E in (0.005, 0.05, 0.1):
-        cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
+        cfg = default_config(E, barrier, x_max_seed=50.0)
         res = integrate_scatter(E, barrier, 1.0, cfg)
         ana = compute_rt(E, DEFAULT_PARAMS)
         assert abs(res.T - ana.T) <= 1e-6
         assert res.flux_residual <= 1e-6
 
 
-def test_rk4_richardson_order(monkeypatch):
-    # sixth order: halving _C0 halves every graded step and cuts T_err,
-    # |T_f - T_c| / 63, by about 2^6 (62.7 measured from 0.04 to 0.02;
-    # below that T_err nears rounding)
-    cfg = default_config(0.5, barrier, m=1.0, x_max_seed=50.0)
-    errs = []
-    for c0 in (0.04, 0.02):
-        monkeypatch.setattr(oracle, "_C0", c0)
-        errs.append(integrate_scatter(0.5, barrier, 1.0, cfg).T_err)
+def test_rk4_richardson_order():
+    # sixth order: halving the step halves every graded step and cuts
+    # T_err, |T_f - T_c| / 63, by about 2^6 (62.7 measured from 0.04 to
+    # 0.02; below that T_err nears rounding)
+    cfg = default_config(0.5, barrier, x_max_seed=50.0)
+    errs = [integrate_scatter(0.5, barrier, 1.0, replace(cfg, step=step)).T_err
+            for step in (0.04, 0.02)]
     assert 48.0 <= errs[0] / errs[1] <= 80.0
+
+
+def test_halving_the_step_refines_the_grid():
+    # on the Table-1 energies and the CLI's domain, step 0.04 takes 702
+    # steps with T_err 2.8e-13 at most, and 0.02 takes 1,402 with 4.4e-15:
+    # each half's count is ceil(its density integral / step)
+    cfg = default_config(np.array(TABLE1_ENERGIES), barrier, x_max_seed=50.0)
+    coarse, fine = (integrate_scatter(np.array(TABLE1_ENERGIES), barrier, 1.0,
+                                      replace(cfg, step=step)) for step in (0.04, 0.02))
+    assert coarse.errors == {} and fine.errors == {}
+    assert abs(fine.n_steps - 2 * coarse.n_steps) <= 2
+    assert coarse.T_err.max() >= 32.0 * fine.T_err.max()
 
 
 def test_flux_residual_reports_rounding():
     # det M = 1: R + T = 1 to rounding however coarse the step, so T_err is
-    # the error check (1.1e-7 at E = 20000 and a budget of 312 steps per half)
-    res = integrate_scatter(20000.0, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.16))
+    # the error check (4.0e-7 at E = 10 and the coarsest step, 0.5)
+    res = integrate_scatter(10.0, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.5))
     assert res.flux_residual <= 1e-14
-    assert res.T_err >= 1e-8
+    assert res.T_err >= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +157,11 @@ def _oracle_rel_errors(params, energies):
     # relative T error of one oracle call against the closed form, on the
     # domain and step the CLI picks, and the call's step count
     pot = lambda x: potential(x, params)
-    cfg = default_config(np.array(energies), pot, params.m,
+    cfg = default_config(np.array(energies), pot,
                          x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
     res = integrate_scatter(np.array(energies), pot, params.m, cfg)
     assert res.errors == {}
     return np.abs(res.T - scan(energies, params).T) / res.T, res.n_steps
-
-
-@pytest.mark.parametrize("E", [0.005, 0.1, 3.0, 100.0])
-def test_steps_within_budget(E):
-    # at most ceil(2 x_max / step) steps, the uniform grid's count
-    cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
-    res = integrate_scatter(E, barrier, 1.0, cfg)
-    assert 0 < res.n_steps <= math.ceil(2.0 * cfg.x_max / cfg.step)
 
 
 def test_table1_energies_on_the_graded_grid():
@@ -191,8 +193,7 @@ def test_tall_barrier_against_reference(q, q_tilde):
     # oracle checks there
     params = BarrierParams(q=q, q_tilde=q_tilde)
     pot = lambda x: potential(x, params)
-    cfg = default_config(0.05, pot, params.m,
-                         x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    cfg = default_config(0.05, pot, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
     res = integrate_scatter(np.array([0.05]), pot, params.m, cfg)
     assert res.errors == {}
     assert res.T[0] == pytest.approx(reference_transmission(0.05, params), rel=1e-10, abs=0)
@@ -203,9 +204,8 @@ def test_high_energies_against_reference(E):
     # E/V_max 12.6 to 25.1, one energy per call.  RK4 dissipated the free
     # wave and missed by 1.1e-7 to 1.5e-7 in up to 173,206 steps; a Magnus
     # map is exact on constant w, so the steps lengthen where V is small,
-    # and 15,486 to 19,818 steps (the 2e-3 budget allows 50,000) read
-    # 2e-14 at most
-    cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
+    # and 15,486 to 19,818 steps read 2e-14 at most
+    cfg = default_config(E, barrier, x_max_seed=50.0)
     res = integrate_scatter(E, barrier, 1.0, cfg)
     assert res.n_steps <= 20_000
     assert abs(res.T - reference_transmission(E, DEFAULT_PARAMS)) <= 1e-12
@@ -218,7 +218,7 @@ def test_tall_barrier_at_high_energy_against_reference(E):
     # tails, and T missed by 5.5e-11 and 1.1e-11 relative
     params = BarrierParams(q=0.999, q_tilde=0.999)
     pot = lambda x: potential(x, params)
-    cfg = default_config(E, pot, params.m, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    cfg = default_config(E, pot, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
     res = integrate_scatter(E, pot, params.m, cfg)
     assert res.T == pytest.approx(reference_transmission(E, params), rel=1e-12, abs=0)
 
@@ -252,7 +252,7 @@ _T_ERR_CASES = {
 def test_t_err_bounds_the_error(case):
     params, energies, seed = _T_ERR_CASES[case]
     pot = lambda x: potential(x, params)
-    cfg = default_config(np.array(energies), pot, params.m,
+    cfg = default_config(np.array(energies), pot,
                          x_max_seed=seed or max(40.0 / params.a, 10.0 * params.x_e))
     res = integrate_scatter(np.array(energies), pot, params.m, cfg)
     assert res.errors == {}
@@ -270,8 +270,7 @@ def test_halves_meet_at_x_zero(q_tilde):
     # only x < 0, so each takes its own side's limit of V at a jump there
     params = BarrierParams(q=0.9, q_tilde=q_tilde)
     pot = lambda x: potential(x, params)
-    (fine, coarse), capped = _nodes(pot, 1.0, IntegrationConfig(x_max=50.0, step=1e-3), 0.1)
-    assert not capped
+    fine, coarse = _nodes(pot, 1.0, IntegrationConfig(x_max=50.0), 0.1)
     for x in (fine, coarse):
         h = np.diff(x)
         samples = x[:-1] + np.outer(_GAUSS, h)
@@ -294,7 +293,7 @@ def test_mirrored_barrier_transmits_alike(q, q_tilde, E):
     # that used V(0) for both sides missed by 7.5e-4, 1.1e-3 and 3.9e-4)
     params = BarrierParams(q=q, q_tilde=q_tilde)
     pot = lambda x: potential(x, params)
-    cfg = default_config(E, pot, params.m, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
+    cfg = default_config(E, pot, x_max_seed=max(40.0 / params.a, 10.0 * params.x_e))
     T = integrate_scatter(E, pot, params.m, cfg).T
     mirrored = integrate_scatter(E, lambda x: pot(-x), params.m, cfg).T
     assert mirrored == pytest.approx(T, rel=1e-12, abs=0)
@@ -308,31 +307,36 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def _config_with_steps(n, monkeypatch, x_max=64.0):
-    # a step just above x_max / n, so that ceil(2 x_max / step) == 2n: a
-    # budget of n steps per half, which binds at the energies below on a
-    # grid graded five times as fine as the default (it wants about 9,400
-    # steps per half for E = 5)
-    monkeypatch.setattr(oracle, "_C0", oracle._C0 / 5.0)
-    cfg = IntegrationConfig(x_max=x_max, step=x_max / n * (1.0 + 1e-12))
-    assert math.ceil(2.0 * x_max / cfg.step) == 2 * n
-    return cfg
+@functools.cache
+def _config_with_steps(n, top=5.0, x_max=64.0):
+    # the step at which the grid for energies up to ``top`` takes n steps per
+    # half, 2n in all (the barrier is symmetric), by bisection: a half's
+    # count is ceil(its density integral / step), so a range of steps gives
+    # n (about 0.0046 for n = 4 * _CHUNK, where the default takes 1,882)
+    lo, hi = IntegrationConfig(x_max=x_max, step=1e-3), IntegrationConfig(x_max=x_max, step=0.5)
+    for _ in range(60):
+        cfg = replace(lo, step=math.sqrt(lo.step * hi.step))
+        count = _nodes(barrier, 1.0, cfg, top)[0].size - 1
+        if count == 2 * n:
+            return cfg
+        lo, hi = (cfg, hi) if count > 2 * n else (lo, cfg)
+    raise AssertionError(f"no step gives {2 * n} steps")
 
 
 @pytest.mark.parametrize("E", list(TABLE1_ENERGIES) + [0.3, 0.9, 3.0])
 def test_rk4_product_matches_sequential_loop(E):
-    cfg = default_config(E, barrier, m=1.0, x_max_seed=50.0)
+    cfg = default_config(E, barrier, x_max_seed=50.0)
     res = integrate_scatter(E, barrier, 1.0, cfg)
     T, R = magnus_loop_rt(E, barrier, 1.0, cfg)
     assert _rel(res.T, T) <= 1e-13
     assert _rel(res.R, R) <= 1e-13
 
 
-# budgets of about four chunks per half: the fine march takes 2n steps, eight
+# grids of about four chunks per half: the fine march takes 2n steps, eight
 # chunks and -2, 0 or +2 steps, and the coarse one 8192 or 8194
 @pytest.mark.parametrize("n", [4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
-def test_rk4_product_around_chunk_size(n, monkeypatch):
-    cfg = _config_with_steps(n, monkeypatch)
+def test_rk4_product_around_chunk_size(n):
+    cfg = _config_with_steps(n)
     res = integrate_scatter(5.0, barrier, 1.0, cfg)
     assert res.n_steps == 2 * n
     T, R = magnus_loop_rt(5.0, barrier, 1.0, cfg)
@@ -362,23 +366,25 @@ def test_step_functions_exact_to_rounding(lo, hi, terms):
 
 
 def test_step_too_coarse_raises():
-    # graded nodes resolve E = 300 with T_err 1.1e-8 at a budget of 312
-    # steps per half (step 0.16); at 111 per half T_err is 1.1e-5
-    res = integrate_scatter(300.0, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.16))
+    # graded nodes resolve E = 0.005 with T_err 8.8e-7 at step 0.3 (72
+    # steps); at 0.5 (44 steps) T_err is 2.7e-5
+    res = integrate_scatter(0.005, barrier, 1.0, IntegrationConfig(x_max=50.0, step=0.3))
     assert res.T_err <= 1e-6
-    cfg = IntegrationConfig(x_max=50.0, step=0.45)
+    cfg = IntegrationConfig(x_max=50.0, step=0.5)
     with pytest.raises(StepTooCoarseError):
-        integrate_scatter(300.0, barrier, 1.0, cfg)
+        integrate_scatter(0.005, barrier, 1.0, cfg)
 
 
 def test_unstable_step_raises_cleanly():
-    # k*h = 90, where RK4 would blow up: the Magnus maps stay bounded, but
-    # the barrier is unresolved (T_err 3.2e-5); must surface as
-    # StepTooCoarseError, not an arithmetic exception
-    cfg = IntegrationConfig(x_max=50.0, step=0.45)
-    budget = r"reduce the step budget \(IntegrationConfig\.step, --oracle-step\)$"
-    with pytest.raises(StepTooCoarseError, match=budget):
-        integrate_scatter(20000.0, barrier, 1.0, cfg)
+    # the coarsest step leaves E = 0.001 unresolved (40 steps, T_err
+    # 3.3e-4): it must surface as StepTooCoarseError, not an arithmetic
+    # exception, and say that a smaller step refines the grid
+    cfg = IntegrationConfig(x_max=50.0, step=0.5)
+    advice = r"reduce the step \(IntegrationConfig\.step, --oracle-step\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooCoarseError, match=advice):
+            integrate_scatter(0.001, barrier, 1.0, cfg)
 
 
 @pytest.mark.parametrize("step", [pytest.param(0.45, id="rk4")])
@@ -405,19 +411,19 @@ def test_boundary_not_decayed_raises():
 
 def test_default_config_doubles_until_decay():
     slow = lambda x: np.exp(-np.abs(np.asarray(x, float)) / 20.0)
-    cfg = default_config(1.0, slow, m=1.0, x_max_seed=20.0)
-    assert cfg.x_max == 640.0  # 20 * 2^5 is the first width with |V| <= 1e-12
-    assert cfg.step == min(2e-3, 0.07 / math.sqrt(2.0))
+    cfg = default_config(1.0, slow, x_max_seed=20.0)
+    # 20 * 2^5 is the first width with |V| <= 1e-12; the step is the default
+    assert cfg == IntegrationConfig(x_max=640.0, step=0.02)
 
 
 def test_default_config_for_energies():
     # one config for them all: the lowest energy's decay bound, the
-    # tightest, sets the domain, and the highest energy's step, the
-    # smallest, the budget
+    # tightest, sets the domain; the grid, graded for the highest energy
+    # when it is marched, takes the default step
     slow = lambda x: np.exp(-np.abs(np.asarray(x, float)) / 20.0)
-    assert default_config(1e6, slow, m=1.0).x_max == 320.0
-    cfg = default_config(np.array([4.0, 0.5, 1e6]), slow, m=1.0)
-    assert cfg == IntegrationConfig(x_max=640.0, step=0.07 / math.sqrt(2e6))
+    assert default_config(1e6, slow).x_max == 320.0
+    cfg = default_config(np.array([4.0, 0.5, 1e6]), slow)
+    assert cfg == IntegrationConfig(x_max=640.0, step=0.02)
     for bad in ([], [0.5, 0.0], [0.5, math.inf], [[0.5]]):
         with pytest.raises(ValueError):
             default_config(np.array(bad), slow)
@@ -426,22 +432,36 @@ def test_default_config_for_energies():
 def test_default_config_gives_up_on_nondecaying_potential():
     flat = lambda x: np.full_like(np.asarray(x, float), 0.5)
     with pytest.raises(BoundaryNotDecayedError):
-        default_config(1.0, flat, m=1.0)
+        default_config(1.0, flat)
 
 
 def test_default_config_leaves_decayed_edges():
-    cfg = default_config(0.05, barrier, m=1.0, x_max_seed=50.0)
+    cfg = default_config(0.05, barrier, x_max_seed=50.0)
     assert 0.0 < np.max(np.abs(barrier(np.array([-cfg.x_max, cfg.x_max])))) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [
     dict(x_max=0.0, step=0.001),
     dict(x_max=10.0, step=0.0),
-    dict(x_max=10.0, step=0.2),      # step > x_max/100
+    dict(x_max=10.0, step=9.9e-4),   # below the floor, 1e-3
+    dict(x_max=10.0, step=0.51),     # above the ceiling, 0.5
+    dict(x_max=10.0, step=math.nan),
+    dict(x_max=10.0, step=math.inf),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         IntegrationConfig(**bad)
+
+
+def test_step_below_the_floor_rejected_when_built():
+    # the floor, 1e-3, bounds a grid at 20 times the default's steps; a step
+    # below it is refused when the config is built, before any potential is
+    # sampled or grid allocated
+    assert IntegrationConfig(x_max=50.0, step=1e-3).step == 1e-3
+    with pytest.raises(ValueError, match=r"^step must be in \[0\.001, 0\.5\], got 0\.0005$"):
+        IntegrationConfig(x_max=50.0, step=5e-4)
+    with pytest.raises(ValueError):
+        replace(IntegrationConfig(x_max=50.0), step=1e-9)
 
 
 def test_nonpositive_energy_rejected():
@@ -492,29 +512,29 @@ def _assert_lanes_equal_scalar_calls(res, energies, pot, cfg, failed=()):
 @pytest.mark.parametrize("count", [3, 4, 5])
 def test_batch_equals_scalar_calls_bit_for_bit(n, count, monkeypatch):
     monkeypatch.setattr(oracle, "_LANES", 4)
-    cfg = _config_with_steps(n, monkeypatch)
+    cfg = _config_with_steps(n)
     energies = np.linspace(0.02, 5.0, count).tolist()
     res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
     assert res.errors == {} and res.n_steps == 2 * n
     _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg)
 
 
-@pytest.mark.parametrize("step", [pytest.param(0.45, id="rk4")])
+@pytest.mark.parametrize("step", [pytest.param(0.5, id="rk4")])
 def test_coarse_lanes_fail_alone(step):
-    # on a grid graded for E = 20000, a step of 0.45 resolves E <= 1 (T_err
-    # at most 1.3e-7) but not E = 300 (1.1e-5) or E = 20000 (k h = 90,
-    # 3.2e-5), with no numpy RuntimeWarning
+    # on a grid graded for E = 0.1, the coarsest step resolves E >= 0.005
+    # (T_err at most 5.8e-7) but not E = 0.001 or E = 0.0003, with no numpy
+    # RuntimeWarning
     cfg = IntegrationConfig(x_max=50.0, step=step)
-    energies = [0.05, 0.1, 300.0, 0.5, 20000.0, 1.0]
+    energies = [0.05, 0.02, 0.001, 0.005, 0.0003, 0.1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
     assert sorted(res.errors) == [2, 4]
     assert all(isinstance(exc, StepTooCoarseError) for exc in res.errors.values())
-    assert "at E=300.0 " in str(res.errors[2])
+    assert "at E=0.001 " in str(res.errors[2])
     _assert_lanes_equal_scalar_calls(res, energies, barrier, cfg, failed=(2, 4))
     with pytest.raises(StepTooCoarseError):
-        integrate_scatter(300.0, barrier, 1.0, cfg)
+        integrate_scatter(0.001, barrier, 1.0, cfg)
 
 
 def test_boundary_check_per_lane():
@@ -553,7 +573,7 @@ def test_batch_memory_is_bounded_by_lane_blocks():
     # 0.64 MB for the highest Table-1 energy alone (1.7 MB on a process's
     # first call) and 1.34 MB for the 20 energies, which share its grid, in
     # blocks of _LANES (10); 2.47 MB when all 20 lanes march at once
-    cfg = default_config(0.05, barrier, m=1.0, x_max_seed=50.0)
+    cfg = default_config(0.05, barrier, x_max_seed=50.0)
     one = _peak_bytes(max(TABLE1_ENERGIES), cfg)
     batch = _peak_bytes(np.array(TABLE1_ENERGIES), cfg)
     assert batch <= one + 1_000_000
