@@ -35,7 +35,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -327,49 +327,57 @@ def _run_config(args, variant: dict) -> RunConfig:
 # a table's values as one flat list, by the C encoder (any indent selects
 # the pure-Python one)
 _FLAT_ENCODER = json.JSONEncoder(allow_nan=True, separators=(",", ":"))
+# rows per piece of a streamed JSON table; pieces never change a byte
+_JSON_BATCH = 256
 
 
-def _json_text(config: dict, header: Sequence[str],
-               rows: Sequence[Sequence[float]]) -> str:
+def _json_pieces(config: dict, header: Sequence[str],
+                 rows: Sequence[Sequence[float]]) -> Iterator[str]:
     """json.dumps({"config": config, "rows": [dict(zip(header, row)) for row
     in rows]}, indent=2, sort_keys=True, allow_nan=True) plus a newline, byte
-    for byte.  Rows hold numbers only: the values of every row, in sorted-key
-    order, go through one encoder call, whose output splits on commas and
-    fills one %-template of the rows' indented layout."""
+    for byte, in pieces of at most ``_JSON_BATCH`` rows.  Rows hold numbers
+    only: the values of a piece's rows, in sorted-key order, go through one
+    encoder call, whose output splits on commas and fills one %-template of
+    the rows' indented layout."""
     head = json.dumps(config, indent=2, sort_keys=True, allow_nan=True)
-    if rows:
-        order = sorted(range(len(header)), key=header.__getitem__)
-        one_row = ",\n      ".join(json.dumps(header[j]).replace("%", "%%") + ": %s"
-                                    for j in order)
-        template = "[\n    {\n      " + "\n    },\n    {\n      ".join([one_row] * len(rows))
-        values = _FLAT_ENCODER.encode([row[j] for row in rows for j in order])
-        body = (template + "\n    }\n  ]") % tuple(values[1:-1].split(","))
-    else:
-        body = "[]"
-    return ('{\n  "config": ' + head.replace("\n", "\n  ")
-            + ',\n  "rows": ' + body + "\n}\n")
+    yield '{\n  "config": ' + head.replace("\n", "\n  ") + ',\n  "rows": '
+    if not rows:
+        yield "[]\n}\n"
+        return
+    order = sorted(range(len(header)), key=header.__getitem__)
+    one_row = ",\n      ".join(json.dumps(header[j]).replace("%", "%%") + ": %s"
+                                for j in order)
+    between = "\n    },\n    {\n      "
+    for start in range(0, len(rows), _JSON_BATCH):
+        batch = rows[start:start + _JSON_BATCH]
+        template = between.join([one_row] * len(batch))
+        values = _FLAT_ENCODER.encode([row[j] for row in batch for j in order])
+        yield ((between if start else "[\n    {\n      ")
+               + template % tuple(values[1:-1].split(",")))
+    yield "\n    }\n  ]\n}\n"
 
 
 def _write(args, tag: str, header: Sequence[str], rows: Sequence[Sequence[float]],
            config: RunConfig) -> None:
     """Write one table, as CSV or as JSON echoing ``config``, to --out or
     stdout; a tagged run goes to <prefix>_<tag>.<format>, where --out, when
-    given, is the prefix."""
+    given, is the prefix.  JSON goes out in pieces of rows."""
     if config.output_format == "csv":
         lines = [",".join(header)]
         lines += [",".join(f"{v:.9g}" for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        pieces: Iterable[str] = ["\n".join(lines) + "\n"]
     else:
-        text = _json_text(asdict(config), header, rows)
+        pieces = _json_pieces(asdict(config), header, rows)
     out = args.out
     if tag:
         prefix = args.out or _PRESETS.get(args.preset, _NO_PRESET).prefix or args.command
         out = f"{prefix}_{tag}.{config.output_format}"
     if out is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 # ----------------------------------------------------------------------------

@@ -33,6 +33,7 @@ precision; no arbitrary-precision escape hatch.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,43 @@ _CONNECTION_GATE = 5e-14
 # than no value
 _FALLBACK_GATE = 1e-12
 
-# lanes x terms of one series block (128 KB per complex temporary) unless 8
+# lanes x terms of one series block (128 KB per complex block array) unless 8
 # terms per lane need more; block sizes never change a value
 _BLOCK_CELLS = 1 << 13
+
+
+class _Workspace(threading.local):
+    """The block arrays of ``_series``, one set per thread, grown to the
+    largest block they have held and never freed.  A block of _BLOCK_CELLS
+    cells makes about 2 MB of them; freed after each block, they let glibc
+    trim its heap (M_TRIM_THRESHOLD in mallopt(3)), and the next block
+    faulted every page back in: a pass of the benchmark's `paper` workload
+    took about 10k minor faults (5.0k in _series, 2.7k in _lngamma on the
+    same heap) and a `q-sweep` pass 21k-24k, nearly all in _series.
+    Kept, their pages stay mapped; no value depends on what they held."""
+
+    def __init__(self) -> None:
+        self.cells = 0  # the block size the buffers hold
+
+    def block(self, lanes: int, terms: int) -> tuple[np.ndarray, ...]:
+        """(t, s, mag, lhs, rhs, both, small, stop) for a block of ``lanes``
+        x ``terms`` cells: t is (lanes, terms + 1), s, mag, lhs, rhs and
+        both are (lanes, 2, terms), small and stop (lanes, terms).  Each is
+        C-contiguous, its contents left over from earlier blocks."""
+        cells = lanes * terms
+        if cells > self.cells:
+            self.cells, self.cplx = cells, np.empty(4 * cells, dtype=complex)
+            self.reals, self.flags = np.empty(6 * cells), np.empty(4 * cells, dtype=bool)
+        # s in the first half of cplx, t (at most 2 x cells) in the second
+        half = 2 * self.cells
+        mag, lhs, rhs = self.reals[:6 * cells].reshape(3, lanes, 2, terms)
+        small, stop = self.flags[2 * cells:4 * cells].reshape(2, lanes, terms)
+        return (self.cplx[half:half + cells + lanes].reshape(lanes, terms + 1),
+                self.cplx[:2 * cells].reshape(lanes, 2, terms), mag, lhs, rhs,
+                self.flags[:2 * cells].reshape(lanes, 2, terms), small, stop)
+
+
+_WORKSPACE = _Workspace()
 
 
 class Hyp2F1Error(Exception):
@@ -198,13 +233,14 @@ def _series(a, b, c, z, n_peaks: int = 0):
     """Sum the defining series F = sum t_n and, in the same blocks, z F' =
     sum n t_n on every lane.  Returns (sums, peaks, errors): sums[:, 0] is F
     and sums[:, 1] is z F', errors maps a failed lane to what went wrong,
-    and peaks holds, on the first ``n_peaks`` lanes only, the largest L1
-    term magnitude of each sum (for rounding-error estimates).  Terms are
-    made and summed in blocks, each lane's in the order one scalar loop
-    takes them; converged lanes drop out between blocks.
+    and peaks holds, for the first ``n_peaks`` lanes, the largest L1 term
+    magnitude of each sum (for rounding-error estimates).  Terms are made
+    and summed in blocks, each lane's in the order one scalar loop takes
+    them; converged lanes drop out between blocks.  The block arrays live
+    in this thread's ``_Workspace``, and nothing returned is a view of it.
     """
-    n_lanes, errors = a.size, {}
-    sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_lanes, 2))
+    n_lanes, errors, work = a.size, {}, _WORKSPACE
+    sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_peaks, 2))
     lanes, az = np.arange(n_lanes), np.abs(z)
     # term ratios approach |z|, so the dropped tail is about
     # tail_factor * |last term| (n times that for z F', whose terms are
@@ -219,23 +255,32 @@ def _series(a, b, c, z, n_peaks: int = 0):
     # every complex product below is between whole arrays or has a real
     # factor, so numpy rounds it alike whatever the batch's shape
     a, b, c, z, bz = a[:, None], b[:, None], c[:, None], z[:, None], (b * z)[:, None]
-    # both sums start from term 0: t_0 = 1 and 0 * t_0
-    n, term, prev, peak = 0, 1.0, False, np.array([1.0, 0.0])
+    # both sums start from term 0: t_0 = 1 and 0 * t_0; so do the peaks
+    n, term, total, prev = 0, 1.0, np.array([[1.0], [0.0]]), False
+    peak = np.zeros((n_peaks, 2))
+    peak[:, 0] = 1.0
     head = n_peaks  # lanes stay in order, so the lanes that want peaks lead
-    total = peak[:, None]
     while True:
         k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), _MAX_TERMS - n),
                       dtype=float)
+        t, s, mag, lhs, rhs, both, small, stop = work.block(lanes.size, k.size)
         # column 0 carries the previous block's last term into the product
-        t = np.empty((lanes.size, k.size + 1), dtype=complex)
         t[:, :1] = term
-        # column j of t is term number w = n + j + 1
+        # column j of t is term number w = n + j + 1, t_w / t_{w-1} =
+        # (a + k)(b z + k z) / ((c + k) w); its factors borrow the space of
+        # the sums, which come after it
         w = k + 1.0
-        np.divide((a + k) * (bz + k * z), (c + k) * w, out=t[:, 1:])
+        num, den = s.reshape(2, lanes.size, k.size)
+        np.add(a, k, out=num)
+        np.multiply(k, z, out=den)
+        np.add(bz, den, out=den)
+        np.multiply(num, den, out=num)
+        np.add(c, k, out=den)
+        np.multiply(den, w, out=den)
+        np.divide(num, den, out=t[:, 1:])
         t = np.multiply.accumulate(t, axis=1, out=t)[:, 1:]
         # the running sums go on from the previous totals, so a lane's
         # rounding never depends on where its blocks start
-        s = np.empty((lanes.size, 2, k.size), dtype=complex)
         s[:, 0] = t
         np.multiply(t, w, out=s[:, 1])
         s[:, :, :1] += total
@@ -243,48 +288,62 @@ def _series(a, b, c, z, n_peaks: int = 0):
         # L1 magnitudes: within sqrt(2) of |.|; two consecutive terms small
         # in both sums stop a lane (complex parameters can make one term
         # accidentally tiny), and so does a non-finite sum, as an overflow
-        mag = np.empty(s.shape)
-        np.add(np.abs(t.real), np.abs(t.imag), out=mag[:, 0])
-        np.multiply(mag[:, 0], w, out=mag[:, 1])
-        small = mag * tail <= np.abs(s.real) + np.abs(s.imag)
-        small = small[:, 0] & small[:, 1]
-        stop = small.copy()
+        mag_f, mag_d = mag[:, 0], mag[:, 1]
+        np.abs(t.real, out=mag_f)
+        np.abs(t.imag, out=mag_d)
+        np.add(mag_f, mag_d, out=mag_f)
+        np.multiply(mag_f, w, out=mag_d)
+        np.abs(s.real, out=rhs)
+        np.abs(s.imag, out=lhs)
+        np.add(rhs, lhs, out=rhs)
+        np.multiply(mag, tail, out=lhs)
+        np.less_equal(lhs, rhs, out=both)
+        np.logical_and(both[:, 0], both[:, 1], out=small)
+        stop[:] = small
         stop[:, 1:] &= small[:, :-1]
         stop[:, :1] &= prev
-        stop |= ~np.isfinite(s).all(axis=1)
+        # a sum that leaves float range never comes back, so only a block
+        # whose last column is not finite holds an overflow
+        if not np.isfinite(s[:, :, -1]).all():
+            stop |= ~np.isfinite(s).all(axis=1)
         done = np.logical_or.reduce(stop, axis=1)
+        first = stop.argmax(axis=1)
         rows = done.nonzero()[0]
-        if n_peaks:
-            np.maximum.accumulate(mag[:head], axis=2, out=mag[:head])
+        # rows are in order, so the first ``lead`` of them are lanes that
+        # want peaks
+        lead = int(rows.searchsorted(head))
+        if head:
+            # the largest term of each lane up to where it stops, or of
+            # the whole block
+            upto = (np.arange(k.size) <= np.where(done[:head], first[:head], k.size)[:, None, None]
+                    if lead else True)
+            peak = np.maximum(peak, mag[:head].max(axis=2, where=upto, initial=0.0))
         if rows.size:
-            cols = (stop[rows] if rows.size < lanes.size else stop).argmax(axis=1)
+            cols = first[rows]
             got = s[rows, :, cols]
-            top = (np.maximum(peak if n == 0 else peak[rows], mag[rows, :, cols])
-                   if n_peaks else None)
             finite = np.isfinite(got).all(axis=1)
             for i in (~finite).nonzero()[0].tolist() if np.count_nonzero(finite) < rows.size else ():
                 errors[int(lanes[rows[i]])] = f"overflowed after {n + int(cols[i]) + 1} terms"
             if rows.size == n_lanes:
-                return got, top, errors
+                return got, peak, errors
             sums[lanes[rows]] = got
-            if n_peaks:
-                peaks[lanes[rows]] = top
+            peaks[lanes[rows[:lead]]] = peak[rows[:lead]]
             if rows.size == lanes.size:
                 return sums, peaks, errors
-        if n_peaks:
-            peak = np.maximum(peak, mag[:, :, -1])
         n += k.size
         keep = ~done
         if n >= _MAX_TERMS:
             for r in keep.nonzero()[0].tolist():
                 errors[int(lanes[r])] = f"did not converge in {_MAX_TERMS} terms"
             return sums, peaks, errors
+        # copies, as the next block overwrites the workspace
         term, total, prev = t[:, -1:], s[:, :, -1:], small[:, -1:]
         if rows.size:
             a, b, c, z, bz, tail, lanes, term, total, prev = (
                 v[keep] for v in (a, b, c, z, bz, tail, lanes, term, total, prev))
-            if n_peaks:
-                peak, head = peak[keep], int(np.count_nonzero(keep[:head]))
+            peak, head = peak[keep[:head]], head - lead
+        else:
+            term, total, prev = term.copy(), total.copy(), prev.copy()
         size = max(size, n)
 
 

@@ -28,10 +28,13 @@ in mu^2 exact to rounding up to E_top, or closed forms on long steps.
 Energies march in blocks of ``_LANES``, in chunks of ``_CHUNK`` maps
 multiplied pairwise (a tree), elementwise in the lanes: an energy rounds as
 in any call with the same highest energy, and a failed one leaves the others.
+The steps' samples and coefficients are built ``_SLICE`` steps at a time, so
+memory does not grow with a fine grid's step count beyond its nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,6 +53,7 @@ _STEPS = (1e-3, 0.5)  # the step scales IntegrationConfig allows
 _STRETCH = 1e3   # the most a step lengthens where |V| << E_top
 _PILOT = 4096    # pilot intervals per half, where the density is sampled
 _CHUNK = 2048    # steps per tree product: numpy per-call cost against cache size
+_SLICE = 8 * _CHUNK  # steps whose samples and coefficients are held at once
 _LANES = 10      # energies per march; lanes x _CHUNK cells bound the map arrays
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
@@ -185,10 +189,11 @@ def _nodes(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float)
 
 
 def _steps(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
-    """The steps between ``nodes`` as (v, c, terms, long): V at their middle
+    """The steps between ``nodes`` as (v, c, long, top): V at their middle
     Gauss points, the rows (p0, p1, q, r0, r1) of Omega = [[p, q], [r, -p]],
     p = p0 + p1 w, r = r0 + r1 w, w = 2m(v - E), and for E up to ``e_top``
-    the series' term count and the long steps, which take closed forms."""
+    the long steps, which take closed forms, and the largest |mu^2| bound of
+    the others, which sets the series' term count."""
     h = np.diff(nodes)
     v1, v, v3 = _eval_potential(potential, nodes[:-1] + np.outer(_GAUSS, h))
     a2 = (2.0 * m * math.sqrt(15.0) / 3.0) * h * (v3 - v1)
@@ -203,14 +208,28 @@ def _steps(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
     a = np.abs(c)
     bound = (a[0] + a[1] * w) ** 2 + a[2] * (a[3] + a[4] * w)
     long = bound > 1.0
+    return v, c, long, float(np.max(bound, where=~long, initial=0.0))
+
+
+def _slices(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
+    """(terms, slices): the series' term count, which every step of the grid
+    ``nodes`` shares, and an iterator of its steps (v, c, long) of _steps,
+    ``_SLICE`` at a time in marching order.  A first pass, last slice first,
+    finds the term count and keeps the first slice, so at most two slices
+    are held at once, however fine the grid."""
+    starts = range(0, nodes.size - 1, _SLICE)
+    top = 0.0
+    for lo in reversed(starts):
+        *first, bound = _steps(potential, m, nodes[lo:lo + _SLICE + 1], e_top)
+        top = max(top, bound)
     # the first omitted term below 2^-54 of the sum, which is >= 5/6 there
-    top = float(np.max(bound, where=~long, initial=0.0))
     terms = next(n for n in range(1, 10) if top ** n <= 2.0 ** -54 * math.factorial(2 * n + 1))
-    return v, c, terms, long
+    rest = (_steps(potential, m, nodes[lo:lo + _SLICE + 1], e_top)[:3] for lo in starts[1:])
+    return terms, itertools.chain([first], rest)
 
 
 def _maps(c: np.ndarray, terms: int, long: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # D = M - I, (2, 2, lanes, n), of the steps (c, terms, long) of _steps at w (lanes, n)
+    # D = M - I, (2, 2, lanes, n), of the steps (c, long) of _steps at w (lanes, n)
     p, r = c[0] + c[1] * w, c[3] + c[4] * w
     z = p * p + c[2] * r  # mu^2
     # Horner: s = sum z^n / (2n+1)!, cm = z sum z^n / (2n+2)!
@@ -240,7 +259,8 @@ def _maps(c: np.ndarray, terms: int, long: np.ndarray, w: np.ndarray) -> np.ndar
 
 
 def _march(v, c, terms, long, eb: np.ndarray, m: float, state: np.ndarray):
-    # the steps (v, c, terms, long) of _steps applied to the (2, lanes) state at eb
+    # the steps (v, c, long) of _steps, with the series' terms, applied to
+    # the (2, lanes) state at eb
     for lo in range(0, c.shape[1], _CHUNK):
         hi = min(lo + _CHUNK, c.shape[1])
         dev = _maps(c[:, lo:hi], terms, long[lo:hi], (2.0 * m) * (v[lo:hi] - eb))
@@ -283,19 +303,29 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
         for i, b in enumerate(_DECAY_TOL * max(e, 1.0) for e in energies) if boundary > b}
     lanes = np.array([i for i in range(es.size) if i not in errors], dtype=int)
     R, T, T_err, flux = np.full((4, es.size), math.nan)
-    nodes = _nodes(potential, m, cfg, max(energies)) if lanes.size else []
-    grids = [_steps(potential, m, x, max(energies)) for x in nodes]
-    n_steps = grids[0][1].shape[1] if grids else 0
+    e_top = max(energies)
+    nodes = _nodes(potential, m, cfg, e_top) if lanes.size else []
+    n_steps = nodes[0].size - 1 if nodes else 0
+    k = np.sqrt(2.0 * m * es[lanes])
+    p0 = np.exp(1j * k * L)
+    ends = []  # the (2, lanes) state at -x_max on each grid
     # a march that overflows gives a T_err that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for x in nodes:
+            terms, slices = _slices(potential, m, x, e_top)
+            state = np.array([p0, 1j * k * p0])
+            for v, c, long in slices:
+                for start in range(0, lanes.size, _LANES):
+                    block = slice(start, start + _LANES)
+                    state[:, block] = _march(v, c, terms, long, es[lanes[block], None], m,
+                                             state[:, block])
+            ends.append(state)
         for start in range(0, lanes.size, _LANES):
             block = lanes[start:start + _LANES]
-            k = np.sqrt(2.0 * m * es[block])
-            p0 = np.exp(1j * k * L)
             tr = []
-            for grid in grids:  # R = |B/A|^2 holds where |A|^2 overflows
-                A, B = plane_wave_decompose(
-                    *_march(*grid, es[block, None], m, np.array([p0, 1j * k * p0])), k, -L)
+            for state in ends:  # R = |B/A|^2 holds where |A|^2 overflows
+                A, B = plane_wave_decompose(*state[:, start:start + _LANES],
+                                            k[start:start + _LANES], -L)
                 tr += [1.0 / (A.real * A.real + A.imag * A.imag), np.abs(B / A) ** 2]
             tf, rf, tc, rc = tr
             err = np.where(np.isfinite(rf + rc), np.abs(tf - tc) / 63.0, math.nan)

@@ -1,9 +1,13 @@
 """The energy-batched closed form: scan equals per-energy compute_rt bit for
 bit and keys each failure by its grid index, every 2F1 path of the lane
 evaluator meets the 40-digit series, a failing lane leaves its batch alone,
-and chunking bounds a scan's memory."""
+neither the series' block size nor a second thread changes a value, and
+chunking bounds a scan's memory."""
 
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,3 +211,79 @@ def test_scan_memory_is_bounded_by_chunking():
         tracemalloc.stop()
     assert not res.errors
     assert peak < 6 * 2**20
+
+
+def _path_lanes(E, params, z=None):
+    """The matching step's two left parameter families at E, at z = q unless
+    given."""
+    sc, _ = side_coefficients(np.array([E]), params)
+    al, bl, gl = sc.alpha[0], sc.beta[0], sc.gamma[0]
+    z = params.q if z is None else z
+    return [(al, bl, gl, z), (al + 1 - gl, bl + 1 - gl, 2 - gl, z)]
+
+
+def _every_series_path():
+    """One batch over every way a lane is summed: accepted (E/V_max = 0.1)
+    and rejected (2) connection attempts at q = 0.8; |z| = 0.45; q = 0.9985,
+    where a rejected attempt's series takes thousands of terms (E/V_max =
+    1e-3) or fails, keeping the attempt's values (1e-2); two lanes that
+    overflow (a = 20) and one that runs out of terms."""
+    v = barrier_top(DEFAULT_PARAMS)
+    near = BarrierParams(q=0.9985, q_tilde=0.9985)
+    lanes = (_path_lanes(0.1 * v, DEFAULT_PARAMS) + _path_lanes(2.0 * v, DEFAULT_PARAMS)
+             + _path_lanes(0.5 * v, DEFAULT_PARAMS, 0.45)
+             + _path_lanes(1e-3 * barrier_top(near), near)
+             + _path_lanes(1e-2 * barrier_top(near), near)
+             + _path_lanes(0.05, BarrierParams(a=20.0)) + [(1, 1, 2, 0.999)])
+    return tuple(np.array(col, dtype=complex) for col in zip(*lanes))
+
+
+def _bits(out):
+    """Values, derivatives and typed error messages of gauss_2f1_lanes, bit
+    for bit."""
+    values, derivs, errors = out
+    return (values.tobytes(), derivs.tobytes(),
+            sorted((i, type(exc).__name__, str(exc)) for i, exc in errors.items()))
+
+
+@pytest.mark.parametrize("cells", [64, 2048, 8192, 65536])
+def test_block_size_never_changes_a_value(monkeypatch, cells):
+    # a lane's terms and sums go on from the previous block's, and each call
+    # reuses the series workspace at another block shape
+    batch = _every_series_path()
+    want = _bits(gauss_2f1_lanes(*batch))
+    assert [i for i, _, _ in want[2]] == [10, 11, 12]
+    monkeypatch.setattr(hyp2f1, "_BLOCK_CELLS", cells)
+    assert _bits(gauss_2f1_lanes(*batch)) == want
+
+
+def _scan_bits(res):
+    return (res.T.tobytes(), res.R.tobytes(),
+            [(i, str(exc)) for i, exc in res.errors.items()])
+
+
+def test_scan_in_two_threads_equals_serial():
+    # each thread has its own series workspace; were it shared, one
+    # thread's blocks would overwrite the other's terms and sums
+    v = barrier_top(replace(DEFAULT_PARAMS, v0=1.25))
+    jobs = [(np.geomspace(1e-4, 50.0, 100), BarrierParams(q=0.995, q_tilde=0.7)),
+            (np.geomspace(1e-6 * v, 0.5 * v, 500), replace(DEFAULT_PARAMS, v0=1.25))]
+    want = [_scan_bits(scan(*job)) for job in jobs]
+    got = [[], []]
+
+    def run(j):
+        for _ in range(4):
+            got[j].append(_scan_bits(scan(*jobs[j])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[want[0]] * 4, [want[1]] * 4]

@@ -11,7 +11,7 @@ import pytest
 import dengfan.cli
 from dengfan import (DEFAULT_PARAMS, TABLE1, BoundaryNotDecayedError, IntegrationConfig,
                      barrier_top, default_config, integrate_scatter, potential)
-from dengfan.cli import RunConfig, _json_text, build_parser, config_from_dict, main
+from dengfan.cli import RunConfig, _json_pieces, build_parser, config_from_dict, main
 
 from helpers import load_benchmark_module
 
@@ -77,7 +77,20 @@ def test_json_writer_matches_indented_dumps(header, rows):
     config = asdict(RunConfig(params=DEFAULT_PARAMS))
     doc = {"config": config, "rows": [dict(zip(header, row)) for row in rows]}
     expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
-    assert _json_text(config, header, rows) == expected
+    assert "".join(_json_pieces(config, header, rows)) == expected
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2 * dengfan.cli._JSON_BATCH + 3])
+def test_json_writer_pieces_join_to_indented_dumps(extra):
+    # the rows go out in pieces of _JSON_BATCH; a piece's bounds change no byte
+    n = dengfan.cli._JSON_BATCH + extra
+    header = ["T", "E", "R"]
+    rows = [(1.0 / (i + 1), i * 0.1, -i * 1e-300) for i in range(n)]
+    config = asdict(RunConfig(params=DEFAULT_PARAMS))
+    doc = {"config": config, "rows": [dict(zip(header, row)) for row in rows]}
+    pieces = list(_json_pieces(config, header, rows))
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert len(pieces) == 2 + -(-n // dengfan.cli._JSON_BATCH)
 
 
 def test_parser_reuse_keeps_outputs(monkeypatch, capsys):

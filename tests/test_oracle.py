@@ -577,3 +577,21 @@ def test_batch_memory_is_bounded_by_lane_blocks():
     one = _peak_bytes(max(TABLE1_ENERGIES), cfg)
     batch = _peak_bytes(np.array(TABLE1_ENERGIES), cfg)
     assert batch <= one + 1_000_000
+
+
+def test_fine_grid_memory_is_bounded_by_slices():
+    # a tall barrier (q = 0.999) at E = 3000 and a quarter of the default
+    # step: 147,684 fine steps.  Their samples and coefficients, held whole,
+    # peaked at 25.4 MB; built _SLICE steps at a time, 6.5 MB, most of it
+    # the two grids' nodes
+    tall = BarrierParams(q=0.999, q_tilde=0.999)
+    cfg = replace(default_config(3000.0, lambda x: potential(x, tall), x_max_seed=50.0),
+                  step=0.005)
+    tracemalloc.start()
+    try:
+        res = integrate_scatter(3000.0, lambda x: potential(x, tall), tall.m, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_steps > 8 * oracle._SLICE
+    assert peak < 12 * 2**20
