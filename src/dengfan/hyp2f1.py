@@ -27,7 +27,10 @@ lane's path is decided before any summing, from the classical toolbox
 A failing lane records its typed error and the others go on; ``gauss_2f1``
 is a batch of one that raises it.  A lane's values depend on its own inputs
 alone, bit for bit, whatever the batch around it.  All arithmetic is double
-precision; no arbitrary-precision escape hatch.
+precision; no arbitrary-precision escape hatch.  The kernels run along their
+long axis: a series block of many lanes and few terms along its lanes, one
+of few lanes and many terms along its terms (``_series``), and the Lanczos
+sum one row of arguments per coefficient.
 """
 
 from __future__ import annotations
@@ -71,33 +74,43 @@ _BLOCK_CELLS = 1 << 13
 
 class _Workspace(threading.local):
     """The block arrays of ``_series``, one set per thread, grown to the
-    largest block they have held and never freed.  A block of _BLOCK_CELLS
-    cells makes about 2 MB of them; freed after each block, they let glibc
-    trim its heap (M_TRIM_THRESHOLD in mallopt(3)), and the next block
-    faulted every page back in: a pass of the benchmark's `paper` workload
-    took about 10k minor faults (5.0k in _series, 2.7k in _lngamma on the
-    same heap) and a `q-sweep` pass 21k-24k, nearly all in _series.
-    Kept, their pages stay mapped; no value depends on what they held."""
+    largest block they have held and never freed.  Freed after each block,
+    the 2 MB of a _BLOCK_CELLS block let glibc trim its heap (M_TRIM_THRESHOLD
+    in mallopt(3)) and fault every page back in: about 10k minor faults a
+    pass of the benchmark's `paper` workload and 21k-24k a `q-sweep` pass.
+    Kept, their pages stay mapped; no value depends on what they held.
+    A wide block (4 or more lanes a term, as a fig4 chunk's 512 x 16) lies
+    terms first, so numpy's loops run along the lanes and not along 16-term
+    rows; a tall one (a few lanes near z = 1, thousands of terms) lies terms
+    last.  Both layouts have the same logical axes."""
 
     def __init__(self) -> None:
         self.cells = 0  # the block size the buffers hold
 
-    def block(self, lanes: int, terms: int) -> tuple[np.ndarray, ...]:
-        """(t, s, mag, lhs, rhs, both, small, stop) for a block of ``lanes``
-        x ``terms`` cells: t is (lanes, terms + 1), s, mag, lhs, rhs and
-        both are (lanes, 2, terms), small and stop (lanes, terms).  Each is
-        C-contiguous, its contents left over from earlier blocks."""
+    def block(self, lanes: int, terms: int, wide: bool) -> tuple[np.ndarray, ...]:
+        """(t, s, ratio, mag, lhs, rhs, both, small, stop) for a block of
+        ``lanes`` x ``terms`` cells: t is (lanes, terms + 1), s, mag, lhs,
+        rhs and both (lanes, 2, terms), small and stop (lanes, terms), and
+        ratio two (lanes, terms) halves of the memory of s.  Each lies terms
+        first when ``wide``, else lanes first; contents are left over."""
         cells = lanes * terms
         if cells > self.cells:
             self.cells, self.cplx = cells, np.empty(4 * cells, dtype=complex)
             self.reals, self.flags = np.empty(6 * cells), np.empty(4 * cells, dtype=bool)
         # s in the first half of cplx, t (at most 2 x cells) in the second
-        half = 2 * self.cells
-        mag, lhs, rhs = self.reals[:6 * cells].reshape(3, lanes, 2, terms)
-        small, stop = self.flags[2 * cells:4 * cells].reshape(2, lanes, terms)
-        return (self.cplx[half:half + cells + lanes].reshape(lanes, terms + 1),
-                self.cplx[:2 * cells].reshape(lanes, 2, terms), mag, lhs, rhs,
-                self.flags[:2 * cells].reshape(lanes, 2, terms), small, stop)
+        half, flags = 2 * self.cells, self.flags
+        t, s, both = self.cplx[half:half + cells + lanes], self.cplx[:2 * cells], flags[:2 * cells]
+        reals, masks = self.reals[:6 * cells], flags[2 * cells:4 * cells]
+        if wide:
+            mag, lhs, rhs = reals.reshape(3, terms, 2, lanes).transpose(0, 3, 2, 1)
+            small, stop = masks.reshape(2, terms, lanes).transpose(0, 2, 1)
+            return (t.reshape(terms + 1, lanes).T, s.reshape(terms, 2, lanes).T,
+                    s.reshape(2, terms, lanes).transpose(0, 2, 1), mag, lhs, rhs,
+                    both.reshape(terms, 2, lanes).T, small, stop)
+        mag, lhs, rhs = reals.reshape(3, lanes, 2, terms)
+        small, stop = masks.reshape(2, lanes, terms)
+        return (t.reshape(lanes, terms + 1), s.reshape(lanes, 2, terms), s.reshape(2, lanes, terms),
+                mag, lhs, rhs, both.reshape(lanes, 2, terms), small, stop)
 
 
 _WORKSPACE = _Workspace()
@@ -145,11 +158,12 @@ def _nonpositive_integer(z: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-    771.32342877765313, -176.61502916214059, 12.507343278686905,
-    -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7])
-_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))
+# C_0, then C_1..C_8 and the shifts k of the terms C_k / (x + k), as columns
+_LANCZOS_C0 = 0.99999999999980993
+_LANCZOS_C = np.array([[
+    676.5203681218851, -1259.1392167224028, 771.32342877765313, -176.61502916214059,
+    12.507343278686905, -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7]]).T
+_LANCZOS_K = np.arange(1.0, 9.0)[:, None]
 _LN_SQRT_2PI = 0.9189385332046727
 _LOG_HALF_I = complex(math.log(0.5), 0.5 * math.pi)  # log(i/2)
 
@@ -181,13 +195,14 @@ def _lngamma(z):
     w = np.conjugate(z, out=z.copy(), where=flip) if np.count_nonzero(flip) else z
     x = w - 1.0
     np.negative(w, out=x, where=left)
-    # Lanczos sum for Gamma(x + 1), Re(x + 1) >= 0.5, accumulated term by term
-    terms = np.empty((x.size, _LANCZOS_C.size), dtype=complex)
-    terms[:, 0] = _LANCZOS_C[0]
-    np.divide(_LANCZOS_C[1:], x[:, None] + _LANCZOS_K, out=terms[:, 1:])
+    # Lanczos sum for Gamma(x + 1), Re(x + 1) >= 0.5, added to C_0 row by row
+    terms = x + _LANCZOS_K
+    np.divide(_LANCZOS_C, terms, out=terms)
+    total = _LANCZOS_C0 + terms[0]
+    for row in terms[1:]:
+        total += row
     t = x + (_LANCZOS_G + 0.5)
-    out = (_LN_SQRT_2PI + (x + 0.5) * np.log(t) - t
-           + np.log(np.add.accumulate(terms, axis=1)[:, -1]))
+    out = _LN_SQRT_2PI + (x + 0.5) * np.log(t) - t + np.log(total)
     if np.count_nonzero(left):
         # the continuous branch of log sin(pi w), Im(w) >= 0, is carried by
         # the linear term of sin(pi w) = (i/2) e^{-i pi w} (1 - e^{2 i pi w})
@@ -238,6 +253,11 @@ def _series(a, b, c, z, n_peaks: int = 0):
     and summed in blocks, each lane's in the order one scalar loop takes
     them; converged lanes drop out between blocks.  The block arrays live
     in this thread's ``_Workspace``, and nothing returned is a view of it.
+    A wide block adds its running sums a column of lanes at a time, a tall
+    one along each lane's terms: the same additions.  Both take the term
+    products with ``np.multiply.accumulate`` along the terms, which numpy
+    runs in its scalar complex loop; row by row they would take its vector
+    loop, whose fused multiply-adds round differently where the CPU has them.
     """
     n_lanes, errors, work = a.size, {}, _WORKSPACE
     sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_peaks, 2))
@@ -263,14 +283,14 @@ def _series(a, b, c, z, n_peaks: int = 0):
     while True:
         k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), _MAX_TERMS - n),
                       dtype=float)
-        t, s, mag, lhs, rhs, both, small, stop = work.block(lanes.size, k.size)
+        wide = lanes.size >= 4 * k.size  # laying out terms first pays from about here
+        t, s, (num, den), mag, lhs, rhs, both, small, stop = work.block(lanes.size, k.size, wide)
         # column 0 carries the previous block's last term into the product
         t[:, :1] = term
         # column j of t is term number w = n + j + 1, t_w / t_{w-1} =
         # (a + k)(b z + k z) / ((c + k) w); its factors borrow the space of
         # the sums, which come after it
         w = k + 1.0
-        num, den = s.reshape(2, lanes.size, k.size)
         np.add(a, k, out=num)
         np.multiply(k, z, out=den)
         np.add(bz, den, out=den)
@@ -284,7 +304,13 @@ def _series(a, b, c, z, n_peaks: int = 0):
         s[:, 0] = t
         np.multiply(t, w, out=s[:, 1])
         s[:, :, :1] += total
-        np.add.accumulate(s, axis=2, out=s)
+        if wide:
+            # the same additions, one whole column of lanes at a time
+            col = s.T[0]
+            for nxt in s.T[1:]:
+                col = np.add(col, nxt, out=nxt)
+        else:
+            np.add.accumulate(s, axis=2, out=s)
         # L1 magnitudes: within sqrt(2) of |.|; two consecutive terms small
         # in both sums stop a lane (complex parameters can make one term
         # accidentally tiny), and so does a non-finite sum, as an overflow
@@ -314,9 +340,12 @@ def _series(a, b, c, z, n_peaks: int = 0):
         lead = int(rows.searchsorted(head))
         if head:
             # the largest term of each lane up to where it stops, or of
-            # the whole block
-            upto = (np.arange(k.size) <= np.where(done[:head], first[:head], k.size)[:, None, None]
-                    if lead else True)
+            # the whole block; the mask goes into stop, which is read out,
+            # so that it runs along the block's memory
+            upto = True
+            if lead:
+                last = np.where(done[:head], first[:head], k.size)[:, None]
+                upto = np.less_equal(np.arange(k.size), last, out=stop[:head])[:, None]
             peak = np.maximum(peak, mag[:head].max(axis=2, where=upto, initial=0.0))
         if rows.size:
             cols = first[rows]

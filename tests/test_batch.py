@@ -1,8 +1,8 @@
 """The energy-batched closed form: scan equals per-energy compute_rt bit for
 bit and keys each failure by its grid index, every 2F1 path of the lane
 evaluator meets the 40-digit series, a failing lane leaves its batch alone,
-neither the series' block size nor a second thread changes a value, and
-chunking bounds a scan's memory."""
+neither the series' block size or layout nor a second thread changes a
+value, and chunking bounds a scan's memory."""
 
 import sys
 import threading
@@ -246,15 +246,91 @@ def _bits(out):
             sorted((i, type(exc).__name__, str(exc)) for i, exc in errors.items()))
 
 
-@pytest.mark.parametrize("cells", [64, 2048, 8192, 65536])
+def _block_layouts(monkeypatch):
+    """(lanes, terms, wide) of every series block from now on."""
+    seen, block = [], hyp2f1._Workspace.block
+
+    def recording(self, lanes, terms, wide):
+        seen.append((lanes, terms, wide))
+        return block(self, lanes, terms, wide)
+
+    monkeypatch.setattr(hyp2f1._Workspace, "block", recording)
+    return seen
+
+
+# the first series block of the four-fold batch below at each block size:
+# its 92 lanes lie terms first (wide) in blocks of 8 and 22 terms and, at
+# the switch of 4 lanes a term, of 23; at 89 terms, at lanes == terms and
+# beyond they lie lanes first
+_FIRST_BLOCKS = {64: (92, 8, True), 2048: (92, 22, True), 2116: (92, 23, True),
+                 8192: (92, 89, False), 8464: (92, 92, False), 65536: (92, 712, False)}
+
+
+@pytest.mark.parametrize("cells", [64, 2048, 2116, 8192, 8464, 65536])
 def test_block_size_never_changes_a_value(monkeypatch, cells):
-    # a lane's terms and sums go on from the previous block's, and each call
-    # reuses the series workspace at another block shape
-    batch = _every_series_path()
+    # a lane's terms and sums go on from the previous block's, whichever
+    # layout either block has, and each call reuses the series workspace at
+    # another block shape
+    batch = tuple(np.tile(col, 4) for col in _every_series_path())
     want = _bits(gauss_2f1_lanes(*batch))
-    assert [i for i, _, _ in want[2]] == [10, 11, 12]
+    assert [i % 13 for i, _, _ in want[2]] == [10, 11, 12] * 4
+    layouts = _block_layouts(monkeypatch)
     monkeypatch.setattr(hyp2f1, "_BLOCK_CELLS", cells)
     assert _bits(gauss_2f1_lanes(*batch)) == want
+    assert layouts[0] == _FIRST_BLOCKS[cells]
+    assert all(wide == (lanes >= 4 * terms) for lanes, terms, wide in layouts)
+
+
+def _fig4_batch():
+    """512 lanes of the fig4 v0 = 1.25 curve's first energies, each a 1-z
+    connection attempt at u = 0.2 that is kept; 24 attempts above E/V_max
+    = 1.4 that are rejected, whose connection series run on after the fig4
+    lanes stop; an a = 20 lane that overflows (E = 0.05) and a pole in c."""
+    params = replace(DEFAULT_PARAMS, v0=1.25)
+    v = barrier_top(params)
+    sc, _ = side_coefficients(np.concatenate([np.geomspace(1e-6 * v, 0.5 * v, 2000)[:512],
+                                              np.geomspace(1.5 * v, 100.0 * v, 24)]), params)
+    bad, _ = side_coefficients(np.array([0.05]), BarrierParams(a=20.0))
+    a, b, c = (np.concatenate([getattr(sc, name), getattr(bad, name), [x]])
+               for name, x in (("alpha", 0.5), ("beta", 1.5), ("gamma", -2.0)))
+    return a, b, c, np.full(a.size, params.q, dtype=complex)
+
+
+def test_wide_blocks_equal_lanes_alone(monkeypatch):
+    batch = _fig4_batch()
+    calls, series = [], hyp2f1._series
+
+    def recording(*args, n_peaks=0):
+        calls.append((tuple(v.copy() for v in args), n_peaks))
+        return series(*args, n_peaks=n_peaks)
+
+    monkeypatch.setattr(hyp2f1, "_series", recording)
+    layouts = _block_layouts(monkeypatch)
+    values, derivs, errors = gauss_2f1_lanes(*batch)
+    # both connection series of every lane but the pole, then the plain
+    # series of the rejected attempts and of the overflowing lane; the
+    # first call's blocks lie terms first until its long lanes are left
+    assert [(args[0].size, n_peaks) for args, n_peaks in calls] == [(1074, 1074), (25, 0)]
+    assert layouts[:4] == [(1074, 8, True)] * 3 + [(562, 14, True)] and not layouts[-1][2]
+    assert isinstance(errors[537], PoleAtCError)
+    assert isinstance(errors[536], NoConvergenceError) and len(errors) == 2
+    for i in range(batch[0].size):
+        alone = gauss_2f1_lanes(*(col[i:i + 1] for col in batch))
+        assert alone[0].tobytes() == values[i:i + 1].tobytes(), i
+        assert alone[1].tobytes() == derivs[i:i + 1].tobytes(), i
+        assert [str(exc) for exc in alone[2].values()] == (
+            [str(errors[i])] if i in errors else []), i
+    # the series sums and the peaks the connection estimate reads
+    args, n_peaks = calls[0]
+    del layouts[:]
+    sums, peaks, failed = series(*args, n_peaks=n_peaks)
+    assert layouts[:4] == [(1074, 8, True)] * 3 + [(562, 14, True)]
+    for i in range(args[0].size):
+        one = series(*(v[i:i + 1] for v in args), n_peaks=1)
+        assert [*one[2].values()] == ([failed[i]] if i in failed else []), i
+        if i not in failed:
+            assert one[0].tobytes() == sums[i:i + 1].tobytes(), i
+            assert one[1].tobytes() == peaks[i:i + 1].tobytes(), i
 
 
 def _scan_bits(res):

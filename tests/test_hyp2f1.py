@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +10,8 @@ from scipy.special import loggamma as scipy_loggamma
 import dengfan.hyp2f1 as hyp2f1
 from dengfan import (GammaPoleError, Hyp2F1Error, Hyp2F1Request, DEFAULT_PARAMS,
                      NoConvergenceError,
-                     PoleAtCError, gauss_2f1, gauss_2f1_lanes, lngamma_complex,
-                     side_coefficients)
+                     PoleAtCError, barrier_top, gauss_2f1, gauss_2f1_lanes, lngamma_complex,
+                     scan, side_coefficients)
 
 from helpers import hyp2f1_bruteforce
 
@@ -246,6 +247,32 @@ def test_lngamma_recurrence():
             continue
         ratio = cmath.exp(lngamma_complex(z + 1) - lngamma_complex(z))
         assert ratio == pytest.approx(z, rel=1e-12)
+
+
+def test_lngamma_fig4_chunk_equals_one_argument_calls(monkeypatch):
+    # the 7 rows x 256 arguments of one fig4 chunk's log-gammas (c, s, -s,
+    # c - a, c - b, a, b of each connection attempt), summed row by row
+    calls, lngamma = [], hyp2f1._lngamma
+
+    def recording(z):
+        calls.append(z.copy())
+        return lngamma(z)
+
+    monkeypatch.setattr(hyp2f1, "_lngamma", recording)
+    params = replace(DEFAULT_PARAMS, v0=1.25)
+    v = barrier_top(params)
+    scan(np.geomspace(1e-6 * v, 0.5 * v, 2000)[:256], params)
+    (z,) = calls
+    assert z.size == 1792
+    out = lngamma(z)
+    assert out.tobytes() == np.concatenate([lngamma(z[i:i + 1]) for i in range(z.size)]).tobytes()
+    # the row of s = c - a - b lies on the negative real axis, where scipy
+    # takes another branch: there the imaginary parts differ by 6 pi
+    diff = out - scipy_loggamma(z)
+    turns = np.rint(diff.imag / (2 * np.pi))
+    assert np.abs(diff.real).max() <= 1e-12
+    assert np.abs(diff.imag - 2 * np.pi * turns).max() <= 1e-12
+    assert not turns[z.imag != 0].any() and turns.any()
 
 
 @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
