@@ -23,8 +23,9 @@ reports T = T_f + (T_f - T_c)/63, likewise R, and T_err = |T_f - T_c|/63.
 
 A map is kept as D = M - I = (cosh mu - 1) I + (sinh mu / mu) Omega, with
 mu^2 = -det Omega (I + D would round off its O(h) part), and pairs combine
-as (I + B)(I + A) = I + (BA + A + B); cosh mu - 1 and sinh mu / mu are series
-in mu^2 exact to rounding up to E_top, or closed forms on long steps.
+as (I + B)(I + A) = I + (BA + A + B); cosh mu - 1 = 2 sinh^2 t and
+sinh mu / mu = sinh t cosh t / t, t = mu / 2, are closed forms on every step
+(sin and cos of |t| where mu^2 < 0), exact to rounding at any mu^2.
 Energies march in blocks of ``_LANES``, in chunks of ``_CHUNK`` maps
 multiplied pairwise (a tree), elementwise in the lanes: an energy rounds as
 in any call with the same highest energy, and a failed one leaves the others.
@@ -34,7 +35,6 @@ memory does not grow with a fine grid's step count beyond its nodes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -188,12 +188,10 @@ def _nodes(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float)
     return [np.concatenate([g[0]] + [s[1:] for s in g[1:]]) for g in (segs, subs)]
 
 
-def _steps(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
-    """The steps between ``nodes`` as (v, c, long, top): V at their middle
-    Gauss points, the rows (p0, p1, q, r0, r1) of Omega = [[p, q], [r, -p]],
-    p = p0 + p1 w, r = r0 + r1 w, w = 2m(v - E), and for E up to ``e_top``
-    the long steps, which take closed forms, and the largest |mu^2| bound of
-    the others, which sets the series' term count."""
+def _steps(potential: Potential, m: float, nodes: np.ndarray):
+    """The steps between ``nodes`` as (v, c): V at their middle Gauss points
+    and the rows (p0, p1, q, r0, r1) of Omega = [[p, q], [r, -p]],
+    p = p0 + p1 w, r = r0 + r1 w, w = 2m(v - E)."""
     h = np.diff(nodes)
     v1, v, v3 = _eval_potential(potential, nodes[:-1] + np.outer(_GAUSS, h))
     a2 = (2.0 * m * math.sqrt(15.0) / 3.0) * h * (v3 - v1)
@@ -203,67 +201,42 @@ def _steps(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
                   h + h2 * (h * a22 - 20.0 * a3) / 3600.0,
                   a3 / 12.0 - h * (a22 - a3 * a3 / 30.0) / 120.0,
                   h + h2 * (h * a22 + 20.0 * a3) / 3600.0])
-    # |mu^2| = |p^2 + q r| at most, for every w from 2m(v - e_top) to 2mv
-    w = (2.0 * m) * np.maximum(np.abs(v), np.abs(v - e_top))
-    a = np.abs(c)
-    bound = (a[0] + a[1] * w) ** 2 + a[2] * (a[3] + a[4] * w)
-    long = bound > 1.0
-    return v, c, long, float(np.max(bound, where=~long, initial=0.0))
+    return v, c
 
 
-def _slices(potential: Potential, m: float, nodes: np.ndarray, e_top: float):
-    """(terms, slices): the series' term count, which every step of the grid
-    ``nodes`` shares, and an iterator of its steps (v, c, long) of _steps,
-    ``_SLICE`` at a time in marching order.  A first pass, last slice first,
-    finds the term count and keeps the first slice, so at most two slices
-    are held at once, however fine the grid."""
-    starts = range(0, nodes.size - 1, _SLICE)
-    top = 0.0
-    for lo in reversed(starts):
-        *first, bound = _steps(potential, m, nodes[lo:lo + _SLICE + 1], e_top)
-        top = max(top, bound)
-    # the first omitted term below 2^-54 of the sum, which is >= 5/6 there
-    terms = next(n for n in range(1, 10) if top ** n <= 2.0 ** -54 * math.factorial(2 * n + 1))
-    rest = (_steps(potential, m, nodes[lo:lo + _SLICE + 1], e_top)[:3] for lo in starts[1:])
-    return terms, itertools.chain([first], rest)
-
-
-def _maps(c: np.ndarray, terms: int, long: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # D = M - I, (2, 2, lanes, n), of the steps (c, long) of _steps at w (lanes, n)
+def _maps(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # D = M - I, (2, 2, lanes, n), of the steps c of _steps at w (lanes, n)
     p, r = c[0] + c[1] * w, c[3] + c[4] * w
     z = p * p + c[2] * r  # mu^2
-    # Horner: s = sum z^n / (2n+1)!, cm = z sum z^n / (2n+2)!
-    f = [1.0 / math.factorial(j) for j in range(2 * terms + 1)]
-    s, cm = np.full(z.shape, f[-2]), np.full(z.shape, f[-1])
-    for j in range(2 * terms - 3, 0, -2):
-        s *= z
-        s += f[j]
-        cm *= z
-        cm += f[j + 1]
-    cm *= z
-    if long.any():  # sinh mu / mu = sh ch / t and cosh mu - 1 = 2 sh^2, t = mu / 2
-        zl = z[:, long]
-        t = 0.5 * np.sqrt(np.abs(zl))
-        grow = zl > 0.0
-        sh = np.where(grow, np.sinh(t), np.sin(t))
-        s[:, long] = np.divide(sh * np.where(grow, np.cosh(t), np.cos(t)), t,
-                               out=np.ones_like(t), where=t > 0.0)
-        cm[:, long] = 2.0 * np.copysign(sh * sh, zl)
-    d = np.empty((2, 2) + z.shape)  # filled in place: np.array copies 4 rows
-    sp = np.multiply(s, p, out=d[1, 0])
-    np.add(cm, sp, out=d[0, 0])
-    np.subtract(cm, sp, out=d[1, 1])
+    # filled in place (np.array copies 4 rows), its rows holding t, sh, ch
+    # and s on the way: chunk-sized temporaries would raise the peak
+    d = np.empty((2, 2) + z.shape)
+    t, sh, ch, s = d[1, 0], d[0, 0], d[0, 1], d[1, 1]
+    np.sqrt(np.abs(z, out=t), out=t)
+    t *= 0.5
+    grow = z > 0.0
+    np.sinh(t, out=sh, where=grow)
+    np.sin(t, out=sh, where=~grow)
+    np.cosh(t, out=ch, where=grow)
+    np.cos(t, out=ch, where=~grow)
+    s.fill(1.0)  # sinh mu / mu = sh ch / t, 1 at mu = 0
+    np.divide(np.multiply(sh, ch, out=ch), t, out=s, where=t > 0.0)
+    cm = np.multiply(sh, sh, out=sh)  # cosh mu - 1 = 2 sh^2, signed as mu^2
+    np.copysign(cm, z, out=cm)
+    cm *= 2.0
+    sp = np.multiply(s, p, out=p)
     np.multiply(s, c[2], out=d[0, 1])
     np.multiply(s, r, out=d[1, 0])
+    np.subtract(cm, sp, out=d[1, 1])
+    np.add(cm, sp, out=d[0, 0])
     return d
 
 
-def _march(v, c, terms, long, eb: np.ndarray, m: float, state: np.ndarray):
-    # the steps (v, c, long) of _steps, with the series' terms, applied to
-    # the (2, lanes) state at eb
+def _march(v, c, eb: np.ndarray, m: float, state: np.ndarray):
+    # the steps (v, c) of _steps applied to the (2, lanes) state at eb
     for lo in range(0, c.shape[1], _CHUNK):
         hi = min(lo + _CHUNK, c.shape[1])
-        dev = _maps(c[:, lo:hi], terms, long[lo:hi], (2.0 * m) * (v[lo:hi] - eb))
+        dev = _maps(c[:, lo:hi], (2.0 * m) * (v[lo:hi] - eb))
         while dev.shape[-1] > 1:
             # I + (ba + a + b), a the earlier step of each pair, in place
             a, b = dev[..., 0:-1:2], dev[..., 1::2]
@@ -312,13 +285,12 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     # a march that overflows gives a T_err that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for x in nodes:
-            terms, slices = _slices(potential, m, x, e_top)
             state = np.array([p0, 1j * k * p0])
-            for v, c, long in slices:
+            for lo in range(0, x.size - 1, _SLICE):
+                v, c = _steps(potential, m, x[lo:lo + _SLICE + 1])
                 for start in range(0, lanes.size, _LANES):
                     block = slice(start, start + _LANES)
-                    state[:, block] = _march(v, c, terms, long, es[lanes[block], None], m,
-                                             state[:, block])
+                    state[:, block] = _march(v, c, es[lanes[block], None], m, state[:, block])
             ends.append(state)
         for start in range(0, lanes.size, _LANES):
             block = lanes[start:start + _LANES]
