@@ -172,9 +172,10 @@ def lngamma_complex(z):
     """Principal-branch log-gamma for complex z, elementwise over arrays.
 
     Matches the analytic continuation from the positive real axis (the
-    convention of scipy.special.loggamma); exp of the result is Gamma(z).
-    A scalar gives a complex.  Raises GammaPoleError when any z is zero or
-    a negative integer.
+    convention of scipy.special.loggamma); on the negative real axis that is
+    the limit from above, Im = -pi ceil(-x), or from below at Im z = -0.
+    exp of the result is Gamma(z).  A scalar gives a complex.  Raises
+    GammaPoleError when any z is zero or a negative integer.
     """
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.reshape(-1)
@@ -183,6 +184,11 @@ def lngamma_complex(z):
     if np.count_nonzero(_nonpositive_integer(z)):
         raise GammaPoleError(f"log-gamma pole at z = {z}")
     out = _lngamma(z)
+    # _lngamma's imaginary part there is another branch's, which exp (all
+    # the closed form takes of it) does not see
+    axis = (z.imag == 0.0) & (z.real < 0.0)
+    if np.count_nonzero(axis):
+        out.imag[axis] = np.copysign(math.pi * np.ceil(-z.real[axis]), -z.imag[axis])
     return out.reshape(shape) if shape else complex(out[0])
 
 

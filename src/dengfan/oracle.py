@@ -110,9 +110,7 @@ def default_config(E: float | np.ndarray, potential: Potential, *,
     potential, at the default step: the half-width doubles from
     ``x_max_seed`` until |V(+-x_max)| <= 1e-12 * max(E, 1) at the lowest
     energy, the tightest bound."""
-    es = np.array(E, dtype=float, ndmin=1)
-    if es.ndim != 1 or es.size == 0 or not np.all((es > 0.0) & (es < np.inf)):
-        raise ValueError(f"E must be > 0, got {E!r}")
+    es = _energies(E)
     bound = _DECAY_TOL * max(float(es.min()), 1.0)
     x_max = float(x_max_seed)
     for _ in range(26):
@@ -137,6 +135,16 @@ def plane_wave_decompose(psi: np.ndarray, dpsi: np.ndarray, k: np.ndarray,
     ik = 1j * k
     return ((psi + dpsi / ik) * np.exp(-ik * x) / 2.0,
             (psi - dpsi / ik) * np.exp(ik * x) / 2.0)
+
+
+def _energies(E: float | np.ndarray) -> np.ndarray:
+    """``E``, one energy or a non-empty 1-D array of finite energies > 0, as a 1-D array."""
+    es = np.array(E, dtype=float, ndmin=1)
+    if es.ndim != 1 or es.size == 0:
+        raise ValueError(f"E must be one energy or a non-empty 1-D array, got shape {es.shape}")
+    if not np.all((es > 0.0) & (es < np.inf)):
+        raise ValueError(f"E must be > 0 and finite, got {E!r}")
+    return es
 
 
 def _eval_potential(potential: Potential, xs: np.ndarray) -> np.ndarray:
@@ -235,8 +243,7 @@ def _maps(c: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _march(v, c, eb: np.ndarray, m: float, state: np.ndarray):
     # the steps (v, c) of _steps applied to the (2, lanes) state at eb
     for lo in range(0, c.shape[1], _CHUNK):
-        hi = min(lo + _CHUNK, c.shape[1])
-        dev = _maps(c[:, lo:hi], (2.0 * m) * (v[lo:hi] - eb))
+        dev = _maps(c[:, lo:lo + _CHUNK], (2.0 * m) * (v[lo:lo + _CHUNK] - eb))
         while dev.shape[-1] > 1:
             # I + (ba + a + b), a the earlier step of each pair, in place
             a, b = dev[..., 0:-1:2], dev[..., 1::2]
@@ -262,9 +269,7 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     One energy returns floats and raises its error; an array returns
     arrays, nan at a failed energy, and ``errors`` maps its index to its
     error.  ``potential`` must return an array of its argument's shape."""
-    es = np.array(E, dtype=float, ndmin=1)
-    if es.ndim != 1 or not np.all((es > 0.0) & (es < np.inf)):
-        raise ValueError(f"E must be > 0, got {E!r}")
+    es = _energies(E)
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
     L = cfg.x_max
@@ -276,8 +281,7 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
         for i, b in enumerate(_DECAY_TOL * max(e, 1.0) for e in energies) if boundary > b}
     lanes = np.array([i for i in range(es.size) if i not in errors], dtype=int)
     R, T, T_err, flux = np.full((4, es.size), math.nan)
-    e_top = max(energies)
-    nodes = _nodes(potential, m, cfg, e_top) if lanes.size else []
+    nodes = _nodes(potential, m, cfg, max(energies)) if lanes.size else []
     n_steps = nodes[0].size - 1 if nodes else 0
     k = np.sqrt(2.0 * m * es[lanes])
     p0 = np.exp(1j * k * L)

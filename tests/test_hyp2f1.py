@@ -237,6 +237,14 @@ def test_lngamma_matches_scipy_branch():
             continue  # hugging the branch cut
         assert abs(lngamma_complex(z) - complex(scipy_loggamma(z))) <= 1e-12
         checked += 1
+    # on the negative real axis, the limit from above: Im = -pi ceil(-x)
+    # (+pi ceil(-x) at Im z = -0); the imaginary part read 0, -pi and 0 at
+    # -1.5, -2.5 and -5.509
+    for x in (-0.3, -1.5, -2.5, -5.509):
+        for z in (complex(x, 0.0), complex(x, -0.0)):
+            assert abs(lngamma_complex(z) - complex(scipy_loggamma(z))) <= 1e-12
+    axis = np.array([-0.3, -1.5, -2.5, -5.509])
+    assert np.all(np.abs(lngamma_complex(axis) - scipy_loggamma(axis + 0j)) <= 1e-12)
 
 
 def test_lngamma_recurrence():

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -555,6 +556,19 @@ def test_batch_rejects_bad_energies():
     for bad in ([0.1, 0.0], [0.1, math.inf], [[0.1, 0.2]]):
         with pytest.raises(ValueError):
             integrate_scatter(np.array(bad), barrier, 1.0, cfg)
+
+
+@pytest.mark.parametrize("bad", [[], [[0.1, 0.2]]], ids=["empty", "2-D"])
+def test_energy_array_of_wrong_shape_rejected(bad):
+    # one check for both entry points; integrate_scatter once let an empty
+    # array reach max() and told a 2-D one "E must be > 0"
+    es = np.array(bad)
+    shape = re.escape(str(es.shape))
+    match = rf"^E must be one energy or a non-empty 1-D array, got shape {shape}$"
+    with pytest.raises(ValueError, match=match):
+        integrate_scatter(es, barrier, 1.0, IntegrationConfig(x_max=10.0, step=0.01))
+    with pytest.raises(ValueError, match=match):
+        default_config(es, barrier)
 
 
 def _peak_bytes(E, cfg):
