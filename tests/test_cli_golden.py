@@ -62,8 +62,8 @@ def run_case(name: str, tmp: Path) -> tuple[int, dict[str, bytes]]:
     cfg.write_text(json.dumps(CONFIG))
     work = tmp / "work"
     work.mkdir()
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF, PYTHONPATH=path,
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF, PYTHONPATH=pythonpath,
                PYTHONIOENCODING="utf-8")
     main = "import sys; from dengfan.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
