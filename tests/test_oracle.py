@@ -581,11 +581,11 @@ def _peak_bytes(E, cfg):
 
 
 def test_batch_memory_is_bounded_by_lane_blocks():
-    # 0.57 MB for the highest Table-1 energy alone (1.7 MB on a process's
-    # first call) and 1.08 MB for the 20 energies, which share its grid, in
-    # blocks of _LANES (10); 2.47 MB when all 20 lanes march at once.  The
-    # maps' sinh, cosh and quotients are built in the rows of D: as
-    # chunk-sized arrays of their own, the batch read 1.53 MB
+    # 0.57 MB for the highest Table-1 energy alone and 1.08 MB for the 20
+    # energies, which share its grid, in blocks of _LANES (10); 1.99 MB when
+    # all 20 lanes march at once.  The maps' sinh, cosh and quotients are
+    # built in the rows of D: as chunk-sized arrays of their own, the batch
+    # read 1.53 MB
     cfg = default_config(0.05, barrier, x_max_seed=50.0)
     one = _peak_bytes(max(TABLE1_ENERGIES), cfg)
     batch = _peak_bytes(np.array(TABLE1_ENERGIES), cfg)
