@@ -30,7 +30,9 @@ alone, bit for bit, whatever the batch around it.  All arithmetic is double
 precision; no arbitrary-precision escape hatch.  The kernels run along their
 long axis: a series block of many lanes and few terms along its lanes, one
 of few lanes and many terms along its terms (``_series``), and the Lanczos
-sum one row of arguments per coefficient.
+sum one row of arguments per coefficient.  Their working memory is bounded
+whatever the batch: series lanes are summed in groups and log-gammas taken
+in slices, each within ``_BLOCK_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -67,9 +69,12 @@ _CONNECTION_GATE = 5e-14
 # than no value
 _FALLBACK_GATE = 1e-12
 
-# lanes x terms of one series block (128 KB per complex block array) unless 8
-# terms per lane need more; block sizes never change a value
+# the cells (lanes x terms) of one series block, 128 KB per complex block
+# array, and of the Lanczos terms of one slice of log-gamma arguments; a
+# series group of _BLOCK_CELLS / _MIN_TERMS lanes starts with blocks of at
+# least _MIN_TERMS terms.  Block, group and slice sizes never change a value
 _BLOCK_CELLS = 1 << 13
+_MIN_TERMS = 8
 
 
 class _Workspace(threading.local):
@@ -79,8 +84,8 @@ class _Workspace(threading.local):
     in mallopt(3)) and fault every page back in: about 10k minor faults a
     pass of the benchmark's `paper` workload and 21k-24k a `q-sweep` pass.
     Kept, their pages stay mapped; no value depends on what they held.
-    A wide block (4 or more lanes a term, as a fig4 chunk's 512 x 16) lies
-    terms first, so numpy's loops run along the lanes and not along 16-term
+    A wide block (4 or more lanes a term, as a fig4 group's 1024 x 8) lies
+    terms first, so numpy's loops run along the lanes and not along 8-term
     rows; a tall one (a few lanes near z = 1, thousands of terms) lies terms
     last.  Both layouts have the same logical axes."""
 
@@ -193,7 +198,20 @@ def lngamma_complex(z):
 
 
 def _lngamma(z):
-    """log-gamma of the 1-D array z, which holds no poles."""
+    """log-gamma of the 1-D array z, which holds no poles, in slices of
+    _BLOCK_CELLS / 8 arguments: a slice's 8 Lanczos terms an argument fill
+    at most _BLOCK_CELLS cells, and its temporaries are small enough that
+    the allocator hands the same memory back from slice to slice."""
+    step = _BLOCK_CELLS // len(_LANCZOS_C)
+    if z.size <= step:
+        return _lngamma_slice(z)
+    out = np.empty_like(z)
+    for lo in range(0, z.size, step):
+        out[lo:lo + step] = _lngamma_slice(z[lo:lo + step])
+    return out
+
+
+def _lngamma_slice(z):
     # Re(z) < 1/2 reflects to 1 - w, where w is z or, for Im(z) < 0, its
     # conjugate (and the result is conjugated back)
     left = z.real < 0.5
@@ -255,16 +273,33 @@ def _series(a, b, c, z, n_peaks: int = 0):
     sum n t_n on every lane.  Returns (sums, peaks, errors): sums[:, 0] is F
     and sums[:, 1] is z F', errors maps a failed lane to what went wrong,
     and peaks holds, for the first ``n_peaks`` lanes, the largest L1 term
-    magnitude of each sum (for rounding-error estimates).  Terms are made
-    and summed in blocks, each lane's in the order one scalar loop takes
-    them; converged lanes drop out between blocks.  The block arrays live
-    in this thread's ``_Workspace``, and nothing returned is a view of it.
-    A wide block adds its running sums a column of lanes at a time, a tall
-    one along each lane's terms: the same additions.  Both take the term
-    products with ``np.multiply.accumulate`` along the terms, which numpy
-    runs in its scalar complex loop; row by row they would take its vector
-    loop, whose fused multiply-adds round differently where the CPU has them.
+    magnitude of each sum (for rounding-error estimates).  The lanes are
+    summed in groups of _BLOCK_CELLS / _MIN_TERMS, so that a block holds at
+    most _BLOCK_CELLS cells however many lanes there are, and a group's
+    first block at least _MIN_TERMS terms.  Terms are made and summed in
+    blocks, each lane's in the order one scalar loop takes them; converged
+    lanes drop out between blocks.  The block arrays live in this thread's
+    ``_Workspace``, and nothing returned is a view of it.  A wide block adds
+    its running sums a column of lanes at a time, a tall one along each
+    lane's terms: the same additions.  Both take the term products with
+    ``np.multiply.accumulate`` along the terms, which numpy runs in its
+    scalar complex loop; row by row they would take its vector loop, whose
+    fused multiply-adds round differently where the CPU has them.
     """
+    group = _BLOCK_CELLS // _MIN_TERMS
+    if a.size <= group:
+        return _series_group(a, b, c, z, n_peaks)
+    sums, peaks, errors = np.empty((a.size, 2), dtype=complex), np.empty((n_peaks, 2)), {}
+    for lo in range(0, a.size, group):
+        hi = lo + group
+        sums[lo:hi], peaks[lo:hi], failed = _series_group(
+            a[lo:hi], b[lo:hi], c[lo:hi], z[lo:hi], min(max(n_peaks - lo, 0), group))
+        errors.update((lo + i, why) for i, why in failed.items())
+    return sums, peaks, errors
+
+
+def _series_group(a, b, c, z, n_peaks: int):
+    """``_series`` on at most _BLOCK_CELLS / _MIN_TERMS lanes."""
     n_lanes, errors, work = a.size, {}, _WORKSPACE
     sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_peaks, 2))
     lanes, az = np.arange(n_lanes), np.abs(z)
@@ -287,8 +322,7 @@ def _series(a, b, c, z, n_peaks: int = 0):
     peak[:, 0] = 1.0
     head = n_peaks  # lanes stay in order, so the lanes that want peaks lead
     while True:
-        k = np.arange(n, n + min(max(8, min(size, _BLOCK_CELLS // lanes.size)), _MAX_TERMS - n),
-                      dtype=float)
+        k = np.arange(n, n + min(size, _BLOCK_CELLS // lanes.size, _MAX_TERMS - n), dtype=float)
         wide = lanes.size >= 4 * k.size  # laying out terms first pays from about here
         t, s, (num, den), mag, lhs, rhs, both, small, stop = work.block(lanes.size, k.size, wide)
         # column 0 carries the previous block's last term into the product

@@ -11,7 +11,9 @@ factor appears).
 
 Every layer from ``side_coefficients`` to ``solve_amplitudes`` works on a
 lane, a 1-D array of energies, and records a failed energy's error under
-its index with its fields nan.  ``scan`` runs a grid in chunks of lanes;
+its index with its fields nan.  ``scan`` runs a grid as lanes of up to
+``_CHUNK`` energies, so each of the paper's curves is one lane; the 2F1
+kernels bound their own working memory whatever a lane's length.
 ``compute_rt`` runs a lane of one and raises its error or unwraps it.
 
 ``tau_branch`` picks the basis, one string for both sides ("plus" or
@@ -48,8 +50,10 @@ __all__ = [
 # the cancellation kappa = |c1 m10| / |num| past which t takes the exact
 # numerator -2 sigma (on a mirrored barrier kappa = 1/(2 sqrt(T)))
 _KAPPA_GATE = 100.0
-# energies per batch in scan; bounds the batch's memory, never a value
-_CHUNK = 256
+# energies per batch in scan: each paper curve (fig4's are 2000) is one
+# batch, so pays the lane pipeline's fixed cost once, and a longer grid
+# holds one batch's per-energy arrays at a time; never changes a value
+_CHUNK = 2048
 # the per-energy fields of a ScatteringResult
 _COLUMNS = ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual")
 
@@ -210,9 +214,9 @@ def scan(
     tau_branch: TauBranch = "plus",
 ) -> ScatteringResult:
     """Evaluate R/T over a non-empty, strictly increasing, positive energy
-    grid, in batches of ``_CHUNK`` energies, as one ScatteringResult of
-    arrays in grid order; every value equals ``compute_rt`` at its energy
-    bit for bit.
+    grid, in batches of ``_CHUNK`` energies (one batch for each of the
+    paper's grids), as one ScatteringResult of arrays in grid order; every
+    value equals ``compute_rt`` at its energy bit for bit.
 
     A point that fails with a ``Hyp2F1Error`` is recorded in ``errors``
     under its grid index, with its fields nan, and the scan goes on; any

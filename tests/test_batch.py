@@ -1,13 +1,17 @@
 """The energy-batched closed form: scan equals per-energy compute_rt bit for
-bit and keys each failure by its grid index, every 2F1 path of the lane
-evaluator meets the 40-digit series, a failing lane leaves its batch alone,
-neither the series' block size or layout nor a second thread changes a
-value, and chunking bounds a scan's memory."""
+bit, joins its batches and keys each failure by its grid index, every 2F1
+path of the lane evaluator meets the 40-digit series, a failing lane leaves
+its batch alone, neither the series' block size, layout or lane groups nor
+a second thread changes a value, and the kernels bound a scan's memory and
+keep it mapped from scan to scan."""
 
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +19,12 @@ import pytest
 import dengfan.hyp2f1 as hyp2f1
 import dengfan.scatter as scatter
 from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error, NoConvergenceError,
-                     PoleAtCError, barrier_top, compute_rt, gauss_2f1_lanes, scan,
-                     side_coefficients)
+                     PoleAtCError, barrier_top, compute_rt, gauss_2f1_lanes,
+                     match_coefficients, scan, side_coefficients, solve_amplitudes)
 
 from helpers import hyp2f1_bruteforce
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _outcome(E, params):
@@ -36,8 +42,15 @@ def _scan_outcomes(res):
             for i, (T, R) in enumerate(zip(res.T, res.R))]
 
 
+def _group_energies():
+    """Energies of one scan batch at q = 0.8 whose two connection series
+    fill exactly one series group (512 at the default block size); a grid of
+    one energy more crosses into a second group."""
+    return hyp2f1._BLOCK_CELLS // hyp2f1._MIN_TERMS // 2
+
+
 def _grids():
-    chunk = scatter._CHUNK
+    chunk = _group_energies()
     v = barrier_top(DEFAULT_PARAMS)
     # up to E/V_max = 1e5, where the series overflows: the top energies fail
     wide = np.geomspace(1e-6 * v, 1e5 * v, chunk + 1)
@@ -69,16 +82,18 @@ def test_scan_equals_compute_rt_bit_for_bit(name, params, grid):
 
 
 def test_scan_keys_failures_past_the_first_chunk_by_grid_index():
-    # the energies above E/V_max = 4e4, all past the first chunk, fail with
-    # NoConvergenceError
+    # the energies above E/V_max = 4e4, all past index 512, fail with
+    # NoConvergenceError: a connection series overflows, the second series
+    # of each energy in the second series group
+    chunk = _group_energies()
     v = barrier_top(DEFAULT_PARAMS)
-    grid = np.geomspace(1e-3 * v, 1e5 * v, scatter._CHUNK + 44)
+    grid = np.geomspace(1e-3 * v, 1e5 * v, chunk + 44)
     res = scan(grid, DEFAULT_PARAMS)
     outcomes = [_outcome(float(E), DEFAULT_PARAMS) for E in grid]
     want = {i: kind for i, kind in enumerate(outcomes) if isinstance(kind, str)}
     assert {i: type(exc).__name__ for i, exc in res.errors.items()} == want
     assert set(want.values()) == {"NoConvergenceError"}
-    assert min(want) >= scatter._CHUNK
+    assert min(want) >= chunk
     assert list(res.errors) == sorted(res.errors)
     failed = np.zeros(grid.size, dtype=bool)
     failed[list(want)] = True
@@ -87,6 +102,25 @@ def test_scan_keys_failures_past_the_first_chunk_by_grid_index():
         column = getattr(res, name)
         assert column.shape == grid.shape
         assert np.array_equal(np.isnan(column), failed), name
+
+
+def test_scan_joins_its_batches_in_grid_order():
+    # one batch and 44 energies, whose last 64 fail (above E/V_max = 4e4):
+    # 20 in the first batch, 44 in the second
+    chunk = scatter._CHUNK
+    v = barrier_top(DEFAULT_PARAMS)
+    grid = np.concatenate([np.geomspace(1e-3 * v, 0.5 * v, chunk - 20),
+                           np.geomspace(5e4 * v, 1e5 * v, 64)])
+    res = scan(grid, DEFAULT_PARAMS)
+    parts = [solve_amplitudes(match_coefficients(grid[lo:lo + chunk], DEFAULT_PARAMS))
+             for lo in (0, chunk)]
+    for name in ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual"):
+        want = np.concatenate([getattr(part, name) for part in parts])
+        assert getattr(res, name).tobytes() == want.tobytes(), name
+    want = sorted((lo + i, str(exc)) for lo, part in zip((0, chunk), parts)
+                  for i, exc in part.errors.items())
+    assert [(i, str(exc)) for i, exc in res.errors.items()] == want
+    assert list(res.errors) == list(range(chunk - 20, chunk + 44))
 
 
 def _connection_values(monkeypatch):
@@ -198,8 +232,11 @@ def test_failing_lane_leaves_batch_unchanged(monkeypatch):
 
 
 def test_scan_memory_is_bounded_by_chunking():
-    # measured 3.7 MB peak at _CHUNK = 256 energies on this grid against
-    # 22.8 MB for one unchunked batch; the bound catches a lost chunking
+    # this grid is one batch: measured 2.6 MB peak in a fresh process (1.7
+    # MB once the series workspace has grown), against 1.6 MB in batches
+    # of 256 energies and 8.0 MB for one batch whose series blocks and
+    # Lanczos sum grow with its lanes; the bound catches a lost bound in a
+    # kernel
     v = barrier_top(DEFAULT_PARAMS)
     grid = [float(E) for E in np.geomspace(1e-6 * v, 0.5 * v, 2000)]
     scan(grid[:4], DEFAULT_PARAMS)
@@ -211,6 +248,42 @@ def test_scan_memory_is_bounded_by_chunking():
         tracemalloc.stop()
     assert not res.errors
     assert peak < 6 * 2**20
+
+
+# two scans of one fig4 curve after a first, in an interpreter of their own:
+# the allocator's thresholds, which decide whether freed memory goes back to
+# the system, then depend on nothing that ran before
+_REPEATED_SCANS = """
+import resource
+from dataclasses import replace
+import numpy as np
+from dengfan import DEFAULT_PARAMS, barrier_top, scan
+params = replace(DEFAULT_PARAMS, v0=1.25)
+v = barrier_top(params)
+grid = np.geomspace(1e-6 * v, 0.5 * v, 2000)
+scan(grid, params)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(2):
+    scan(grid, params)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_repeated_scans_do_not_fault_pages_back_in():
+    # one scan's working memory peaks at 1.7 MB, so two scans that each hand
+    # all of it back to the system at their end fault in at most about 870
+    # pages; more means arrays mapped and unmapped within a scan.  Measured
+    # over the two scans (numpy's default loops / its baseline loops): 272 /
+    # 702 now; 1,264 / 1,264 in batches of 256 energies, each trimmed away
+    # in turn; 1,499 / 1,524 with the log-gammas unsliced, whose 1.8 MB
+    # Lanczos block is mapped and unmapped at every scan.  A process whose
+    # allocator has raised its thresholds, as the benchmark's has, reads
+    # 0-36 faults a whole `paper` pass
+    pytest.importorskip("resource")
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_SCANS], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert int(proc.stdout) <= 1024
 
 
 def _path_lanes(E, params, z=None):
@@ -259,10 +332,11 @@ def _block_layouts(monkeypatch):
 
 
 # the first series block of the four-fold batch below at each block size:
-# its 92 lanes lie terms first (wide) in blocks of 8 and 22 terms and, at
-# the switch of 4 lanes a term, of 23; at 89 terms, at lanes == terms and
-# beyond they lie lanes first
-_FIRST_BLOCKS = {64: (92, 8, True), 2048: (92, 22, True), 2116: (92, 23, True),
+# at 64 cells its 92 lanes go in groups of 8, whose first blocks of 8 terms
+# lie lanes first; in one group they lie terms first (wide) in blocks of 22
+# terms and, at the switch of 4 lanes a term, of 23; at 89 terms, at lanes
+# == terms and beyond they lie lanes first
+_FIRST_BLOCKS = {64: (8, 8, False), 2048: (92, 22, True), 2116: (92, 23, True),
                  8192: (92, 89, False), 8464: (92, 92, False), 65536: (92, 712, False)}
 
 
@@ -279,6 +353,25 @@ def test_block_size_never_changes_a_value(monkeypatch, cells):
     assert _bits(gauss_2f1_lanes(*batch)) == want
     assert layouts[0] == _FIRST_BLOCKS[cells]
     assert all(wide == (lanes >= 4 * terms) for lanes, terms, wide in layouts)
+
+
+def test_series_blocks_stay_within_block_cells(monkeypatch):
+    # one fig4 batch of 2048 energies hands _series 4096 lanes; in a thread
+    # of its own the workspace starts empty and grows to its largest block
+    params = replace(DEFAULT_PARAMS, v0=1.25)
+    v = barrier_top(params)
+    layouts, cells = _block_layouts(monkeypatch), []
+
+    def run():
+        scan(np.geomspace(1e-6 * v, 0.5 * v, scatter._CHUNK), params)
+        cells.append(hyp2f1._WORKSPACE.cells)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert layouts[0] == (hyp2f1._BLOCK_CELLS // hyp2f1._MIN_TERMS, 8, True)
+    assert all(lanes * terms <= hyp2f1._BLOCK_CELLS for lanes, terms, _ in layouts)
+    assert cells and cells[0] <= hyp2f1._BLOCK_CELLS
 
 
 def _fig4_batch():
@@ -309,9 +402,11 @@ def test_wide_blocks_equal_lanes_alone(monkeypatch):
     values, derivs, errors = gauss_2f1_lanes(*batch)
     # both connection series of every lane but the pole, then the plain
     # series of the rejected attempts and of the overflowing lane; the
-    # first call's blocks lie terms first until its long lanes are left
+    # first call sums a group of 1024 lanes, whose blocks lie terms first
+    # until its long lanes are left, and then one of the other 50
     assert [(args[0].size, n_peaks) for args, n_peaks in calls] == [(1074, 1074), (25, 0)]
-    assert layouts[:4] == [(1074, 8, True)] * 3 + [(562, 14, True)] and not layouts[-1][2]
+    assert layouts[:4] == [(1024, 8, True)] * 3 + [(512, 16, True)] and not layouts[-1][2]
+    assert layouts[5] == (50, 163, False)
     assert isinstance(errors[537], PoleAtCError)
     assert isinstance(errors[536], NoConvergenceError) and len(errors) == 2
     for i in range(batch[0].size):
@@ -324,7 +419,7 @@ def test_wide_blocks_equal_lanes_alone(monkeypatch):
     args, n_peaks = calls[0]
     del layouts[:]
     sums, peaks, failed = series(*args, n_peaks=n_peaks)
-    assert layouts[:4] == [(1074, 8, True)] * 3 + [(562, 14, True)]
+    assert layouts[:4] == [(1024, 8, True)] * 3 + [(512, 16, True)]
     for i in range(args[0].size):
         one = series(*(v[i:i + 1] for v in args), n_peaks=1)
         assert [*one[2].values()] == ([failed[i]] if i in failed else []), i
