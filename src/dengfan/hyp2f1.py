@@ -2,25 +2,28 @@
 parameters, plus complex log-gamma, evaluated lane-wise over numpy arrays.
 
 ``gauss_2f1_lanes`` takes 1-D arrays a, b, c, z, one function per lane, and
-returns F = 2F1(a, b; c; z) and F' = dF/dz from one pass per lane.  Each
-lane's path is decided before any summing, from the classical toolbox
-(Abramowitz & Stegun ch. 15, DLMF ch. 15):
+returns F = 2F1(a, b; c; z) and F' = dF/dz, from the classical toolbox
+(Abramowitz & Stegun ch. 15, DLMF ch. 15), in two stages of one series
+call each:
 
-* a lane with a non-finite a, b, c or z fails with Hyp2F1Error, and a lane
-  whose c is zero or a negative integer with PoleAtCError;
-* for 0.7 <= |z| and |1-z| < 1, when c - a - b is not within 1e-6 of an
-  integer, the lane tries the 1-z connection formula, differentiated term
-  by term for F'.  Its two terms can lose precision (internal term growth,
-  outer cancellation), so the lane keeps it only when the error estimates
-  of F and F' both stay within ``_CONNECTION_GATE`` (5e-14);
-* a rejected attempt sums the power series after all; where that series
-  fails too (near z = 1 it needs more than ``_MAX_TERMS`` terms), the lane
-  keeps the connection values if their estimate is within
-  ``_FALLBACK_GATE`` (1e-12) rather than fail;
-* every other lane, a rejected attempt included, sums the power series
-  F = sum t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n, and z F' = sum n t_n
-  together in blocks of terms until two consecutive terms of both drop
-  below ``_REL_TOL`` (1e-15) of their sums, within ``_MAX_TERMS`` (20,000);
+* before either stage, a lane with a non-finite a, b, c or z fails with
+  Hyp2F1Error, and a lane whose c is zero or a negative integer with
+  PoleAtCError;
+* the first stage: for 0.7 <= |z| and |1-z| < 1, when c - a - b is not
+  within 1e-6 of an integer, the lane tries the 1-z connection formula,
+  differentiated term by term for F', whose two series in 1-z are summed
+  for every such lane together.  Its two terms can lose precision
+  (internal term growth, outer cancellation), so the lane keeps it only
+  when the error estimates of F and F' both stay within
+  ``_CONNECTION_GATE`` (5e-14); a lane whose series fails there fails;
+* the second stage: every other lane, a rejected attempt included, sums
+  the power series F = sum t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n, and
+  z F' = sum n t_n together in blocks of terms until two consecutive terms
+  of both drop below ``_REL_TOL`` (1e-15) of their sums, within
+  ``_MAX_TERMS`` (20,000).  Where a rejected attempt's series fails too
+  (near z = 1 it needs more than ``_MAX_TERMS`` terms), the lane keeps the
+  connection values if their estimate is within ``_FALLBACK_GATE`` (1e-12)
+  rather than fail;
 * log-gamma via the Lanczos approximation (g = 7, 9 coefficients) with a
   branch-tracked reflection formula for Re(z) < 1/2.
 
@@ -268,40 +271,39 @@ def _lane_error(kind: type, what: str, a, b, c, z, i: int) -> Hyp2F1Error:
                 f"c={complex(c[i])}, z={complex(z[i])})")
 
 
-def _series(a, b, c, z, n_peaks: int = 0):
+def _series(a, b, c, z):
     """Sum the defining series F = sum t_n and, in the same blocks, z F' =
     sum n t_n on every lane.  Returns (sums, peaks, errors): sums[:, 0] is F
-    and sums[:, 1] is z F', errors maps a failed lane to what went wrong,
-    and peaks holds, for the first ``n_peaks`` lanes, the largest L1 term
-    magnitude of each sum (for rounding-error estimates).  The lanes are
-    summed in groups of _BLOCK_CELLS / _MIN_TERMS, so that a block holds at
-    most _BLOCK_CELLS cells however many lanes there are, and a group's
-    first block at least _MIN_TERMS terms.  Terms are made and summed in
-    blocks, each lane's in the order one scalar loop takes them; converged
-    lanes drop out between blocks.  The block arrays live in this thread's
-    ``_Workspace``, and nothing returned is a view of it.  A wide block adds
-    its running sums a column of lanes at a time, a tall one along each
-    lane's terms: the same additions.  Both take the term products with
-    ``np.multiply.accumulate`` along the terms, which numpy runs in its
-    scalar complex loop; row by row they would take its vector loop, whose
-    fused multiply-adds round differently where the CPU has them.
+    and sums[:, 1] is z F', peaks the largest L1 term magnitude of each sum
+    (for rounding-error estimates), and errors maps a failed lane to what
+    went wrong.  The lanes are summed in groups of _BLOCK_CELLS / _MIN_TERMS,
+    so that a block holds at most _BLOCK_CELLS cells however many lanes
+    there are, and a group's first block at least _MIN_TERMS terms.  Terms
+    are made and summed in blocks, each lane's in the order one scalar loop
+    takes them; converged lanes drop out between blocks.  The block arrays
+    live in this thread's ``_Workspace``, and nothing returned is a view of
+    it.  A wide block adds its running sums a column of lanes at a time, a
+    tall one along each lane's terms: the same additions.  Both take the
+    term products with ``np.multiply.accumulate`` along the terms, which
+    numpy runs in its scalar complex loop; row by row they would take its
+    vector loop, whose fused multiply-adds round differently where the CPU
+    has them.
     """
     group = _BLOCK_CELLS // _MIN_TERMS
     if a.size <= group:
-        return _series_group(a, b, c, z, n_peaks)
-    sums, peaks, errors = np.empty((a.size, 2), dtype=complex), np.empty((n_peaks, 2)), {}
+        return _series_group(a, b, c, z)
+    sums, peaks, errors = np.empty((a.size, 2), dtype=complex), np.empty((a.size, 2)), {}
     for lo in range(0, a.size, group):
         hi = lo + group
-        sums[lo:hi], peaks[lo:hi], failed = _series_group(
-            a[lo:hi], b[lo:hi], c[lo:hi], z[lo:hi], min(max(n_peaks - lo, 0), group))
+        sums[lo:hi], peaks[lo:hi], failed = _series_group(a[lo:hi], b[lo:hi], c[lo:hi], z[lo:hi])
         errors.update((lo + i, why) for i, why in failed.items())
     return sums, peaks, errors
 
 
-def _series_group(a, b, c, z, n_peaks: int):
+def _series_group(a, b, c, z):
     """``_series`` on at most _BLOCK_CELLS / _MIN_TERMS lanes."""
     n_lanes, errors, work = a.size, {}, _WORKSPACE
-    sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_peaks, 2))
+    sums, peaks = np.empty((n_lanes, 2), dtype=complex), np.empty((n_lanes, 2))
     lanes, az = np.arange(n_lanes), np.abs(z)
     # term ratios approach |z|, so the dropped tail is about
     # tail_factor * |last term| (n times that for z F', whose terms are
@@ -318,9 +320,8 @@ def _series_group(a, b, c, z, n_peaks: int):
     a, b, c, z, bz = a[:, None], b[:, None], c[:, None], z[:, None], (b * z)[:, None]
     # both sums start from term 0: t_0 = 1 and 0 * t_0; so do the peaks
     n, term, total, prev = 0, 1.0, np.array([[1.0], [0.0]]), False
-    peak = np.zeros((n_peaks, 2))
+    peak = np.zeros((n_lanes, 2))
     peak[:, 0] = 1.0
-    head = n_peaks  # lanes stay in order, so the lanes that want peaks lead
     while True:
         k = np.arange(n, n + min(size, _BLOCK_CELLS // lanes.size, _MAX_TERMS - n), dtype=float)
         wide = lanes.size >= 4 * k.size  # laying out terms first pays from about here
@@ -375,18 +376,14 @@ def _series_group(a, b, c, z, n_peaks: int):
         done = np.logical_or.reduce(stop, axis=1)
         first = stop.argmax(axis=1)
         rows = done.nonzero()[0]
-        # rows are in order, so the first ``lead`` of them are lanes that
-        # want peaks
-        lead = int(rows.searchsorted(head))
-        if head:
-            # the largest term of each lane up to where it stops, or of
-            # the whole block; the mask goes into stop, which is read out,
-            # so that it runs along the block's memory
-            upto = True
-            if lead:
-                last = np.where(done[:head], first[:head], k.size)[:, None]
-                upto = np.less_equal(np.arange(k.size), last, out=stop[:head])[:, None]
-            peak = np.maximum(peak, mag[:head].max(axis=2, where=upto, initial=0.0))
+        # the largest term of each lane up to where it stops, or of the
+        # whole block; the mask goes into stop, which is read out, so that
+        # it runs along the block's memory
+        upto = True
+        if rows.size:
+            last = np.where(done, first, k.size)[:, None]
+            upto = np.less_equal(np.arange(k.size), last, out=stop)[:, None]
+        peak = np.maximum(peak, mag.max(axis=2, where=upto, initial=0.0))
         if rows.size:
             cols = first[rows]
             got = s[rows, :, cols]
@@ -395,8 +392,7 @@ def _series_group(a, b, c, z, n_peaks: int):
                 errors[int(lanes[rows[i]])] = f"overflowed after {n + int(cols[i]) + 1} terms"
             if rows.size == n_lanes:
                 return got, peak, errors
-            sums[lanes[rows]] = got
-            peaks[lanes[rows[:lead]]] = peak[rows[:lead]]
+            sums[lanes[rows]], peaks[lanes[rows]] = got, peak[rows]
             if rows.size == lanes.size:
                 return sums, peaks, errors
         n += k.size
@@ -408,9 +404,8 @@ def _series_group(a, b, c, z, n_peaks: int):
         # copies, as the next block overwrites the workspace
         term, total, prev = t[:, -1:], s[:, :, -1:], small[:, -1:]
         if rows.size:
-            a, b, c, z, bz, tail, lanes, term, total, prev = (
-                v[keep] for v in (a, b, c, z, bz, tail, lanes, term, total, prev))
-            peak, head = peak[keep[:head]], head - lead
+            a, b, c, z, bz, tail, lanes, term, total, prev, peak = (
+                v[keep] for v in (a, b, c, z, bz, tail, lanes, term, total, prev, peak))
         else:
             term, total, prev = term.copy(), total.copy(), prev.copy()
         size = max(size, n)
@@ -448,10 +443,10 @@ def gauss_2f1_lanes(a, b, c, z):
 
     Returns (values, derivs, errors): errors maps a failed lane to its
     ``Hyp2F1Error``, and that lane's F and F' are nan.  Each lane takes the
-    path the module docstring sets out, decided before any summing.  A
-    finite argument outside the open unit disk, z = 1 included, raises
-    ValueError for the whole batch.  The error of a non-finite lane (a bare
-    ``Hyp2F1Error``) or a non-converging one names its a, b, c, z as given.
+    path the module docstring sets out.  A finite argument outside the open
+    unit disk, z = 1 included, raises ValueError for the whole batch.  The
+    error of a non-finite lane (a bare ``Hyp2F1Error``) or a non-converging
+    one names its a, b, c, z as given.
     """
     a, b, c, z = given = tuple(np.array(v, dtype=complex, ndmin=1, copy=None)
                                for v in (a, b, c, z))
@@ -480,24 +475,16 @@ def gauss_2f1_lanes(a, b, c, z):
         s = c - a - b
         attempt = (series & (az >= 0.7) & (np.abs(u) < 1.0)
                    & ~(np.abs(s - np.rint(s.real)) < 1e-6))
-        # attempt is a subset of series
-        ic, idx = attempt.nonzero()[0], (series ^ attempt).nonzero()[0]
-        runs = []  # (lanes, sums, failures by row) of each plain series
+        ic = attempt.nonzero()[0]
         fallback = {}  # lane -> (F, F') of a rejected connection attempt
         if ic.size:
-            # both series of every attempt, F(a, b; 1-s; 1-z) and F(c-a, c-b;
-            # 1+s; 1-z), and the plain series of the other lanes, in one call
+            # first stage: both series of every attempt, F(a, b; 1-s; 1-z)
+            # and F(c-a, c-b; 1+s; 1-z), in one call
             ac, bc, cc, sc, uc = ((a, b, c, s, u) if ic.size == a.size
                                   else (a[ic], b[ic], c[ic], s[ic], u[ic]))
             ca, cb = cc - ac, cc - bc
-            rows = ((ac, ca), (bc, cb), (1.0 - sc, 1.0 + sc), (uc, uc))
-            if idx.size:
-                rows = tuple(row + (v[idx],) for row, v in zip(rows, (a, b, c, z)))
-            m = 2 * ic.size
-            f, peak, failed = _series(*(np.concatenate(row) for row in rows), n_peaks=m)
-            if idx.size:
-                runs.append((idx, f[m:], {j - m: why for j, why in failed.items() if j >= m}))
-                f, peak, failed = f[:m], peak[:m], {j: why for j, why in failed.items() if j < m}
+            f, peak, failed = _series(*(np.concatenate(row) for row in (
+                (ac, ca), (bc, cb), (1.0 - sc, 1.0 + sc), (uc, uc))))
             value, deriv, est = _connection(ac, bc, cc, sc, ca, cb, uc, f, peak)
             ok = np.isfinite(value) & np.isfinite(deriv) & (est <= _CONNECTION_GATE)
             retry = ~ok
@@ -511,13 +498,14 @@ def gauss_2f1_lanes(a, b, c, z):
             values[done], derivs[done] = value[ok], deriv[ok]
             # a rejected attempt sums the plain series after all, and keeps
             # the connection values within _FALLBACK_GATE if that fails too
-            idx = ic[retry]
+            series[ic[~retry]] = False
             spare = retry & np.isfinite(value) & np.isfinite(deriv) & (est <= _FALLBACK_GATE)
             fallback = dict(zip(ic[spare].tolist(), zip(value[spare], deriv[spare])))
+        # second stage: the plain series of every other lane and of the
+        # rejected attempts, in one call
+        idx = series.nonzero()[0]
         if idx.size:
             f, _, failed = _series(a[idx], b[idx], c[idx], z[idx])
-            runs.append((idx, f, failed))
-        for idx, f, failed in runs:
             values[idx], derivs[idx] = f[:, 0], f[:, 1] / z[idx]
             # F' = ab/c at z = 0, where z F' says nothing
             zero = idx[z[idx] == 0]

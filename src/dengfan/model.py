@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-
-TauBranch = Literal["plus", "minus"]
 
 __all__ = [
     "BarrierParams",
@@ -85,6 +83,15 @@ class BarrierParams:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
         if not 0.0 < self.q_tilde < 1.0:
             raise ValueError(f"q_tilde must lie in (0, 1), got {self.q_tilde}")
+        # V(0) leaves the float range near a x_e = 355, and exp(a x_e) raises from 710 on
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = barrier_top(self)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"the barrier top V(0) must be finite, got {top} "
+                             f"(a = {self.a}, x_e = {self.x_e})")
 
 
 @dataclass
@@ -137,11 +144,7 @@ def barrier_top(params: BarrierParams) -> float:
     return float(potential(0.0, params))
 
 
-def side_coefficients(
-    E,
-    params: BarrierParams,
-    tau_branch: TauBranch = "plus",
-) -> tuple[SideCoefficients, SideCoefficients]:
+def side_coefficients(E, params: BarrierParams) -> tuple[SideCoefficients, SideCoefficients]:
     """Derive the per-region scalars for scattering energies E > 0, as
     (left, right); ``right is left`` when q == q_tilde.
 
@@ -155,20 +158,17 @@ def side_coefficients(
     (with q_tilde in place of q on the right).  epsilon = chi1 + chi2 + chi3,
     with chi2 = 4mV0 b/(a^2 q) - 2 chi3, collapses algebraically to
     -2mV0 b^2/(a^2 q^2) and is independent of E; it and tau are floats.
-    sigma = ik/a encodes the asymptotic plane wave, tau solves
-    tau^2 - tau + epsilon = 0 on the requested branch, and
+    sigma = ik/a encodes the asymptotic plane wave, tau is the larger root
+    of tau^2 - tau + epsilon = 0, and
 
         alpha, beta = sigma + tau -/+ sqrt(-chi1),   gamma = 1 + 2*sigma.
 
-    Physical outputs must not depend on tau's branch.  The sign of
-    sqrt(-chi1) is fixed: flipping it would only exchange alpha and beta,
-    which 2F1 is symmetric in.
+    The sign of sqrt(-chi1) is fixed: flipping it would only exchange alpha
+    and beta, which 2F1 is symmetric in.
     """
     E = np.array(E, dtype=float, ndmin=1, copy=None)
     if np.count_nonzero((E > 0.0) & (E < math.inf)) < E.size:
         raise ValueError(f"scattering requires finite E > 0, got {E}")
-    if tau_branch not in ("plus", "minus"):
-        raise ValueError(f"tau_branch must be 'plus' or 'minus', got {tau_branch!r}")
 
     two_m = 2.0 * params.m
     chi3 = (two_m / (params.a * params.a)) * E
@@ -177,13 +177,13 @@ def side_coefficients(
     # 1 + 2*sigma, bit for bit (sigma is imaginary, so doubling is exact)
     gamma = 1.0 + k * (2j / params.a)
     lane = (E, k, chi3, sigma, gamma)
-    left = _on_side(lane, params, params.q, tau_branch)
+    left = _on_side(lane, params, params.q)
     if params.q == params.q_tilde:
         return left, left
-    return left, _on_side(lane, params, params.q_tilde, tau_branch)
+    return left, _on_side(lane, params, params.q_tilde)
 
 
-def _on_side(lane, params: BarrierParams, qs: float, tau_branch: TauBranch) -> SideCoefficients:
+def _on_side(lane, params: BarrierParams, qs: float) -> SideCoefficients:
     """One side's ``SideCoefficients``, deformation qs, from the fields
     lane = (E, k, chi3, sigma, gamma) that the two sides share."""
     E, k, chi3, sigma, gamma = lane
@@ -194,8 +194,7 @@ def _on_side(lane, params: BarrierParams, qs: float, tau_branch: TauBranch) -> S
     well = two_m * params.v0 * b * b / (a2 * qs * qs)
     cross = 2.0 * two_m * params.v0 * b / (a2 * qs)
     epsilon = -well
-    disc = 0.5 * math.sqrt(1.0 - 4.0 * epsilon)  # epsilon <= 0 for v0 >= 0
-    tau = 0.5 + disc if tau_branch == "plus" else 0.5 - disc
+    tau = 0.5 + 0.5 * math.sqrt(1.0 - 4.0 * epsilon)  # epsilon <= 0 for v0 >= 0
 
     chi1 = chi3 - (well + cross)
     root = np.sqrt(-chi1, dtype=complex)

@@ -16,9 +16,6 @@ its index with its fields nan.  ``scan`` runs a grid as lanes of up to
 kernels bound their own working memory whatever a lane's length.
 ``compute_rt`` runs a lane of one and raises its error or unwraps it.
 
-``tau_branch`` picks the basis, one string for both sides ("plus" or
-"minus"); R and T do not depend on it.
-
 The derivative row matches dpsi/dx, with the chain-rule factors
 dy/dx = +a*y on the left and -a*y on the right, so flux is conserved
 (R + T = 1).  The row as the closed form is widely printed equates dpsi/dy
@@ -36,7 +33,7 @@ import numpy as np
 
 # gauss_2f1 stays a name of this module: benchmarks/worker.py wraps it here
 from .hyp2f1 import gauss_2f1, gauss_2f1_lanes  # noqa: F401
-from .model import BarrierParams, TauBranch, side_coefficients
+from .model import BarrierParams, side_coefficients
 
 __all__ = [
     "MatchCoefficients",
@@ -96,25 +93,19 @@ class ScatteringResult:
 
 # an E near the float range overflows side_coefficients: the lane's 2F1 fails quietly
 @np.errstate(invalid="ignore", over="ignore")
-def match_coefficients(
-    E,
-    params: BarrierParams,
-    tau_branch: TauBranch = "plus",
-) -> MatchCoefficients:
+def match_coefficients(E, params: BarrierParams) -> MatchCoefficients:
     """Assemble the matching coefficients lane-wise over the energies E
     (one energy is a lane of one).
 
-    ``tau_branch`` selects the basis, one choice for both sides; R and T
-    do not depend on it.  One ``gauss_2f1_lanes`` call gives each 2F1
-    factor and its derivative: one lane per energy (the left y^{+sigma}
-    function's) when q == q_tilde, two (and the right one's) otherwise.
-    The left y^{-sigma} function needs none: for E > 0 sigma is imaginary
-    and tau real, so its (alpha+1-gamma, beta+1-gamma; 2-gamma) is
-    (conj(alpha), conj(beta); conj(gamma)) up to order, and c2 and c5 are
-    the conjugates of c1 and c4.  An energy's first failing 2F1 factor's
-    error is recorded, never raised.
+    One ``gauss_2f1_lanes`` call gives each 2F1 factor and its derivative:
+    one lane per energy (the left y^{+sigma} function's) when q == q_tilde,
+    two (and the right one's) otherwise.  The left y^{-sigma} function needs
+    none: for E > 0 sigma is imaginary and tau real, so its (alpha+1-gamma,
+    beta+1-gamma; 2-gamma) is (conj(alpha), conj(beta); conj(gamma)) up to
+    order, and c2 and c5 are the conjugates of c1 and c4.  An energy's first
+    failing 2F1 factor's error is recorded, never raised.
     """
-    left, right = side_coefficients(E, params, tau_branch)
+    left, right = side_coefficients(E, params)
     mirror = right is left
     rho1, rho3 = params.q, params.q_tilde
 
@@ -187,11 +178,7 @@ def solve_amplitudes(mc: MatchCoefficients) -> ScatteringResult:
     return ScatteringResult(mc.E, r_amp, t_amp, R, T, residual, dict(mc.errors))
 
 
-def compute_rt(
-    E: float,
-    params: BarrierParams,
-    tau_branch: TauBranch = "plus",
-) -> ScatteringResult:
+def compute_rt(E: float, params: BarrierParams) -> ScatteringResult:
     """Reflection/transmission at a single energy: the lane code ``scan``
     runs, on a lane of one, unwrapped to numpy scalars.  The energy's
     ``Hyp2F1Error`` is raised.
@@ -202,17 +189,15 @@ def compute_rt(
     ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
     asymptotic T -> 1 branch.
     """
-    res = solve_amplitudes(match_coefficients([E], params, tau_branch))
+    if np.ndim(E) != 0:
+        raise ValueError(f"E must be one energy, got shape {np.shape(E)}; scan takes a grid")
+    res = solve_amplitudes(match_coefficients([E], params))
     if res.errors:
         raise res.errors[0]
     return ScatteringResult(*(getattr(res, name)[0] for name in _COLUMNS))
 
 
-def scan(
-    energies: Sequence[float],
-    params: BarrierParams,
-    tau_branch: TauBranch = "plus",
-) -> ScatteringResult:
+def scan(energies: Sequence[float], params: BarrierParams) -> ScatteringResult:
     """Evaluate R/T over a non-empty, strictly increasing, positive energy
     grid, in batches of ``_CHUNK`` energies (one batch for each of the
     paper's grids), as one ScatteringResult of arrays in grid order; every
@@ -223,14 +208,14 @@ def scan(
     other exception propagates.
     """
     es = np.array(energies, dtype=float, ndmin=1)
-    if not es.size:
-        raise ValueError("the energy grid is empty")
+    if es.ndim != 1 or es.size == 0:
+        raise ValueError(f"E must be one energy or a non-empty 1-D array, got shape {es.shape}")
     if not np.all((es > 0.0) & (es < np.inf)):
         raise ValueError("all energies must be finite and > 0")
     if np.any(np.diff(es) <= 0):
         raise ValueError("energies must be strictly increasing")
     starts = range(0, es.size, _CHUNK)
-    chunks = [solve_amplitudes(match_coefficients(es[start:start + _CHUNK], params, tau_branch))
+    chunks = [solve_amplitudes(match_coefficients(es[start:start + _CHUNK], params))
               for start in starts]
     errors = {start + i: exc for start, res in zip(starts, chunks) for i, exc in res.errors.items()}
     columns = [np.concatenate([getattr(res, name) for res in chunks]) for name in _COLUMNS]

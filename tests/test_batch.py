@@ -331,16 +331,18 @@ def _block_layouts(monkeypatch):
     return seen
 
 
-# the first series block of the four-fold batch below at each block size:
-# at 64 cells its 92 lanes go in groups of 8, whose first blocks of 8 terms
-# lie lanes first; in one group they lie terms first (wide) in blocks of 22
-# terms and, at the switch of 4 lanes a term, of 23; at 89 terms, at lanes
-# == terms and beyond they lie lanes first
-_FIRST_BLOCKS = {64: (8, 8, False), 2048: (92, 22, True), 2116: (92, 23, True),
-                 8192: (92, 89, False), 8464: (92, 92, False), 65536: (92, 712, False)}
+# the first series block of the four-fold batch below at each block size.
+# The first call holds only the 80 series lanes of its 40 connection
+# attempts: at 64 cells they go in groups of 8, whose first blocks of 8
+# terms lie lanes first; in one group they lie terms first (wide) in blocks
+# of 19 terms and, at the switch of 4 lanes a term, of 20; from 25 terms on
+# they lie lanes first
+_FIRST_BLOCKS = {64: (8, 8, False), 1520: (80, 19, True), 1600: (80, 20, True),
+                 2048: (80, 25, False), 2116: (80, 26, False), 8192: (80, 102, False),
+                 8464: (80, 105, False), 65536: (80, 819, False)}
 
 
-@pytest.mark.parametrize("cells", [64, 2048, 2116, 8192, 8464, 65536])
+@pytest.mark.parametrize("cells", [64, 1520, 1600, 2048, 2116, 8192, 8464, 65536])
 def test_block_size_never_changes_a_value(monkeypatch, cells):
     # a lane's terms and sums go on from the previous block's, whichever
     # layout either block has, and each call reuses the series workspace at
@@ -393,9 +395,9 @@ def test_wide_blocks_equal_lanes_alone(monkeypatch):
     batch = _fig4_batch()
     calls, series = [], hyp2f1._series
 
-    def recording(*args, n_peaks=0):
-        calls.append((tuple(v.copy() for v in args), n_peaks))
-        return series(*args, n_peaks=n_peaks)
+    def recording(*args):
+        calls.append(tuple(v.copy() for v in args))
+        return series(*args)
 
     monkeypatch.setattr(hyp2f1, "_series", recording)
     layouts = _block_layouts(monkeypatch)
@@ -404,7 +406,7 @@ def test_wide_blocks_equal_lanes_alone(monkeypatch):
     # series of the rejected attempts and of the overflowing lane; the
     # first call sums a group of 1024 lanes, whose blocks lie terms first
     # until its long lanes are left, and then one of the other 50
-    assert [(args[0].size, n_peaks) for args, n_peaks in calls] == [(1074, 1074), (25, 0)]
+    assert [args[0].size for args in calls] == [1074, 25]
     assert layouts[:4] == [(1024, 8, True)] * 3 + [(512, 16, True)] and not layouts[-1][2]
     assert layouts[5] == (50, 163, False)
     assert isinstance(errors[537], PoleAtCError)
@@ -415,17 +417,20 @@ def test_wide_blocks_equal_lanes_alone(monkeypatch):
         assert alone[1].tobytes() == derivs[i:i + 1].tobytes(), i
         assert [str(exc) for exc in alone[2].values()] == (
             [str(errors[i])] if i in errors else []), i
-    # the series sums and the peaks the connection estimate reads
-    args, n_peaks = calls[0]
+    # the series sums and peaks of every lane of both calls, among them the
+    # peaks the connection estimate reads; the overflow is an error, as in
+    # gauss_2f1_lanes, not a warning
     del layouts[:]
-    sums, peaks, failed = series(*args, n_peaks=n_peaks)
+    for args in calls:
+        with np.errstate(all="ignore"):
+            sums, peaks, failed = series(*args)
+            alone = [series(*(v[i:i + 1] for v in args)) for i in range(args[0].size)]
+        for i, one in enumerate(alone):
+            assert [*one[2].values()] == ([failed[i]] if i in failed else []), i
+            if i not in failed:
+                assert one[0].tobytes() == sums[i:i + 1].tobytes(), i
+                assert one[1].tobytes() == peaks[i:i + 1].tobytes(), i
     assert layouts[:4] == [(1024, 8, True)] * 3 + [(512, 16, True)]
-    for i in range(args[0].size):
-        one = series(*(v[i:i + 1] for v in args), n_peaks=1)
-        assert [*one[2].values()] == ([failed[i]] if i in failed else []), i
-        if i not in failed:
-            assert one[0].tobytes() == sums[i:i + 1].tobytes(), i
-            assert one[1].tobytes() == peaks[i:i + 1].tobytes(), i
 
 
 def _scan_bits(res):

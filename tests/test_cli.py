@@ -338,6 +338,8 @@ def test_config_file_q_sets_q_tilde(params, q_tilde, tmp_path, capsys):
     ["verify", "--out", "report.txt"],
     # one oracle domain per scan, chosen by the oracle
     ["verify", "--oracle-xmax", "60"],
+    # a barrier top past the float range
+    ["scatter", "--a", "800", "--xe", "1"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, _, err = run(argv, capsys)

@@ -103,22 +103,19 @@ def test_epsilon_is_energy_independent():
                 assert sc.epsilon == pytest.approx(closed, rel=1e-12)
 
 
-def test_tau_solves_its_quadratic_on_both_branches():
+def test_tau_solves_its_quadratic():
     rng = np.random.default_rng(12)
     for _ in range(30):
         p = draw_barrier_params(rng)
-        for branch in ("plus", "minus"):
-            for sc in side_coefficients(0.37, p, tau_branch=branch):
-                resid = sc.tau**2 - sc.tau + sc.epsilon
-                assert abs(resid) <= 1e-12 * max(1.0, abs(sc.epsilon))
+        for sc in side_coefficients(0.37, p):
+            resid = sc.tau**2 - sc.tau + sc.epsilon
+            assert abs(resid) <= 1e-12 * max(1.0, abs(sc.epsilon))
 
 
 def test_tau_branch_values():
-    # epsilon = 0 (v0 = 0) gives the roots 1 and 0
-    p = BarrierParams(v0=0.0)
-    assert side_coefficients(0.1, p, tau_branch="plus")[0].tau == 1.0
-    assert side_coefficients(0.1, p, tau_branch="minus")[0].tau == 0.0
-    # barrier parameters give epsilon < 0, so the plus root exceeds 1
+    # tau is the larger root: epsilon = 0 (v0 = 0) gives the roots 1 and 0
+    assert side_coefficients(0.1, BarrierParams(v0=0.0))[0].tau == 1.0
+    # barrier parameters give epsilon < 0, so the larger root exceeds 1
     assert side_coefficients(0.1, DEFAULT_PARAMS)[0].tau > 1.0
 
 
@@ -176,6 +173,9 @@ def test_deformation_per_side():
     dict(q_tilde=1.0),
     dict(v0=math.nan),
     dict(a=math.inf),
+    # exp(a x_e) overflows, and at a = 400 V(0) does
+    dict(a=800.0, x_e=1.0),
+    dict(a=400.0, x_e=1.0),
 ])
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):
@@ -186,8 +186,3 @@ def test_invalid_params_rejected(bad):
 def test_nonpositive_energy_rejected(E):
     with pytest.raises(ValueError):
         side_coefficients(E, DEFAULT_PARAMS)
-
-
-def test_bad_side_and_branch_rejected():
-    with pytest.raises(ValueError):
-        side_coefficients(0.1, DEFAULT_PARAMS, tau_branch="best")

@@ -28,17 +28,16 @@ def test_symmetric_barrier_collapses_right_onto_left():
     assert mc.c6 == mc.c5
 
 
-# parameter sets and tau branches for the 2F1 factors, symmetric and asymmetric
-_BASES = [(DEFAULT_PARAMS, "plus"), (DEFAULT_PARAMS, "minus"),
-          (BarrierParams(q=0.9, q_tilde=0.55), "plus")]
+# parameter sets for the 2F1 factors, symmetric and asymmetric
+_BASES = [DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55)]
 
 
-def _families(E, params, tau_branch):
+def _families(E, params):
     """Per basis function r = 1..3 at one energy (a lane of one): the 2F1
     parameters (a, b, c) and y, the basis factor y^{s sigma} (1-y)^tau and
     the coefficient s sigma/y - tau/(1-y) of its y-derivative, where s is
     the sign of sigma = ik/a in the function."""
-    left, right = side_coefficients(E, params, tau_branch)
+    left, right = side_coefficients(E, params)
     al, bl, gl = left.alpha[0], left.beta[0], left.gamma[0]
     ar, br, gr = right.alpha[0], right.beta[0], right.gamma[0]
     sigma = 1j * math.sqrt(2.0 * params.m * E) / params.a
@@ -55,9 +54,9 @@ def _families(E, params, tau_branch):
 def test_zetas_against_bruteforce_series():
     # c1..c3 at E = 0.05: the basis factor times the 40-digit term-by-term
     # summation of the function's 2F1 factor
-    for params, tau_branch in _BASES:
-        mc = match_coefficients(0.05, params, tau_branch)
-        for r, (a, b, c, y, basis, _) in _families(0.05, params, tau_branch).items():
+    for params in _BASES:
+        mc = match_coefficients(0.05, params)
+        for r, (a, b, c, y, basis, _) in _families(0.05, params).items():
             ref = basis * hyp2f1_bruteforce(a, b, c, y)
             assert abs(getattr(mc, f"c{r}")[0] - ref) <= 1e-13 * abs(ref), r
 
@@ -65,9 +64,9 @@ def test_zetas_against_bruteforce_series():
 def test_lambda_prefactors():
     # c4..c6, the y-derivatives of c1..c3: the basis factor times
     # coef*F + F', with F' = (a b / c) F(a+1, b+1; c+1; y) (DLMF 15.5.1)
-    for params, tau_branch in _BASES:
-        mc = match_coefficients(0.05, params, tau_branch)
-        for r, (a, b, c, y, basis, coef) in _families(0.05, params, tau_branch).items():
+    for params in _BASES:
+        mc = match_coefficients(0.05, params)
+        for r, (a, b, c, y, basis, coef) in _families(0.05, params).items():
             terms = (coef * hyp2f1_bruteforce(a, b, c, y),
                      a * b / c * hyp2f1_bruteforce(a + 1, b + 1, c + 1, y))
             ref, scale = basis * sum(terms), abs(basis) * sum(map(abs, terms))
@@ -76,11 +75,10 @@ def test_lambda_prefactors():
 
 @pytest.mark.parametrize("params", [DEFAULT_PARAMS, BarrierParams(q=0.9, q_tilde=0.55)],
                          ids=["symmetric", "asymmetric"])
-@pytest.mark.parametrize("tau_branch", ["plus", "minus"])
-def test_left_minus_sigma_row_is_the_conjugate(params, tau_branch):
+def test_left_minus_sigma_row_is_the_conjugate(params):
     energies = np.geomspace(1e-3, 5.0, 9)
     for E in (energies, 0.05):
-        mc = match_coefficients(E, params, tau_branch)
+        mc = match_coefficients(E, params)
         for name, of in (("c2", "c1"), ("c5", "c4")):
             assert np.array_equal(getattr(mc, name), np.conj(getattr(mc, of))), name
 
@@ -97,11 +95,11 @@ def test_one_lane_per_energy_and_evaluated_side(monkeypatch):
 
     monkeypatch.setattr(scatter, "gauss_2f1_lanes", counting)
     energies = np.geomspace(1e-3, 5.0, 7)
-    for params, tau_branch in _BASES:
+    for params in _BASES:
         mirror = params.q == params.q_tilde
         for E, n in ((energies, 7), (0.05, 1)):
             sizes.clear()
-            match_coefficients(E, params, tau_branch)
+            match_coefficients(E, params)
             assert sizes == [n if mirror else 2 * n]
 
 
@@ -171,18 +169,6 @@ def test_asymmetric_barrier_conserves_flux_in_corrected_mode():
         E = float(rng.uniform(0.01, 3.0))
         res = compute_rt(E, p)
         assert res.unitarity_residual <= 1e-9
-
-
-def test_tau_branch_invariance():
-    base = compute_rt(0.05, DEFAULT_PARAMS, tau_branch="plus")
-    flip = compute_rt(0.05, DEFAULT_PARAMS, tau_branch="minus")
-    assert abs(base.R - flip.R) <= 1e-10
-    assert abs(base.T - flip.T) <= 1e-10
-
-
-def test_basis_choice_is_one_string_for_both_sides():
-    with pytest.raises(ValueError, match="must be 'plus' or 'minus'"):
-        compute_rt(0.05, DEFAULT_PARAMS, tau_branch=("plus", "minus"))
 
 
 def test_free_particle_transmits_fully():
@@ -274,11 +260,20 @@ def test_scan_records_errors_inline():
         assert np.isnan(getattr(res, name)).all(), name
 
 
-# the last grid is empty
-@pytest.mark.parametrize("grid", [[0.05, 0.05], [0.1, 0.05], [0.0, 0.1], [-1.0, 0.1], []])
+# the fifth grid is empty, and the last two are not 1-D
+@pytest.mark.parametrize("grid", [[0.05, 0.05], [0.1, 0.05], [0.0, 0.1], [-1.0, 0.1], [],
+                                  [[0.01], [0.02]], [[0.01, 0.02]]])
 def test_scan_rejects_bad_grids(grid):
-    with pytest.raises(ValueError):
+    # a grid that is not 1-D is named so, not left to numpy's broadcasting
+    with pytest.raises(ValueError, match="1-D" if np.ndim(grid) > 1 else None):
         scan(grid, DEFAULT_PARAMS)
+
+
+@pytest.mark.parametrize("E", [[0.05], np.array([0.02, 0.01])], ids=["list", "unsorted"])
+def test_compute_rt_takes_one_energy(E):
+    # a grid goes to scan, which checks it
+    with pytest.raises(ValueError, match="one energy"):
+        compute_rt(E, DEFAULT_PARAMS)
 
 
 def test_amplitudes_reconstruct_rt():
