@@ -92,6 +92,15 @@ class BarrierParams:
         if not math.isfinite(top):
             raise ValueError(f"the barrier top V(0) must be finite, got {top} "
                              f"(a = {self.a}, x_e = {self.x_e})")
+        # a tiny a or deformation underflows (a q)^2 to 0 or overflows the well term
+        for name, qs in (("q", self.q), ("q_tilde", self.q_tilde)):
+            try:
+                well = _side_terms(self, qs)[0]
+            except ZeroDivisionError:
+                well = math.inf
+            if not math.isfinite(well):
+                raise ValueError(f"the well term 2m v0 b^2/(a {name})^2 must be finite, "
+                                 f"got {well} (a = {self.a}, {name} = {qs})")
 
 
 @dataclass
@@ -117,6 +126,26 @@ def _compute_b(params: BarrierParams) -> float:
     """Shape constant b = exp(a*x_e) - q, shared by both regions: always
     built from q, never q_tilde."""
     return math.exp(params.a * params.x_e) - params.q
+
+
+def _side_terms(params: BarrierParams, qs: float) -> tuple[float, float]:
+    """The E-free terms of -chi1 on the side of deformation qs: the well
+    term 2m v0 b^2/(a^2 qs^2), which is -epsilon, and 4m v0 b/(a^2 qs)."""
+    b = _compute_b(params)
+    a2 = params.a * params.a
+    two_m = 2.0 * params.m
+    return two_m * params.v0 * b * b / (a2 * qs * qs), 2.0 * two_m * params.v0 * b / (a2 * qs)
+
+
+def _energies(E) -> NDArray:
+    """``E``, one energy or a non-empty 1-D array of finite energies > 0, as a
+    1-D array (no copy if it is one): both solvers' one energy check."""
+    es = np.array(E, dtype=float, ndmin=1, copy=None)
+    if es.ndim != 1 or es.size == 0:
+        raise ValueError(f"E must be one energy or a non-empty 1-D array, got shape {es.shape}")
+    if np.count_nonzero((es > 0.0) & (es < math.inf)) < es.size:
+        raise ValueError(f"E must be > 0 and finite, got {E!r}")
+    return es
 
 
 def potential(x: Union[float, ArrayLike], params: BarrierParams) -> Union[float, NDArray]:
@@ -148,9 +177,9 @@ def side_coefficients(E, params: BarrierParams) -> tuple[SideCoefficients, SideC
     """Derive the per-region scalars for scattering energies E > 0, as
     (left, right); ``right is left`` when q == q_tilde.
 
-    E is one energy or a 1-D array of them; one energy is a lane of one,
-    so every field that depends on E is a 1-D array, and E, k, chi3, sigma
-    and gamma, which do not depend on the side, are shared by both sides.
+    E passes ``_energies``, the one energy check; one energy is a lane of
+    one, so every field that depends on E is a 1-D array, and E, k, chi3,
+    sigma and gamma, which do not depend on the side, are shared by both.
     chi1 is recovered by negating the combination
 
         -chi1 = -2mE/a^2 + 2mV0 b^2/(a^2 q^2) + 4mV0 b/(a^2 q)
@@ -166,10 +195,7 @@ def side_coefficients(E, params: BarrierParams) -> tuple[SideCoefficients, SideC
     The sign of sqrt(-chi1) is fixed: flipping it would only exchange alpha
     and beta, which 2F1 is symmetric in.
     """
-    E = np.array(E, dtype=float, ndmin=1, copy=None)
-    if np.count_nonzero((E > 0.0) & (E < math.inf)) < E.size:
-        raise ValueError(f"scattering requires finite E > 0, got {E}")
-
+    E = _energies(E)
     two_m = 2.0 * params.m
     chi3 = (two_m / (params.a * params.a)) * E
     k = np.sqrt(two_m * E)
@@ -187,12 +213,7 @@ def _on_side(lane, params: BarrierParams, qs: float) -> SideCoefficients:
     """One side's ``SideCoefficients``, deformation qs, from the fields
     lane = (E, k, chi3, sigma, gamma) that the two sides share."""
     E, k, chi3, sigma, gamma = lane
-    b = _compute_b(params)
-    a2 = params.a * params.a
-    two_m = 2.0 * params.m
-
-    well = two_m * params.v0 * b * b / (a2 * qs * qs)
-    cross = 2.0 * two_m * params.v0 * b / (a2 * qs)
+    well, cross = _side_terms(params, qs)
     epsilon = -well
     tau = 0.5 + 0.5 * math.sqrt(1.0 - 4.0 * epsilon)  # epsilon <= 0 for v0 >= 0
 

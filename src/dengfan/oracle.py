@@ -26,11 +26,11 @@ mu^2 = -det Omega (I + D would round off its O(h) part), and pairs combine
 as (I + B)(I + A) = I + (BA + A + B); cosh mu - 1 = 2 sinh^2 t and
 sinh mu / mu = sinh t cosh t / t, t = mu / 2, are closed forms on every step
 (sin and cos of |t| where mu^2 < 0), exact to rounding at any mu^2.
-Energies march in blocks of ``_LANES``, in chunks of ``_CHUNK`` maps
-multiplied pairwise (a tree), elementwise in the lanes: an energy rounds as
-in any call with the same highest energy, and a failed one leaves the others.
-The steps' samples and coefficients are built ``_SLICE`` steps at a time, so
-memory does not grow with a fine grid's step count beyond its nodes.
+A grid's steps are built and marched ``_CHUNK`` at a time (memory does not
+grow with a fine grid's step count beyond its nodes), their maps multiplied
+pairwise (a tree) in blocks of ``_LANES`` energies, elementwise in the lanes:
+an energy rounds as in any call with the same highest energy, and a failed
+one leaves the others.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .model import _energies
 
 Potential = Callable[[np.ndarray], np.ndarray]
 
@@ -52,8 +54,7 @@ _DECAY_TOL = 1e-12  # |V| at the edges must be <= _DECAY_TOL * max(E, 1)
 _STEPS = (1e-3, 0.5)  # the step scales IntegrationConfig allows
 _STRETCH = 1e3   # the most a step lengthens where |V| << E_top
 _PILOT = 4096    # pilot intervals per half, where the density is sampled
-_CHUNK = 2048    # steps per tree product: numpy per-call cost against cache size
-_SLICE = 8 * _CHUNK  # steps whose samples and coefficients are held at once
+_CHUNK = 2048    # steps built and multiplied at once: numpy per-call cost against cache size
 _LANES = 10      # energies per march; lanes x _CHUNK cells bound the map arrays
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
@@ -135,16 +136,6 @@ def plane_wave_decompose(psi: np.ndarray, dpsi: np.ndarray, k: np.ndarray,
     ik = 1j * k
     return ((psi + dpsi / ik) * np.exp(-ik * x) / 2.0,
             (psi - dpsi / ik) * np.exp(ik * x) / 2.0)
-
-
-def _energies(E: float | np.ndarray) -> np.ndarray:
-    """``E``, one energy or a non-empty 1-D array of finite energies > 0, as a 1-D array."""
-    es = np.array(E, dtype=float, ndmin=1)
-    if es.ndim != 1 or es.size == 0:
-        raise ValueError(f"E must be one energy or a non-empty 1-D array, got shape {es.shape}")
-    if not np.all((es > 0.0) & (es < np.inf)):
-        raise ValueError(f"E must be > 0 and finite, got {E!r}")
-    return es
 
 
 def _eval_potential(potential: Potential, xs: np.ndarray) -> np.ndarray:
@@ -241,20 +232,18 @@ def _maps(c: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _march(v, c, eb: np.ndarray, m: float, state: np.ndarray):
-    # the steps (v, c) of _steps applied to the (2, lanes) state at eb
-    for lo in range(0, c.shape[1], _CHUNK):
-        dev = _maps(c[:, lo:lo + _CHUNK], (2.0 * m) * (v[lo:lo + _CHUNK] - eb))
-        while dev.shape[-1] > 1:
-            # I + (ba + a + b), a the earlier step of each pair, in place
-            a, b = dev[..., 0:-1:2], dev[..., 1::2]
-            ba = b[:, :1] * a[:1]
-            ba += b[:, 1:] * a[1:]
-            ba += a
-            ba += b
-            dev = np.concatenate((ba, dev[..., -1:]), axis=-1) if dev.shape[-1] % 2 else ba
-        # state + D @ state per lane, rounded as the 2x2 matmul of one lane
-        state = state + (dev[:, 0, :, 0] * state[0] + dev[:, 1, :, 0] * state[1])
-    return state
+    # one chunk of steps (v, c) of _steps applied to the (2, lanes) state at eb
+    dev = _maps(c, (2.0 * m) * (v - eb))
+    while dev.shape[-1] > 1:
+        # I + (ba + a + b), a the earlier step of each pair, in place
+        a, b = dev[..., 0:-1:2], dev[..., 1::2]
+        ba = b[:, :1] * a[:1]
+        ba += b[:, 1:] * a[1:]
+        ba += a
+        ba += b
+        dev = np.concatenate((ba, dev[..., -1:]), axis=-1) if dev.shape[-1] % 2 else ba
+    # state + D @ state per lane, rounded as the 2x2 matmul of one lane
+    return state + (dev[:, 0, :, 0] * state[0] + dev[:, 1, :, 0] * state[1])
 
 
 def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
@@ -285,35 +274,29 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     n_steps = nodes[0].size - 1 if nodes else 0
     k = np.sqrt(2.0 * m * es[lanes])
     p0 = np.exp(1j * k * L)
-    ends = []  # the (2, lanes) state at -x_max on each grid
+    tr = []  # T and R on each grid
     # a march that overflows gives a T_err that is not finite, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for x in nodes:
             state = np.array([p0, 1j * k * p0])
-            for lo in range(0, x.size - 1, _SLICE):
-                v, c = _steps(potential, m, x[lo:lo + _SLICE + 1])
+            for lo in range(0, x.size - 1, _CHUNK):
+                v, c = _steps(potential, m, x[lo:lo + _CHUNK + 1])
                 for start in range(0, lanes.size, _LANES):
                     block = slice(start, start + _LANES)
                     state[:, block] = _march(v, c, es[lanes[block], None], m, state[:, block])
-            ends.append(state)
-        for start in range(0, lanes.size, _LANES):
-            block = lanes[start:start + _LANES]
-            tr = []
-            for state in ends:  # R = |B/A|^2 holds where |A|^2 overflows
-                A, B = plane_wave_decompose(*state[:, start:start + _LANES],
-                                            k[start:start + _LANES], -L)
-                tr += [1.0 / (A.real * A.real + A.imag * A.imag), np.abs(B / A) ** 2]
-            tf, rf, tc, rc = tr
-            err = np.where(np.isfinite(rf + rc), np.abs(tf - tc) / 63.0, math.nan)
-            ok = err <= _ERR_TOL
-            i = block[ok]
-            T[i], R[i] = (tf + (tf - tc) / 63.0)[ok], (rf + (rf - rc) / 63.0)[ok]
-            T_err[i], flux[i] = err[ok], np.abs(R[i] + T[i] - 1.0)
-            for i, e in zip(block[~ok].tolist(), err[~ok].tolist()):
-                errors[i] = StepTooCoarseError(
-                    f"T error estimate {e:g} exceeds {_ERR_TOL:g} at E={energies[i]} "
-                    f"(step={cfg.step}); reduce the step (IntegrationConfig.step, "
-                    "--oracle-step)" + ("" if e < math.inf else ", or T is below float range"))
+            A, B = plane_wave_decompose(*state, k, -L)  # R = |B/A|^2 holds where |A|^2 overflows
+            tr += [1.0 / (A.real * A.real + A.imag * A.imag), np.abs(B / A) ** 2]
+        tf, rf, tc, rc = tr or np.empty((4, 0))
+        err = np.where(np.isfinite(rf + rc), np.abs(tf - tc) / 63.0, math.nan)
+        ok = err <= _ERR_TOL
+        i = lanes[ok]
+        T[i], R[i] = (tf + (tf - tc) / 63.0)[ok], (rf + (rf - rc) / 63.0)[ok]
+        T_err[i], flux[i] = err[ok], np.abs(R[i] + T[i] - 1.0)
+    for i, e in zip(lanes[~ok].tolist(), err[~ok].tolist()):
+        errors[i] = StepTooCoarseError(
+            f"T error estimate {e:g} exceeds {_ERR_TOL:g} at E={energies[i]} "
+            f"(step={cfg.step}); reduce the step (IntegrationConfig.step, "
+            "--oracle-step)" + ("" if e < math.inf else ", or T is below float range"))
     if np.ndim(E) == 0:
         if errors:
             raise errors[0]

@@ -33,7 +33,7 @@ import numpy as np
 
 # gauss_2f1 stays a name of this module: benchmarks/worker.py wraps it here
 from .hyp2f1 import gauss_2f1, gauss_2f1_lanes  # noqa: F401
-from .model import BarrierParams, side_coefficients
+from .model import BarrierParams, _energies, side_coefficients
 
 __all__ = [
     "MatchCoefficients",
@@ -198,20 +198,16 @@ def compute_rt(E: float, params: BarrierParams) -> ScatteringResult:
 
 
 def scan(energies: Sequence[float], params: BarrierParams) -> ScatteringResult:
-    """Evaluate R/T over a non-empty, strictly increasing, positive energy
-    grid, in batches of ``_CHUNK`` energies (one batch for each of the
-    paper's grids), as one ScatteringResult of arrays in grid order; every
-    value equals ``compute_rt`` at its energy bit for bit.
+    """Evaluate R/T over a strictly increasing grid that passes the energy
+    check ``model._energies``, in batches of ``_CHUNK`` energies (one batch
+    for each of the paper's grids), as one ScatteringResult of arrays in
+    grid order; every value equals ``compute_rt`` at its energy bit for bit.
 
     A point that fails with a ``Hyp2F1Error`` is recorded in ``errors``
     under its grid index, with its fields nan, and the scan goes on; any
     other exception propagates.
     """
-    es = np.array(energies, dtype=float, ndmin=1)
-    if es.ndim != 1 or es.size == 0:
-        raise ValueError(f"E must be one energy or a non-empty 1-D array, got shape {es.shape}")
-    if not np.all((es > 0.0) & (es < np.inf)):
-        raise ValueError("all energies must be finite and > 0")
+    es = _energies(energies)
     if np.any(np.diff(es) <= 0):
         raise ValueError("energies must be strictly increasing")
     starts = range(0, es.size, _CHUNK)

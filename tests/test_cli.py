@@ -1,9 +1,13 @@
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import typing
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,11 +344,25 @@ def test_config_file_q_sets_q_tilde(params, q_tilde, tmp_path, capsys):
     ["verify", "--oracle-xmax", "60"],
     # a barrier top past the float range
     ["scatter", "--a", "800", "--xe", "1"],
+    # a deformation whose (a q)^2 underflows to 0
+    ["scatter", "--q", "1e-200", "--n", "2"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 1
     assert err
+
+
+def test_runtime_imports_numpy_alone():
+    # scipy, mpmath and hypothesis are test-only; a fresh interpreter, since
+    # this session has loaded them
+    code = ("import sys, dengfan, dengfan.cli; print(sorted("
+            "{m.partition('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))")
+    src = Path(dengfan.cli.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -176,6 +176,9 @@ def test_deformation_per_side():
     # exp(a x_e) overflows, and at a = 400 V(0) does
     dict(a=800.0, x_e=1.0),
     dict(a=400.0, x_e=1.0),
+    # (a q)^2 underflows to 0, and at 1e-160 the well term overflows
+    dict(q=1e-200, q_tilde=1e-200),
+    dict(q_tilde=1e-160),
 ])
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):

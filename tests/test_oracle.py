@@ -598,8 +598,8 @@ def test_batch_memory_is_bounded_by_lane_blocks():
 def test_fine_grid_memory_is_bounded_by_slices():
     # a tall barrier (q = 0.999) at E = 3000 and a quarter of the default
     # step: 147,684 fine steps.  Their samples and coefficients, held whole,
-    # peaked at 25.4 MB; built _SLICE steps at a time, 5.2 MB, most of it
-    # the two grids' nodes
+    # peaked at 25.4 MB; built in slices of 8 chunks, 5.2 MB; built a chunk
+    # at a time, 4.1 MB, most of it the two grids' nodes
     tall = BarrierParams(q=0.999, q_tilde=0.999)
     cfg = replace(default_config(3000.0, lambda x: potential(x, tall), x_max_seed=50.0),
                   step=0.005)
@@ -609,5 +609,5 @@ def test_fine_grid_memory_is_bounded_by_slices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.n_steps > 8 * oracle._SLICE
+    assert res.n_steps > 64 * oracle._CHUNK
     assert peak < 12 * 2**20

@@ -269,6 +269,17 @@ def test_scan_rejects_bad_grids(grid):
         scan(grid, DEFAULT_PARAMS)
 
 
+@pytest.mark.parametrize("layer", [side_coefficients, match_coefficients],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("grid", [[[0.01], [0.02]], [[0.01, 0.02]], []],
+                         ids=["column", "row", "empty"])
+def test_lane_layers_reject_bad_grids(layer, grid):
+    # a lane is one energy or a non-empty 1-D array, checked where scan's
+    # grid is: not left to numpy's broadcasting or returned as a 2-D record
+    with pytest.raises(ValueError, match="1-D"):
+        layer(grid, DEFAULT_PARAMS)
+
+
 @pytest.mark.parametrize("E", [[0.05], np.array([0.02, 0.01])], ids=["list", "unsorted"])
 def test_compute_rt_takes_one_energy(E):
     # a grid goes to scan, which checks it
