@@ -25,7 +25,11 @@ call each:
   connection values if their estimate is within ``_FALLBACK_GATE`` (1e-12)
   rather than fail;
 * log-gamma via the Lanczos approximation (g = 7, 9 coefficients) with a
-  branch-tracked reflection formula for Re(z) < 1/2.
+  branch-tracked reflection formula for Re(z) < 1/2, element by element.
+  The connection formula's log-gammas of a batch are one call, which from
+  ``_DISTINCT_LANES`` lanes on takes s and -s once per distinct s: on the
+  closed form's lanes s = 1 - 2 tau is the barrier's, so a paper curve's
+  thousands of lanes hold a few.
 
 A failing lane records its typed error and the others go on; ``gauss_2f1``
 is a batch of one that raises it.  A lane's values depend on its own inputs
@@ -71,6 +75,11 @@ _CONNECTION_GATE = 5e-14
 # values below this estimate: the accuracy those users need, and better
 # than no value
 _FALLBACK_GATE = 1e-12
+
+# a connection batch of at least this many lanes takes the log-gammas of s
+# and -s once per distinct s; on a shorter one the sort costs more than it
+# saves (13 us more on a lane of two, even at about 50 lanes)
+_DISTINCT_LANES = 64
 
 # the cells (lanes x terms) of one series block, 128 KB per complex block
 # array, and of the Lanczos terms of one slice of log-gamma arguments; a
@@ -246,19 +255,37 @@ def _lngamma_slice(z):
     return out
 
 
-def _lngammas(*rows, den: int):
-    """log-gamma of every row in one call; the rows from ``den`` on are
+def _lngammas(*rows, poles: int):
+    """log-gamma of the 1-D arrays ``rows`` in one call, as one flat array in
+    row order.  The first ``poles`` rows, all of one length, are
     denominators, +inf at a pole of Gamma (so that exp(-lngamma) = 1/Gamma
-    = 0 there).  The other rows hold no poles."""
-    args = np.concatenate(rows).reshape(len(rows), -1)
-    pole = args[den:].imag == 0.0
+    = 0 there); the other rows hold no poles."""
+    args = np.concatenate(rows)
+    den = args[:poles * rows[0].size]
+    pole = den.imag == 0.0
     if np.count_nonzero(pole):
-        pole = _nonpositive_integer(args[den:])
-        args[den:][pole] = 1.0
-    out = _lngamma(args.reshape(-1)).reshape(len(rows), -1)
+        pole = _nonpositive_integer(den)
+        den[pole] = 1.0
+    out = _lngamma(args)
     if np.count_nonzero(pole):
-        out[den:][pole] = np.inf
+        out[:den.size][pole] = np.inf
     return out
+
+
+def _distinct(x):
+    """The distinct bit patterns of the 1-D complex array x, as an array of
+    them, and the index into it of each lane's: -0.0 and 0.0, or two NaN
+    payloads, stay apart."""
+    re, im = x.view(np.uint64).reshape(x.size, 2).T
+    order = np.lexsort((im, re))
+    re, im = re[order], im[order]
+    new = np.empty(x.size, dtype=bool)
+    new[0] = True
+    np.not_equal(re[1:], re[:-1], out=new[1:])
+    new[1:] |= im[1:] != im[:-1]
+    lane = np.empty(x.size, dtype=np.intp)
+    lane[order] = np.cumsum(new) - 1
+    return x[order[new]], lane
 
 
 # ----------------------------------------------------------------------------
@@ -415,11 +442,20 @@ def _connection(a, b, c, s, ca, cb, u, f, peak):
     """1-z connection values F and F' and the larger of their relative
     rounding-error estimates, from the series sums and peak terms f, peak
     of (F(a, b; 1-s; u), F(c-a, c-b; 1+s; u)), each with u times its
-    derivative, where s = c - a - b, ca = c - a, cb = c - b and u = 1 - z."""
+    derivative, where s = c - a - b, ca = c - a, cb = c - b and u = 1 - z.
+    Its log-gammas are one ``_lngammas`` call.  From ``_DISTINCT_LANES``
+    lanes on, those of s and -s are taken once per distinct bit pattern of s
+    and indexed back to the lanes; a shorter batch, a lane of one included,
+    takes every lane's.  Each value is the one a lane alone gets."""
     m, su = a.size, s * np.log(u)
-    lg = _lngammas(c, s, -s, ca, cb, a, b, den=3)
-    g = np.exp(np.concatenate((lg[0] + lg[1] - lg[3] - lg[4],
-                               lg[0] + lg[2] - lg[5] - lg[6] + su))).reshape(2, m, 1)
+    ds, lane = (s, None) if m < _DISTINCT_LANES else _distinct(s)
+    lg = _lngammas(ca, cb, a, b, c, ds, -ds, poles=4)
+    # rows c - a, c - b, a, b, c of every lane; s and -s of each ds
+    lg, ls = lg[:5 * m].reshape(5, m), lg[5 * m:].reshape(2, ds.size)
+    if lane is not None:
+        ls = ls[:, lane]
+    g = np.exp(np.concatenate((lg[4] + ls[0] - lg[0] - lg[1],
+                               lg[4] + ls[1] - lg[2] - lg[3] + su))).reshape(2, m, 1)
     # terms[i] = g_i (f_i, u f_i'), where g_2 holds u^s; then F = g_1 f_1 +
     # g_2 f_2 and -u F' = g_1 u f_1' + g_2 (s f_2 + u f_2')
     terms = g * f.reshape(2, m, 2)

@@ -231,6 +231,42 @@ def test_failing_lane_leaves_batch_unchanged(monkeypatch):
             [str(errors[i])] if i in errors else []), i
 
 
+def test_mixed_barrier_batch_equals_lanes_alone(monkeypatch):
+    # lanes of four barriers, shuffled into one batch as match_coefficients
+    # lays out one barrier's: the left y^{+sigma} row of each, and the right
+    # row of the asymmetric one too.  The batch's connection takes s and -s
+    # of each distinct s once, and a lane alone its own; no lane may move
+    rng = np.random.default_rng(25)
+    lanes = []
+    for params in (DEFAULT_PARAMS, replace(DEFAULT_PARAMS, v0=1.35),
+                   BarrierParams(q=0.9, q_tilde=0.75), BarrierParams(q=0.55, q_tilde=0.55)):
+        E = np.geomspace(1e-4, 3.0, 20) * barrier_top(params)
+        left, right = side_coefficients(E, params)
+        lanes += zip(left.alpha, left.beta, left.gamma, [params.q] * E.size)
+        if right is not left:
+            gr = right.gamma
+            lanes += zip(right.alpha + 1 - gr, right.beta + 1 - gr, 2 - gr,
+                         [params.q_tilde] * E.size)
+    a, b, c, z = (np.array(col, dtype=complex) for col in zip(*rng.permutation(lanes)))
+    calls, connection = [], hyp2f1._connection
+
+    def recording(a, b, c, s, *args):
+        calls.append(s.copy())
+        return connection(a, b, c, s, *args)
+
+    monkeypatch.setattr(hyp2f1, "_connection", recording)
+    values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
+    assert not errors and a.size == 100
+    # the 80 lanes at z >= 0.7 try the connection, with 4 rows' s among them
+    (s,) = calls
+    assert s.size == 80 >= hyp2f1._DISTINCT_LANES and len({x.tobytes() for x in s}) >= 4
+    for i in range(a.size):
+        alone = gauss_2f1_lanes(a[i:i + 1], b[i:i + 1], c[i:i + 1], z[i:i + 1])
+        assert alone[0].tobytes() == values[i:i + 1].tobytes(), i
+        assert alone[1].tobytes() == derivs[i:i + 1].tobytes(), i
+    assert len(calls) == 1 + 80
+
+
 def test_scan_memory_is_bounded_by_chunking():
     # this grid is one batch: measured 2.6 MB peak in a fresh process (1.7
     # MB once the series workspace has grown), against 1.6 MB in batches

@@ -68,32 +68,74 @@ def test_scatter_json_roundtrip(capsys):
     assert loaded == doc["config"]
 
 
-@pytest.mark.parametrize("header, rows", [
-    (["E", "T"], []),
-    (["E", "T", "R", "delta_T"], [(0.5, math.nan, math.inf, -math.inf)]),
-    (["T", "E", "R"], [(1e-300, 2.0, 0.1 + 0.2), (5e20, 3, -0.0)]),
+def indented_dumps(config: dict, columns: dict) -> str:
+    """The stdlib's indent=2 layout of a table of named columns."""
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    doc = {"config": config, "rows": rows}
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
+def joined_pieces(monkeypatch, config: dict, columns: dict) -> list[str]:
+    """``_json_pieces`` of the table, which must be the same text whether or
+    not the writer formats each distinct bit pattern of a piece once (it
+    does on pieces of ``_DISTINCT_ROWS`` rows or more); the pieces of the
+    default setting."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dengfan.cli, "_DISTINCT_ROWS", 1)
+        distinct = "".join(_json_pieces(config, columns))
+    with monkeypatch.context() as patch:
+        patch.setattr(dengfan.cli, "_DISTINCT_ROWS", 1 << 30)
+        each = "".join(_json_pieces(config, columns))
+    assert distinct == each
+    return list(_json_pieces(config, columns))
+
+
+def float_columns(header, *columns) -> dict:
+    return {key: np.array(column, dtype=float) for key, column in zip(header, columns)}
+
+
+@pytest.mark.parametrize("columns", [
+    float_columns(["E", "T"], [], []),
+    float_columns(["E", "T", "R", "delta_T"], [0.5], [math.nan], [math.inf], [-math.inf]),
+    float_columns(["T", "E", "R"], [1e-300, 5e20], [2.0, 3.0], [0.1 + 0.2, -0.0]),
     # sorted, the oracle header's keys are in another order than its columns
-    (EXPECTED_HEADER_ORACLE.split(","),
-     [(0.005, 0.0004, 0.0992, 0.9008, 0.0, 0.0992, 0.9008, 1e-13),
-      (0.1, 0.008, 0.25, 0.75, 2.2e-16, math.nan, math.nan, math.nan)]),
+    float_columns(EXPECTED_HEADER_ORACLE.split(","),
+                  *zip((0.005, 0.0004, 0.0992, 0.9008, 0.0, 0.0992, 0.9008, 1e-13),
+                       (0.1, 0.008, 0.25, 0.75, 2.2e-16, math.nan, math.nan, math.nan))),
 ], ids=["no-rows", "nan-inf", "two-rows", "oracle-header"])
-def test_json_writer_matches_indented_dumps(header, rows):
+def test_json_writer_matches_indented_dumps(columns, monkeypatch):
     config = asdict(RunConfig(params=DEFAULT_PARAMS))
-    doc = {"config": config, "rows": [dict(zip(header, row)) for row in rows]}
-    expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
-    assert "".join(_json_pieces(config, header, rows)) == expected
+    assert "".join(joined_pieces(monkeypatch, config, columns)) == indented_dumps(config, columns)
+
+
+NAN_BITS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(float)
+
+
+@pytest.mark.parametrize("columns", [
+    float_columns(["x", "V"], [0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]),
+    float_columns(["x", "V"], [1.0, 2.0, 3.0], NAN_BITS),
+    float_columns(["x", "V"], [math.inf, -math.inf, math.inf], [-math.inf, 0.5, -math.inf]),
+    float_columns(["T", "E"], [0.25] * 70, np.linspace(0.0, 1.0, 70)),
+    float_columns(["R", "T", "E"], [0.1, 0.3, 0.1], [0.3, 0.1, 0.2], [0.2, 0.2, 0.3]),
+], ids=["signed-zeros", "nan-payloads", "infinities", "all-equal", "across-columns"])
+def test_json_writer_formats_each_bit_pattern_once(columns, monkeypatch):
+    # the writer takes each distinct bit pattern's text once: -0.0 beside
+    # 0.0 keeps its sign, and a value repeated in several columns or rows
+    # reads the same everywhere
+    config = asdict(RunConfig(params=DEFAULT_PARAMS))
+    assert "".join(joined_pieces(monkeypatch, config, columns)) == indented_dumps(config, columns)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * dengfan.cli._JSON_BATCH + 3])
-def test_json_writer_pieces_join_to_indented_dumps(extra):
+def test_json_writer_pieces_join_to_indented_dumps(extra, monkeypatch):
     # the rows go out in pieces of _JSON_BATCH; a piece's bounds change no byte
     n = dengfan.cli._JSON_BATCH + extra
-    header = ["T", "E", "R"]
-    rows = [(1.0 / (i + 1), i * 0.1, -i * 1e-300) for i in range(n)]
+    i = np.arange(n, dtype=float)
+    columns = float_columns(["T", "E", "R"], 1.0 / (i + 1), i * 0.1, -i * 1e-300)
     config = asdict(RunConfig(params=DEFAULT_PARAMS))
-    doc = {"config": config, "rows": [dict(zip(header, row)) for row in rows]}
-    pieces = list(_json_pieces(config, header, rows))
-    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    pieces = joined_pieces(monkeypatch, config, columns)
+    assert "".join(pieces) == indented_dumps(config, columns)
     assert len(pieces) == 2 + -(-n // dengfan.cli._JSON_BATCH)
 
 
@@ -278,6 +320,21 @@ def test_scatter_fig4_preset_files_and_report(tmp_path, monkeypatch, capsys):
         assert path.read_text().startswith(EXPECTED_HEADER)
         assert f"v0_{v0}: max T" in out
     assert "low-energy transmission survey" in out
+
+
+def test_survey_line_skips_failed_rows_and_takes_the_first_peak():
+    config = RunConfig(params=DEFAULT_PARAMS)
+    v = barrier_top(DEFAULT_PARAMS)
+    columns = {"E": np.array([1e-6, 2e-6, 3e-6, 0.5]) * v,
+               "T": np.array([math.nan, 0.25, 0.95, 0.95])}
+    line = dengfan.cli._survey_line("run", config, columns)
+    assert line == (f"  run: max T = 0.9500 at E = {3e-6 * v:.4g} (E/Vmax = 3e-06); "
+                    "T at lowest grid energy = 0.25; near-total transmission (T >= 0.9) "
+                    "below E/Vmax = 1e-3: yes")
+    columns["T"][2] = 0.5
+    assert dengfan.cli._survey_line("run", config, columns).endswith("1e-3: no")
+    columns["T"][:] = math.nan
+    assert dengfan.cli._survey_line("run", config, columns) == "  run: no successful points"
 
 
 def test_scatter_config_file_and_flag_precedence(tmp_path, capsys):
@@ -465,6 +522,17 @@ def test_potential_multi_q_origin_maximum(tmp_path, monkeypatch, capsys):
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         origin.append(float(rows[1][1]))  # x = 0 row
     assert origin[0] < origin[1] < origin[2]
+
+
+def test_potential_json_echoes_its_x_grid(capsys):
+    # the echo is the tabulated grid and the parameters, not a scan's config
+    code, out, _ = run(["potential", "--n", "5", "--xmin", "-2", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["n"] == 5 == len(doc["rows"])
+    assert doc["config"] == {"params": asdict(DEFAULT_PARAMS), "x_min": -2.0,
+                             "x_max": 10.0 / DEFAULT_PARAMS.a, "n": 5}
+    assert [row["x"] for row in doc["rows"]] == np.linspace(-2.0, 12.5, 5).tolist()
 
 
 def test_potential_out_file(tmp_path, capsys):

@@ -258,20 +258,29 @@ def test_lngamma_recurrence():
 
 
 def test_lngamma_fig4_chunk_equals_one_argument_calls(monkeypatch):
-    # the 7 rows x 256 arguments of one fig4 chunk's log-gammas (c, s, -s,
-    # c - a, c - b, a, b of each connection attempt), summed row by row
-    calls, lngamma = [], hyp2f1._lngamma
+    # one fig4 chunk's log-gammas in one call, summed row by row: c - a,
+    # c - b, a, b and c of each of its 256 connection attempts, s and -s of
+    # each distinct s (by bit pattern)
+    calls, lngamma, connection, ss = [], hyp2f1._lngamma, hyp2f1._connection, []
 
     def recording(z):
         calls.append(z.copy())
         return lngamma(z)
 
+    def recording_s(a, b, c, s, *args):
+        ss.append(s.copy())
+        return connection(a, b, c, s, *args)
+
     monkeypatch.setattr(hyp2f1, "_lngamma", recording)
+    monkeypatch.setattr(hyp2f1, "_connection", recording_s)
     params = replace(DEFAULT_PARAMS, v0=1.25)
     v = barrier_top(params)
     scan(np.geomspace(1e-6 * v, 0.5 * v, 2000)[:256], params)
-    (z,) = calls
-    assert z.size == 1792
+    (z,), (s,) = calls, ss
+    distinct = {x.tobytes() for x in s}
+    assert s.size == 256 and len(distinct) < 256
+    assert z.size == 5 * 256 + 2 * len(distinct)
+    assert {x.tobytes() for x in z[5 * 256:]} == distinct | {x.tobytes() for x in -s}
     out = lngamma(z)
     assert out.tobytes() == np.concatenate([lngamma(z[i:i + 1]) for i in range(z.size)]).tobytes()
     # the row of s = c - a - b lies on the negative real axis, where scipy
