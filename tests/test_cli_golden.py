@@ -4,7 +4,8 @@ Each case runs ``dengfan.cli.main`` in a child interpreter in an empty
 directory and compares its stdout, stderr and every file it writes with
 ``tests/data/cli/<case>/``.  The fixtures pin the exact text the presets,
 the oracle columns, the multi-q files, the JSON config echo and
-config-file precedence produce.  After an intended output change, rewrite
+config-file precedence produce, a q-sweep-shaped --config run and the
+verify report.  After an intended output change, rewrite
 them with ``python tests/test_cli_golden.py``.
 
 The child runs with numpy's AVX-512 dispatch targets off
@@ -29,11 +30,20 @@ import pytest
 
 DATA = Path(__file__).parent / "data" / "cli"
 
-# the preset discards the file's parameters, grid and format
-CONFIG = {"params": {"v0": 1.15, "q": 0.6}, "n_points": 7, "e_min": 0.01,
-          "e_max": 0.03, "log_grid": True, "output_format": "csv"}
+CONFIGS = {
+    # the preset discards the file's parameters and grid, and --format its format
+    "cfg": {"params": {"v0": 1.15, "q": 0.6}, "n_points": 7, "e_min": 0.01,
+            "e_max": 0.03, "log_grid": True, "output_format": "csv"},
+    # the call form of every q-sweep set: asymmetric q, 25 log-spaced
+    # energies from 1e-6 v0 to 1e2 v0, JSON
+    "sweep": {"params": {"v0": 1.2, "a": 1.5, "x_e": 0.3, "q": 0.99, "q_tilde": 0.9,
+                         "m": 0.8},
+              "e_min": 1.2e-6, "e_max": 120.0, "n_points": 25, "log_grid": True,
+              "output_format": "json"},
+}
 
-# name -> (argv, exit code); "{cfg}" stands for the path of CONFIG as JSON
+# name -> (argv, exit code); "{<name>}" stands for the path of CONFIGS[name]
+# as JSON
 CASES = {
     "scatter_table1": (["scatter", "--table1"], 0),
     "scatter_fig4": (["scatter", "--fig4", "--n", "30"], 0),
@@ -43,6 +53,8 @@ CASES = {
                            "--format", "json"], 0),
     "scatter_config_fig3": (["scatter", "--config", "{cfg}", "--fig3",
                              "--format", "json"], 0),
+    "scatter_config_sweep": (["scatter", "--config", "{sweep}", "--out", "sweep.json"], 0),
+    "verify": (["verify"], 0),
 }
 
 
@@ -58,8 +70,10 @@ def run_case(name: str, tmp: Path) -> tuple[int, dict[str, bytes]]:
     """Run one case with ``tmp`` as scratch space; returns the exit code and
     the outputs by name (``stdout``, ``stderr`` and each written file)."""
     argv, _ = CASES[name]
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(CONFIG))
+    paths = {}
+    for key, config in CONFIGS.items():
+        paths["{%s}" % key] = path = tmp / f"{key}.json"
+        path.write_text(json.dumps(config))
     work = tmp / "work"
     work.mkdir()
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -68,7 +82,7 @@ def run_case(name: str, tmp: Path) -> tuple[int, dict[str, bytes]]:
     main = "import sys; from dengfan.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
         [sys.executable, "-W", "ignore::ImportWarning", "-c", main,
-         *(arg.replace("{cfg}", str(cfg)) for arg in argv)],
+         *(str(paths.get(arg, arg)) for arg in argv)],
         cwd=work, env=env, capture_output=True, check=False)
     outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
     for path in sorted(work.iterdir()):
