@@ -6,6 +6,8 @@ from __future__ import annotations
 import cmath
 import importlib.util
 import math
+import os
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -38,8 +40,29 @@ def load_benchmark_module(name: str):
     path = Path(__file__).parents[1] / "benchmarks" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # a dataclass with string annotations looks its module up here
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+# NumPy >= 2.3's AVX-512 dispatch targets and NumPy 2.0's, as tier1.yml
+# lists them; a release skips the names it does not dispatch, with an
+# ImportWarning, which a child started with CHILD_PYTHON ignores so that its
+# stderr stays the program's
+AVX512_OFF = ("X86_V4 AVX512_ICL AVX512_SPR "
+              "AVX512F AVX512CD AVX512_KNL AVX512_KNM AVX512_SKX AVX512_CLX AVX512_CNL")
+CHILD_PYTHON = [sys.executable, "-W", "ignore::ImportWarning"]
+
+
+def avx512_off_env() -> dict:
+    """The environment of a child interpreter that runs this tree's
+    ``dengfan`` on numpy's AVX2 and FMA loops, whose bits the recorded
+    outputs hold."""
+    src = Path(__file__).parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF, PYTHONPATH=pythonpath,
+                PYTHONIOENCODING="utf-8")
 
 
 def reference_transmission(E: float, params: BarrierParams) -> float:

@@ -20,13 +20,13 @@ re-record them on an x86-64-v3 or newer CPU.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import CHILD_PYTHON, avx512_off_env
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -58,14 +58,6 @@ CASES = {
 }
 
 
-# NumPy >= 2.3's AVX-512 dispatch targets and NumPy 2.0's, as tier1.yml
-# lists them; a release skips the names it does not dispatch, with an
-# ImportWarning, which the child ignores so that stderr stays the CLI's
-AVX512_OFF = ("X86_V4 AVX512_ICL AVX512_SPR "
-              "AVX512F AVX512CD AVX512_KNL AVX512_KNM AVX512_SKX AVX512_CLX AVX512_CNL")
-SRC = Path(__file__).parents[1] / "src"
-
-
 def run_case(name: str, tmp: Path) -> tuple[int, dict[str, bytes]]:
     """Run one case with ``tmp`` as scratch space; returns the exit code and
     the outputs by name (``stdout``, ``stderr`` and each written file)."""
@@ -76,14 +68,10 @@ def run_case(name: str, tmp: Path) -> tuple[int, dict[str, bytes]]:
         path.write_text(json.dumps(config))
     work = tmp / "work"
     work.mkdir()
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF, PYTHONPATH=pythonpath,
-               PYTHONIOENCODING="utf-8")
     main = "import sys; from dengfan.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-W", "ignore::ImportWarning", "-c", main,
-         *(str(paths.get(arg, arg)) for arg in argv)],
-        cwd=work, env=env, capture_output=True, check=False)
+        [*CHILD_PYTHON, "-c", main, *(str(paths.get(arg, arg)) for arg in argv)],
+        cwd=work, env=avx512_off_env(), capture_output=True, check=False)
     outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
     for path in sorted(work.iterdir()):
         outputs[path.name] = path.read_bytes()
