@@ -13,14 +13,13 @@ or <prefix>_q_<q>.<format>.  The presets of scatter and verify, held in
 (E/V_max in (0, 5], 200 points) and --fig4 (low-energy log grid, one curve
 per v0 in {1.15, 1.25, 1.35}, with a transmission survey on stdout).
 
-``_run_config`` resolves every setting in one order: the built-in defaults
-(the reference-table setup), then a --config JSON file, then the preset, then
-the command-line flags.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure or tolerance breach.
-
-``_scan_rows`` makes the rows of scatter and verify: the closed-form scan
-and, with the oracle, one ``default_config`` call (one domain for every
-energy the scan did not fail) and one ``integrate_scatter`` call.
+``_COMMANDS`` holds one row per subcommand: the flag groups it registers,
+its run (one table per run) and its writer; ``build_parser`` and ``main``
+read it.  ``_runs`` resolves every setting of a command line in one order:
+the built-in defaults (the reference-table setup), then a --config JSON
+file, then the preset, then the command-line flags, and builds each run's
+BarrierParams and RunConfig and its V_max once.  Exit codes: 0 success, 1
+usage error, 2 numerical failure or tolerance breach.
 
 ``main`` may be called repeatedly in one process (scripts, notebooks, a
 benchmark loop): the parser is built on the first call, not at import,
@@ -34,6 +33,7 @@ import functools
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
@@ -93,40 +93,14 @@ class RunConfig:
                 f"output_format must be 'csv' or 'json', got {self.output_format!r}"
             )
 
-    def energies(self) -> list[float]:
-        if self.n_points == 1:
-            return [self.e_min]
+    def energies(self) -> np.ndarray:
+        """The grid, evenly or (log_grid) geometrically spaced."""
         space = np.geomspace if self.log_grid else np.linspace
-        return [float(E) for E in space(self.e_min, self.e_max, self.n_points)]
+        return space(self.e_min, self.e_max, self.n_points)
 
 
-def _params(base: BarrierParams, updates: dict) -> BarrierParams:
-    """Overlay parameter values on ``base``.  A q given without q_tilde sets
-    both, whether it comes from a flag or from a config file."""
-    if "q" in updates:
-        updates = {"q_tilde": updates["q"], **updates}
-    try:
-        return replace(base, **updates)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"invalid params: {exc}") from exc
-
-
-def config_from_dict(data: dict, base: RunConfig) -> RunConfig:
-    """Overlay a (possibly partial) config mapping onto ``base``."""
-    if not isinstance(data, dict):
-        raise _UsageError("config must be a JSON object")
-    pdata = data.get("params", {})
-    if not isinstance(pdata, dict):
-        raise _UsageError("config 'params' must be a JSON object")
-    for what, keys, cls in (("config", data, RunConfig),
-                            ("params", pdata, BarrierParams)):
-        unknown = set(keys) - {f.name for f in fields(cls)}
-        if unknown:
-            raise _UsageError(f"unknown {what} keys: {sorted(unknown)}")
-    try:
-        return replace(base, **{**data, "params": _params(base.params, pdata)})
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"invalid config: {exc}") from exc
+_PARAM_KEYS = tuple(f.name for f in fields(BarrierParams))
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 @dataclass(frozen=True)
@@ -206,6 +180,15 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="output file, or filename prefix for multi-curve runs")
 
 
+def _add_x_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--xmin", type=float,
+                     help="left edge of the x grid (default -10/a)")
+    sub.add_argument("--xmax", type=float,
+                     help="right edge of the x grid (default +10/a)")
+    sub.add_argument("--n", type=int, default=401,
+                     help="number of x samples (default 401)")
+
+
 def _oracle_step(text: str) -> float:
     # checked as IntegrationConfig checks a step; x_max plays no part
     try:
@@ -230,6 +213,11 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
                           "(default 0.02): a smaller value refines it")
 
 
+def _add_oracle_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--oracle", dest="oracle_enabled", action="store_true",
+                     default=None, help="add integration-oracle columns")
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The parser, built on the first call and shared after it: a parse
@@ -239,29 +227,12 @@ def build_parser() -> _Parser:
                      description="Reflection/transmission coefficients for the "
                                  "symmetric barrier-type shifted Deng-Fan potential")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    pot = subs.add_parser("potential", help="tabulate V(x)")
-    _add_param_flags(pot, "+")
-    _add_output_flags(pot)
-    pot.add_argument("--xmin", type=float,
-                     help="left edge of the x grid (default -10/a)")
-    pot.add_argument("--xmax", type=float,
-                     help="right edge of the x grid (default +10/a)")
-    pot.add_argument("--n", type=int, default=401,
-                     help="number of x samples (default 401)")
-    pot.set_defaults(preset=None)
-
-    sct = subs.add_parser("scatter", help="tabulate T(E), R(E)")
-    _add_param_flags(sct, "+")
-    _add_output_flags(sct)
-    _add_grid_flags(sct)
-    sct.add_argument("--oracle", dest="oracle_enabled", action="store_true",
-                     default=None, help="add integration-oracle columns")
-
-    ver = subs.add_parser("verify", help="analytic-vs-oracle verification report")
-    _add_param_flags(ver, None)
-    _add_grid_flags(ver)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        sub.set_defaults(preset=None)
+        _add_param_flags(sub, "+" if command.curves else None)
+        for add_flags in command.flags:
+            add_flags(sub)
     return parser
 
 
@@ -269,59 +240,79 @@ def build_parser() -> _Parser:
 # settings
 # ----------------------------------------------------------------------------
 
-def _given(args, cls) -> dict:
-    """The flags given for the fields of ``cls`` (flag dests are field names)."""
-    return {f.name: getattr(args, f.name) for f in fields(cls)
-            if getattr(args, f.name, None) is not None}
+def _build(cls, base: dict, layer: dict, error: str):
+    """``cls`` from the fields ``base`` overlaid with ``layer``, in which a
+    q given without q_tilde sets both (from a flag or a config file)."""
+    if "q" in layer:
+        layer = {"q_tilde": layer["q"], **layer}
+    try:
+        return cls(**{**base, **layer})
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(error + str(exc)) from exc
 
 
-def _variants(args, preset_v0s: Sequence[float] = ()) -> list[tuple[str, dict]]:
-    """The parameter flags of each run, tagged ``v0_<v0>`` or ``q_<q>`` when
-    --v0 or --q lists several values (a preset's v0 curves stand in for an
-    absent --v0), else one untagged set."""
-    given = _given(args, BarrierParams)
-    if preset_v0s and "v0" not in given:
-        given["v0"] = list(preset_v0s)
-    lists = {key: value for key, value in given.items() if isinstance(value, list)}
-    given.update((key, value[0]) for key, value in lists.items())
+def _read_config(path: str | None) -> dict:
+    """The RunConfig fields a --config file sets (none without one), its
+    params a BarrierParams; the file is checked as one layer over the
+    defaults, whatever a preset or a flag sets later."""
+    if path is None:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise _UsageError("config must be a JSON object")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise _UsageError("config 'params' must be a JSON object")
+    for what, keys, known in (("config", data, _CONFIG_KEYS), ("params", params, _PARAM_KEYS)):
+        unknown = set(keys) - set(known)
+        if unknown:
+            raise _UsageError(f"unknown {what} keys: {sorted(unknown)}")
+    data["params"] = _build(BarrierParams, vars(DEFAULT_PARAMS), params, "invalid params: ")
+    _build(RunConfig, data, {}, "invalid config: ")
+    return data
+
+
+def _runs(args, curves: bool) -> list[tuple[str, RunConfig, float]]:
+    """(tag, RunConfig, V_max) of each run of a command line, its settings
+    merged as dicts: the defaults, then the --config file, then the preset,
+    then the flags, whose dests are field names.  One untagged run, unless
+    --v0 or --q lists several values (with ``curves``, a preset's v0 curves
+    stand in for an absent --v0): then one run per value, tagged
+    ``v0_<v0>`` or ``q_<q>``."""
+    preset = _PRESETS.get(args.preset, _NO_PRESET)
+    settings = {"params": DEFAULT_PARAMS, **_read_config(args.config), **preset.settings}
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    flags = {key: given[key] for key in _CONFIG_KEYS if key in given}
+    params = {key: given[key] for key in _PARAM_KEYS if key in given}
+    if curves and preset.v0s:
+        params.setdefault("v0", list(preset.v0s))
+    lists = {key: value for key, value in params.items() if isinstance(value, list)}
+    params.update((key, value[0]) for key, value in lists.items())
     multi = [key for key, value in lists.items() if len(value) > 1]
     if len(multi) > 1:
         raise _UsageError("only one of --v0 / --q may be list-valued "
                           "(a preset's v0 curves count as a --v0 list)")
-    if not multi:
-        return [("", given)]
-    key = multi[0]
-    return [(f"{key}_{value:g}", {**given, key: value}) for value in lists[key]]
-
-
-def _run_config(args, variant: dict) -> RunConfig:
-    """Resolve one run's settings: the defaults, then the --config file,
-    then the preset, then the flags, with ``variant`` (from ``_variants``)
-    as the parameter flags."""
-    config = RunConfig(params=DEFAULT_PARAMS)
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise _UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"config file is not valid JSON: {exc}") from exc
-        config = config_from_dict(data, config)
-    preset = _PRESETS.get(args.preset, _NO_PRESET)
-    config = replace(config, **preset.settings)
-    params = _params(config.params, variant)
-    flags = _given(args, RunConfig)
-    n_points = flags.get("n_points", config.n_points)
-    if preset.energy_range is not None and n_points >= 1:
-        # the preset's grid follows the final parameters and point count;
-        # --emin/--emax still override it
-        e_range = preset.energy_range(barrier_top(params), n_points)
-        flags = {**dict(zip(("e_min", "e_max"), e_range)), **flags}
-    try:
-        return replace(config, params=params, **flags)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    variants = [(f"{key}_{value:g}", {**params, key: value})
+                for key in multi for value in lists[key]] or [("", params)]
+    n_points = {**settings, **flags}.get("n_points", RunConfig.n_points)
+    runs = []
+    for tag, variant in variants:
+        run_params = _build(BarrierParams, vars(settings["params"]), variant, "invalid params: ")
+        v_max = barrier_top(run_params)
+        grid = {}
+        if preset.energy_range is not None and n_points >= 1:
+            # the preset's grid follows the final parameters and point count;
+            # --emin/--emax still override it
+            grid = dict(zip(("e_min", "e_max"), preset.energy_range(v_max, n_points)))
+        config = _build(RunConfig, {**settings, **grid, "params": run_params}, flags, "")
+        runs.append((tag, config, v_max))
+    return runs
 
 
 # a table's values as one flat list, by the C encoder (any indent selects
@@ -371,54 +362,23 @@ def _json_pieces(config: dict, columns: dict[str, np.ndarray]) -> Iterator[str]:
     yield "\n    }\n  ]\n}\n"
 
 
-def _write(args, tag: str, columns: dict[str, np.ndarray], echo: dict,
-           output_format: OutputFormat) -> None:
-    """Write one table of named float columns, as CSV (9 significant digits
-    a value) or as JSON whose "config" echoes ``echo``, to --out or stdout;
-    a tagged run goes to <prefix>_<tag>.<format>, where --out, when given,
-    is the prefix.  JSON goes out in pieces of rows (``_json_pieces``)."""
-    if output_format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(f"{v:.9g}" for v in row)
-                  for row in zip(*(column.tolist() for column in columns.values()))]
-        pieces: Iterable[str] = ["\n".join(lines) + "\n"]
-    else:
-        pieces = _json_pieces(echo, columns)
-    out = args.out
-    if tag:
-        prefix = args.out or _PRESETS.get(args.preset, _NO_PRESET).prefix or args.command
-        out = f"{prefix}_{tag}.{output_format}"
-    if out is None:
-        for piece in pieces:
-            sys.stdout.write(piece)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(pieces)
-
-
 # ----------------------------------------------------------------------------
-# potential command
+# commands: runs, one table each as (columns, failures by index, JSON echo),
+# and writers, every run's table out and the exit code
 # ----------------------------------------------------------------------------
 
-def _cmd_potential(args) -> int:
+def _potential_table(args, tag: str, config: RunConfig, v_max: float):
     if args.n < 1:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
-    runs = [(tag, _run_config(args, variant)) for tag, variant in _variants(args)]
-    for tag, config in runs:
-        params = config.params
-        x_min = args.xmin if args.xmin is not None else -10.0 / params.a
-        x_max = args.xmax if args.xmax is not None else 10.0 / params.a
-        if x_min > x_max:
-            raise _UsageError(f"--xmin {x_min} exceeds --xmax {x_max}")
-        xs = np.linspace(x_min, x_max, args.n)
-        echo = {"params": asdict(params), "x_min": x_min, "x_max": x_max, "n": args.n}
-        _write(args, tag, {"x": xs, "V": potential_fn(xs, params)}, echo, config.output_format)
-    return 0
+    params = config.params
+    x_min = args.xmin if args.xmin is not None else -10.0 / params.a
+    x_max = args.xmax if args.xmax is not None else 10.0 / params.a
+    if x_min > x_max:
+        raise _UsageError(f"--xmin {x_min} exceeds --xmax {x_max}")
+    xs = np.linspace(x_min, x_max, args.n)
+    echo = {"params": asdict(params), "x_min": x_min, "x_max": x_max, "n": args.n}
+    return {"x": xs, "V": potential_fn(xs, params)}, {}, echo
 
-
-# ----------------------------------------------------------------------------
-# scatter command
-# ----------------------------------------------------------------------------
 
 def _oracle_runs(res: ScatteringResult, params: BarrierParams, args):
     """Oracle T, R and T_err at each energy of the scan ``res`` that did not
@@ -440,14 +400,15 @@ def _oracle_runs(res: ScatteringResult, params: BarrierParams, args):
     return T, R, T_err, {ok[j]: exc for j, exc in orc.errors.items()}
 
 
-def _scan_rows(config: RunConfig, args):
-    """Run one scan.  Returns its named columns, nan at a failed energy, and
-    (stage, "<error type>: <message>") by index of each failed energy, in
-    grid order, where the stage is "analytic" or "oracle".  With the oracle
-    the columns end with T_err, its error estimate, which scatter does not
+def _scan(args, tag: str, config: RunConfig, v_max: float):
+    """One scan: its named columns, nan at a failed energy, and (stage,
+    "<error type>: <message>") by index of each failed energy, in grid
+    order, where the stage is "analytic" or "oracle".  With the oracle the
+    columns end with T_err, its error estimate, which scatter does not
     write."""
+    if args.oracle_step is not None and not config.oracle_enabled:
+        raise _UsageError("--oracle-step needs an oracle run (--oracle)")
     params = config.params
-    v_max = barrier_top(params)
     res = scan(config.energies(), params)
     columns = {"E": res.E,
                "E_over_Vmax": res.E / v_max if v_max > 0 else np.full(res.E.shape, math.inf),
@@ -458,11 +419,10 @@ def _scan_rows(config: RunConfig, args):
         columns.update(T_oracle=T, R_oracle=R, delta_T=np.abs(res.T - T), T_err=T_err)
         failures.update((i, ("oracle", exc)) for i, exc in oracle_errors.items())
     return columns, {i: (stage, f"{type(exc).__name__}: {exc}")
-                     for i, (stage, exc) in sorted(failures.items())}
+                     for i, (stage, exc) in sorted(failures.items())}, asdict(config)
 
 
-def _survey_line(tag: str, config: RunConfig, columns: dict[str, np.ndarray]) -> str:
-    v_max = barrier_top(config.params)
+def _survey_line(tag: str, v_max: float, columns: dict[str, np.ndarray]) -> str:
     ok = ~np.isnan(columns["T"])
     E, T = columns["E"][ok], columns["T"][ok]
     if not T.size or v_max <= 0:
@@ -477,42 +437,52 @@ def _survey_line(tag: str, config: RunConfig, columns: dict[str, np.ndarray]) ->
             f"E/Vmax = 1e-3: {'yes' if near_total else 'no'}")
 
 
-def _cmd_scatter(args) -> int:
+def _write_tables(args, tables) -> int:
+    """Write each run's table of named float columns, but the oracle's
+    T_err, as CSV (9 significant digits a value) or as JSON whose "config"
+    is the run's echo, to --out or stdout; a tagged run goes to
+    <prefix>_<tag>.<format>, where --out, when given, is the prefix.  JSON
+    goes out in pieces of rows (``_json_pieces``).  Each failed energy
+    takes one stderr line, and a preset's survey goes to stdout; exit 2 if
+    any energy failed."""
     preset = _PRESETS.get(args.preset, _NO_PRESET)
-    runs = [(tag, _run_config(args, variant))
-            for tag, variant in _variants(args, preset.v0s)]
-    if args.oracle_step is not None and not runs[0][1].oracle_enabled:
-        raise _UsageError("--oracle-step needs an oracle run (--oracle)")
-    any_errors, survey = False, []
-    for tag, config in runs:
-        columns, failures = _scan_rows(config, args)
+    any_errors, survey = False, [preset.survey]
+    for (tag, config, v_max), (columns, failures, echo) in tables:
         columns.pop("T_err", None)
         any_errors = any_errors or bool(failures)
         for i, (_, message) in failures.items():
-            print(f"dengfan scatter: E={columns['E'][i]:g}: {message}", file=sys.stderr)
-        _write(args, tag, columns, asdict(config), config.output_format)
+            print(f"dengfan {args.command}: E={columns['E'][i]:g}: {message}", file=sys.stderr)
+        if config.output_format == "csv":
+            lines = [",".join(columns)]
+            lines += [",".join(f"{v:.9g}" for v in row)
+                      for row in zip(*(column.tolist() for column in columns.values()))]
+            pieces: Iterable[str] = ["\n".join(lines) + "\n"]
+        else:
+            pieces = _json_pieces(echo, columns)
+        out = args.out
+        if tag:
+            out = f"{args.out or preset.prefix or args.command}_{tag}.{config.output_format}"
+        if out is None:
+            for piece in pieces:
+                sys.stdout.write(piece)
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
         if preset.survey:
-            survey.append(_survey_line(tag or "run", config, columns))
+            survey.append(_survey_line(tag or "run", v_max, columns))
     if preset.survey:
-        print("\n".join([preset.survey] + survey))
+        print("\n".join(survey))
     return 2 if any_errors else 0
 
 
-# ----------------------------------------------------------------------------
-# verify command
-# ----------------------------------------------------------------------------
-
-def _cmd_verify(args) -> int:
-    [(_, variant)] = _variants(args)
-    config = _run_config(args, variant)
-
+def _report(args, tables) -> int:
     e_ref, t_ref, r_ref = np.array(TABLE1).T
     table = scan(e_ref, DEFAULT_PARAMS)
     worst = max(np.max(np.abs(table.T - t_ref)), np.max(np.abs(table.R - r_ref)))
     print(f"corrected matching reproduces Table 1: max deviation {worst:.3g}")
     print()
 
-    columns, failures = _scan_rows(replace(config, oracle_enabled=True), args)
+    [(_, (columns, failures, _))] = tables
     E, T, dT, uni = (columns[key] for key in ("E", "T", "delta_T", "unitarity_residual"))
     dR = np.abs(columns["R"] - columns["R_oracle"])
     # nan at a failed energy: the maxima over the energies compared, nan if
@@ -547,18 +517,35 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# a subcommand: its help; whether --v0 and --q take lists (``_runs``'
+# ``curves``); the flag groups it registers after the parameter flags; its
+# run, (args, tag, config, v_max) -> (columns, failures, echo); and its
+# writer, (args, each run with its table) -> exit code
+_Command = namedtuple("_Command", "help curves flags run write")
+
+_COMMANDS = {
+    "potential": _Command("tabulate V(x)", True, (_add_output_flags, _add_x_flags),
+                          _potential_table, _write_tables),
+    "scatter": _Command("tabulate T(E), R(E)", True, (_add_output_flags, _add_grid_flags,
+                                                      _add_oracle_flag), _scan, _write_tables),
+    # verify always runs the oracle and prints only its report
+    "verify": _Command("analytic-vs-oracle verification report", False,
+                       (_add_grid_flags, lambda sub: sub.set_defaults(oracle_enabled=True)),
+                       _scan, _report),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
     return its exit code.  ``main`` may be called any number of times in
     one process; the parser is built on the first call and reused, and
     keeps no state between calls."""
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        if args.command == "potential":
-            return _cmd_potential(args)
-        if args.command == "scatter":
-            return _cmd_scatter(args)
-        return _cmd_verify(args)
+        # every run's settings are resolved before the first table
+        tables = ((run, command.run(args, *run)) for run in _runs(args, command.curves))
+        return command.write(args, tables)
     except _UsageError as exc:
         print(f"dengfan {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import pytest
 import dengfan.cli
 from dengfan import (DEFAULT_PARAMS, TABLE1, BoundaryNotDecayedError, IntegrationConfig,
                      barrier_top, default_config, integrate_scatter, potential)
-from dengfan.cli import RunConfig, _json_pieces, build_parser, config_from_dict, main
+from dengfan.cli import RunConfig, _json_pieces, build_parser, main
 
 from helpers import load_benchmark_module
 
@@ -56,16 +56,32 @@ def test_scatter_output_deterministic(capsys):
     assert first == second
 
 
-def test_scatter_json_roundtrip(capsys):
+def test_scatter_json_roundtrip(tmp_path, capsys):
     code, out, _ = run(["scatter", "--table1", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert len(doc["rows"]) == 20
     assert set(doc["rows"][0]) == set(EXPECTED_HEADER.split(","))
-    # the embedded config must load back through the config reader
-    base = RunConfig(params=DEFAULT_PARAMS)
-    loaded = asdict(config_from_dict(doc["config"], base))
-    assert loaded == doc["config"]
+    # the echoed config, given back as a --config file, runs the same scan
+    # and echoes itself
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(json.dumps(doc["config"]))
+    code, again, _ = run(["scatter", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(again)["config"] == doc["config"]
+    assert again == out
+
+
+@pytest.mark.parametrize("log_grid", [False, True])
+def test_run_config_energies_are_the_grid_array(log_grid):
+    space = np.geomspace if log_grid else np.linspace
+    for n_points in (1, 2, 7):
+        config = RunConfig(params=DEFAULT_PARAMS, e_min=0.01, e_max=0.3, n_points=n_points,
+                           log_grid=log_grid)
+        energies = config.energies()
+        assert isinstance(energies, np.ndarray) and energies.dtype == np.float64
+        assert energies.tolist() == space(0.01, 0.3, n_points).tolist()
+        assert energies[0] == 0.01 and (n_points == 1 or energies[-1] == 0.3)
 
 
 def indented_dumps(config: dict, columns: dict) -> str:
@@ -323,18 +339,17 @@ def test_scatter_fig4_preset_files_and_report(tmp_path, monkeypatch, capsys):
 
 
 def test_survey_line_skips_failed_rows_and_takes_the_first_peak():
-    config = RunConfig(params=DEFAULT_PARAMS)
     v = barrier_top(DEFAULT_PARAMS)
     columns = {"E": np.array([1e-6, 2e-6, 3e-6, 0.5]) * v,
                "T": np.array([math.nan, 0.25, 0.95, 0.95])}
-    line = dengfan.cli._survey_line("run", config, columns)
+    line = dengfan.cli._survey_line("run", v, columns)
     assert line == (f"  run: max T = 0.9500 at E = {3e-6 * v:.4g} (E/Vmax = 3e-06); "
                     "T at lowest grid energy = 0.25; near-total transmission (T >= 0.9) "
                     "below E/Vmax = 1e-3: yes")
     columns["T"][2] = 0.5
-    assert dengfan.cli._survey_line("run", config, columns).endswith("1e-3: no")
+    assert dengfan.cli._survey_line("run", v, columns).endswith("1e-3: no")
     columns["T"][:] = math.nan
-    assert dengfan.cli._survey_line("run", config, columns) == "  run: no successful points"
+    assert dengfan.cli._survey_line("run", v, columns) == "  run: no successful points"
 
 
 def test_scatter_config_file_and_flag_precedence(tmp_path, capsys):
@@ -370,6 +385,22 @@ def test_scatter_multi_q_files(tmp_path, monkeypatch, capsys):
         assert doc["config"]["params"]["q"] == q
         assert doc["config"]["params"]["q_tilde"] == q
         assert len(doc["rows"]) == 2
+
+
+@pytest.mark.parametrize("setting, flags, message", [
+    ({"e_min": -1.0}, ["--emin", "0.01", "--emax", "0.1"],
+     "invalid config: need 0 < e_min < e_max, got e_min=-1.0, e_max=0.1"),
+    ({"params": {"q": 1.5}}, ["--q", "0.5"], "invalid params: q must lie in (0, 1), got 1.5"),
+], ids=["e_min", "q"])
+def test_config_file_is_checked_before_flags_override_it(setting, flags, message, tmp_path,
+                                                         capsys):
+    # the file is checked as one layer over the defaults: a flag that would
+    # mend the value does not hide the file's error
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(setting))
+    code, out, err = run(["scatter", "--config", str(cfg)] + flags, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"dengfan scatter: error: {message}\n"
 
 
 @pytest.mark.parametrize("params, q_tilde", [

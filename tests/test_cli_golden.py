@@ -6,14 +6,14 @@ directory and compares its stdout, stderr and every file it writes with
 the oracle columns, the multi-q files, the JSON config echo and
 config-file precedence produce, a q-sweep-shaped --config run and the
 verify report.  After an intended output change, rewrite
-them with ``python tests/test_cli_golden.py``.
+them with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 
 The child runs with numpy's AVX-512 dispatch targets off
 (``NPY_DISABLE_CPU_FEATURES``): numpy's AVX-512 float64 ``power``, ``exp``,
 ``log`` and ``sinh`` round differently from libm, which its AVX2 loops
-match, so on an AVX-512 CPU 2 of the 5 cases would differ in the last bits
+match, so on an AVX-512 CPU 4 of the 7 cases would differ in the last bits
 of T and R.  The fixtures hold the bits of numpy's AVX2 and FMA loops.  Under
-its baseline loops (x86-64-v3 off too) 4 of the 5 cases differ, so run and
+its baseline loops (x86-64-v3 off too) 6 of the 7 cases differ, so run and
 re-record them on an x86-64-v3 or newer CPU.
 """
 
