@@ -49,8 +49,6 @@ from .reference import DEFAULT_PARAMS, TABLE1
 # compute_rt and scan stay names of this module: benchmarks/worker.py wraps them
 from .scatter import ScatteringResult, compute_rt, scan  # noqa: F401
 
-OutputFormat = Literal["csv", "json"]
-
 __all__ = ["RunConfig", "main"]
 
 _DT_TOL = 1e-6
@@ -70,7 +68,7 @@ class RunConfig:
     e_min: float = 0.005
     e_max: float = 0.100
     n_points: int = 20
-    output_format: OutputFormat = "csv"
+    output_format: Literal["csv", "json"] = "csv"
     oracle_enabled: bool = False
     log_grid: bool = False
 

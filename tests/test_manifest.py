@@ -181,7 +181,11 @@ if __name__ == "__main__":
         for kind, digests in hashes(manifest).items():
             for name, digest in digests.items():
                 manifest[kind][name]["sha256"] = digest
-        MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
+        # one line per entry
+        MANIFEST.write_text("{\n" + ",\n".join(
+            f" {json.dumps(kind)}: {{\n" + ",\n".join(
+                f"  {json.dumps(name)}: {json.dumps(entry)}" for name, entry in entries.items())
+            + "\n }" for kind, entries in manifest.items()) + "\n}\n")
     elif mode == "sha256":
         print(child("outputs"), end="")
     else:
