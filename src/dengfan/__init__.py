@@ -3,12 +3,11 @@ barrier-type shifted Deng-Fan potential: closed-form hypergeometric solution
 plus an independent ODE-integration oracle.
 """
 
-from .hyp2f1 import (GammaPoleError, Hyp2F1Error, Hyp2F1Request, NoConvergenceError,
-                     PoleAtCError, gauss_2f1, gauss_2f1_lanes, lngamma_complex)
+from .hyp2f1 import Hyp2F1Error, NoConvergenceError, PoleAtCError, gauss_2f1_lanes
 from .model import BarrierParams, SideCoefficients, barrier_top, potential, side_coefficients
 from .oracle import (BoundaryNotDecayedError, IntegrationConfig, OracleError,
                      OracleResult, StepTooCoarseError, default_config,
-                     integrate_scatter, plane_wave_decompose)
+                     integrate_scatter)
 from .reference import DEFAULT_PARAMS, TABLE1
 from .scatter import (MatchCoefficients, ScatteringResult, compute_rt,
                       match_coefficients, scan, solve_amplitudes)
@@ -21,14 +20,10 @@ __all__ = [
     "potential",
     "barrier_top",
     "side_coefficients",
-    "Hyp2F1Request",
     "Hyp2F1Error",
     "PoleAtCError",
     "NoConvergenceError",
-    "GammaPoleError",
-    "gauss_2f1",
     "gauss_2f1_lanes",
-    "lngamma_complex",
     "MatchCoefficients",
     "ScatteringResult",
     "match_coefficients",
@@ -42,7 +37,6 @@ __all__ = [
     "StepTooCoarseError",
     "default_config",
     "integrate_scatter",
-    "plane_wave_decompose",
     "DEFAULT_PARAMS",
     "TABLE1",
     "__version__",

@@ -34,7 +34,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -324,10 +324,12 @@ _JSON_BATCH = 256
 _DISTINCT_ROWS = 64
 
 
-def _json_pieces(config: dict, columns: dict[str, np.ndarray]) -> Iterator[str]:
+def _json_pieces(config, columns: dict[str, np.ndarray]) -> Iterator[str]:
     """json.dumps({"config": config, "rows": [dict(zip(columns, row)) for row
     in zip(*columns.values())]}, indent=2, sort_keys=True, allow_nan=True)
-    plus a newline, byte for byte, in pieces of at most ``_JSON_BATCH`` rows.
+    plus a newline, byte for byte, in pieces of at most ``_JSON_BATCH`` rows;
+    a dataclass in ``config`` is written as the dict of its fields, as
+    ``dataclasses.asdict`` gives it, without its deep copy.
     The columns are float64 arrays of one length.  A piece's values, row by
     row in sorted-key order, are formatted by one encoder call, whose output
     splits on commas and fills one %-template of the rows' indented layout.
@@ -335,7 +337,7 @@ def _json_pieces(config: dict, columns: dict[str, np.ndarray]) -> Iterator[str]:
     pattern of the piece once (-0.0 and 0.0 stay apart), and the values
     take their texts by index: a fig4 curve's 8 pieces format 8,046 of its
     10,000 values.  Only one piece's texts are held at a time."""
-    head = json.dumps(config, indent=2, sort_keys=True, allow_nan=True)
+    head = json.dumps(config, indent=2, sort_keys=True, allow_nan=True, default=vars)
     yield '{\n  "config": ' + head.replace("\n", "\n  ") + ',\n  "rows": '
     keys = sorted(columns)
     n = len(columns[keys[0]]) if keys else 0
@@ -374,7 +376,7 @@ def _potential_table(args, tag: str, config: RunConfig, v_max: float):
     if x_min > x_max:
         raise _UsageError(f"--xmin {x_min} exceeds --xmax {x_max}")
     xs = np.linspace(x_min, x_max, args.n)
-    echo = {"params": asdict(params), "x_min": x_min, "x_max": x_max, "n": args.n}
+    echo = {"params": params, "x_min": x_min, "x_max": x_max, "n": args.n}
     return {"x": xs, "V": potential_fn(xs, params)}, {}, echo
 
 
@@ -417,7 +419,7 @@ def _scan(args, tag: str, config: RunConfig, v_max: float):
         columns.update(T_oracle=T, R_oracle=R, delta_T=np.abs(res.T - T), T_err=T_err)
         failures.update((i, ("oracle", exc)) for i, exc in oracle_errors.items())
     return columns, {i: (stage, f"{type(exc).__name__}: {exc}")
-                     for i, (stage, exc) in sorted(failures.items())}, asdict(config)
+                     for i, (stage, exc) in sorted(failures.items())}, config
 
 
 def _survey_line(tag: str, v_max: float, columns: dict[str, np.ndarray]) -> str:

@@ -46,8 +46,7 @@ from .model import _energies
 Potential = Callable[[np.ndarray], np.ndarray]
 
 __all__ = ["OracleError", "BoundaryNotDecayedError", "StepTooCoarseError",
-           "IntegrationConfig", "OracleResult", "default_config",
-           "integrate_scatter", "plane_wave_decompose"]
+           "IntegrationConfig", "OracleResult", "default_config", "integrate_scatter"]
 
 _ERR_TOL = 1e-6     # T_err above this fails an energy
 _DECAY_TOL = 1e-12  # |V| at the edges must be <= _DECAY_TOL * max(E, 1)

@@ -31,9 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-# gauss_2f1 stays a name of this module: benchmarks/worker.py wraps it here
-from .hyp2f1 import gauss_2f1, gauss_2f1_lanes  # noqa: F401
+from .hyp2f1 import gauss_2f1_lanes
 from .model import BarrierParams, _energies, side_coefficients
+
+# not API, and nothing calls it: the name benchmarks/worker.py's TRACED
+# looks up; ROADMAP E removes it when it retargets the tracer
+gauss_2f1 = gauss_2f1_lanes
 
 __all__ = [
     "MatchCoefficients",
@@ -183,11 +186,15 @@ def compute_rt(E: float, params: BarrierParams) -> ScatteringResult:
     runs, on a lane of one, unwrapped to numpy scalars.  The energy's
     ``Hyp2F1Error`` is raised.
 
-    The energy range has an upper edge.  At the default parameters,
-    E/V_max = 4e4 still returns T = 0.999999999999998 (about 2 ms), while
-    from E/V_max = 4.01e4 on (1e5 included) a 2F1 series overflows and
-    ``NoConvergenceError``, a ``Hyp2F1Error``, is raised; there is no
-    asymptotic T -> 1 branch.
+    The energy range has an upper edge, and it moves with q.  At the
+    default parameters, E/V_max = 4e4 still returns T = 0.9999999999999976
+    (about 2 ms), while from E/V_max = 4.01e4 on (1e5 included) a 2F1
+    series overflows and ``NoConvergenceError``, a ``Hyp2F1Error``, is
+    raised; there is no asymptotic T -> 1 branch.  At q = q_tilde = 0.999,
+    the other parameters at their defaults (V_max = 1.0046e6), E/V_max =
+    0.089 returns T = 0.00147, while from E/V_max = 0.09 (E = 9.0e4, E/v0 =
+    7.2e4) on a 2F1 series does not converge in its 20,000 terms.  Both
+    edges lie above the checked box's E/v0 <= 1e2 (``BarrierParams``).
     """
     if np.ndim(E) != 0:
         raise ValueError(f"E must be one energy, got shape {np.shape(E)}; scan takes a grid")

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import dengfan.cli
+import dengfan.hyp2f1
+import dengfan.scatter
 from dengfan import (DEFAULT_PARAMS, TABLE1, BoundaryNotDecayedError, IntegrationConfig,
-                     barrier_top, default_config, integrate_scatter, potential)
+                     barrier_top, default_config, integrate_scatter, potential, scan)
 from dengfan.cli import RunConfig, _json_pieces, build_parser, main
 
 from helpers import load_benchmark_module
@@ -253,6 +255,30 @@ def test_benchmark_tracer_names_resolve(capsys):
     assert tracer.steps > 0 and not tracer.errors
 
 
+def test_benchmark_tracer_aliases_stay_uncalled(tmp_path, monkeypatch, capsys):
+    # TRACED also wraps dengfan.scatter.gauss_2f1 and
+    # dengfan.hyp2f1.lngamma_complex, aliases of the closed form's kernels
+    # that nothing calls; a traced call of the first would crash in
+    # Tracer._count, which reads req.a of its argument
+    calls = []
+    for module, attr in ((dengfan.scatter, "gauss_2f1"), (dengfan.hyp2f1, "lngamma_complex")):
+        def counting(*args, fn=getattr(module, attr), name=attr):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, attr, counting)
+    # a q-sweep set: asymmetric q near 1, 25 log-spaced energies, JSON
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"params": {"v0": 1.2, "a": 1.5, "x_e": 0.3, "q": 0.99,
+                                          "q_tilde": 0.9, "m": 0.8},
+                               "e_min": 1.2e-6, "e_max": 120.0, "n_points": 25,
+                               "log_grid": True, "output_format": "json"}))
+    for argv in (["scatter", "--table1", "--oracle"], ["scatter", "--fig3", "--format", "json"],
+                 ["scatter", "--config", str(cfg)]):
+        assert run(argv, capsys)[0] == 0
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # failures, by stage
 # ---------------------------------------------------------------------------
@@ -296,6 +322,31 @@ def test_verify_reports_oracle_disagreement(monkeypatch, capsys):
     for E in ("0.05", "0.1"):
         assert re.search(rf"\n  E = {E}: \|dT\|=1e-05, \|dR\|=\d\.?\d*e-1\d\n", out)
     assert out.endswith("FAIL\n")
+
+
+def test_verify_reports_unitarity_residual(monkeypatch, capsys):
+    def leaky(energies, params):
+        res = scan(energies, params)
+        return replace(res, unitarity_residual=res.unitarity_residual + 1e-8)
+
+    monkeypatch.setattr(dengfan.cli, "scan", leaky)
+    code, out, err = run(["verify", "--emin", "0.05", "--emax", "0.1", "--n", "2"], capsys)
+    assert (code, err) == (2, "")
+    assert "\n  max unitarity residual      = 1e-08   (tol 1e-09)\n" in out
+    assert out.endswith("offending energies:\n  E = 0.05: unitarity residual 1e-08\n"
+                        "  E = 0.1: unitarity residual 1e-08\nFAIL\n")
+
+
+def test_broken_pipe_exits_0(monkeypatch, capsys):
+    # a reader that closes stdout early (dengfan scatter | head) ends the
+    # run quietly
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code, _, err = run(["scatter", "--table1"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_failing_oracle_config_fails_every_energy(monkeypatch, capsys):
@@ -464,6 +515,31 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     code, _, err = run(["scatter", "--config", str(cfg)], capsys)
     assert code == 1
     assert "nonsense" in err
+
+
+@pytest.mark.parametrize("argv, contents, message", [
+    (["scatter", "--emin", "nan"], None, "e_min and e_max must be finite"),
+    (["scatter", "--config", "{cfg}"], '{"output_format": "xml"}',
+     "invalid config: output_format must be 'csv' or 'json', got 'xml'"),
+    (["scatter", "--config", "{cfg}"], None,
+     "cannot read config file: [Errno 2] No such file or directory: '{cfg}'"),
+    (["scatter", "--config", "{cfg}"], "{",
+     "config file is not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (["scatter", "--config", "{cfg}"], "[1]", "config must be a JSON object"),
+    (["scatter", "--config", "{cfg}"], '{"params": [1]}', "config 'params' must be a JSON object"),
+    (["potential", "--n", "0"], None, "--n must be >= 1, got 0"),
+    (["potential", "--xmin", "1", "--xmax", "0"], None, "--xmin 1.0 exceeds --xmax 0.0"),
+], ids=["emin-nan", "output-format", "unreadable", "not-json", "not-object", "params-not-object",
+        "potential-n", "potential-x-range"])
+def test_settings_errors_exit_1_with_one_line(argv, contents, message, tmp_path, capsys):
+    # a config file at "{cfg}", missing when contents is None
+    cfg = tmp_path / "run.json"
+    if contents is not None:
+        cfg.write_text(contents)
+    code, out, err = run([arg.replace("{cfg}", str(cfg)) for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"dengfan {argv[0]}: error: {message.replace('{cfg}', str(cfg))}\n"
 
 
 def test_matching_mode_is_not_a_setting(tmp_path, capsys):

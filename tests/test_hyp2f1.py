@@ -8,10 +8,8 @@ import pytest
 from scipy.special import loggamma as scipy_loggamma
 
 import dengfan.hyp2f1 as hyp2f1
-from dengfan import (GammaPoleError, Hyp2F1Error, Hyp2F1Request, DEFAULT_PARAMS,
-                     NoConvergenceError,
-                     PoleAtCError, barrier_top, gauss_2f1, gauss_2f1_lanes, lngamma_complex,
-                     scan, side_coefficients)
+from dengfan import (DEFAULT_PARAMS, Hyp2F1Error, NoConvergenceError, PoleAtCError,
+                     barrier_top, gauss_2f1_lanes, scan, side_coefficients)
 
 from helpers import hyp2f1_bruteforce
 
@@ -23,8 +21,37 @@ LNGAMMA_HALF = 0.5723649429247001     # ln sqrt(pi)
 LNGAMMA_1_PLUS_I = -0.6509231993018563 - 0.3016403204675332j
 
 
+def one_lane(a, b, c, z):
+    """(F, dF/dz) of a batch of one lane of ``gauss_2f1_lanes``, whose error
+    is raised."""
+    values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
+    if errors:
+        raise errors[0]
+    return complex(values[0]), complex(derivs[0])
+
+
 def f21(a, b, c, z):
-    return gauss_2f1(Hyp2F1Request(a=a, b=b, c=c, z=z))
+    return one_lane(a, b, c, z)[0]
+
+
+def df21(a, b, c, z):
+    return one_lane(a, b, c, z)[1]
+
+
+def lngamma(z):
+    """``_lngamma``, the closed form's log-gamma, of one complex z."""
+    return complex(hyp2f1._lngamma(np.array([z], dtype=complex))[0])
+
+
+def branch_turns(got, want):
+    """The turns of 2 pi by which the imaginary parts of the log-gammas
+    ``got`` differ from ``want``, once their real parts and their imaginary
+    parts mod 2 pi are checked to agree."""
+    diff = np.asarray(got) - want
+    turns = np.rint(diff.imag / (2 * np.pi))
+    assert np.abs(diff.real).max() <= 1e-12
+    assert np.abs(diff.imag - 2 * np.pi * turns).max() <= 1e-12
+    return turns
 
 
 def connection_calls(monkeypatch):
@@ -38,14 +65,6 @@ def connection_calls(monkeypatch):
 
     monkeypatch.setattr(hyp2f1, "_connection", recording)
     return calls
-
-
-def df21(a, b, c, z):
-    """dF/dz as ``gauss_2f1_lanes`` returns it beside F, for one lane."""
-    _, derivs, errors = gauss_2f1_lanes(a, b, c, z)
-    if errors:
-        raise errors[0]
-    return complex(derivs[0])
 
 
 def _draw_abc(rng, c_floor=0.3):
@@ -223,9 +242,9 @@ def test_derivative_matches_finite_difference():
 # ---------------------------------------------------------------------------
 
 def test_lngamma_frozen_values():
-    assert lngamma_complex(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert lngamma_complex(0.5) == pytest.approx(LNGAMMA_HALF, rel=1e-14)
-    assert lngamma_complex(1 + 1j) == pytest.approx(LNGAMMA_1_PLUS_I, abs=1e-14)
+    assert lngamma(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert lngamma(0.5) == pytest.approx(LNGAMMA_HALF, rel=1e-14)
+    assert lngamma(1 + 1j) == pytest.approx(LNGAMMA_1_PLUS_I, abs=1e-14)
 
 
 def test_lngamma_matches_scipy_branch():
@@ -235,16 +254,14 @@ def test_lngamma_matches_scipy_branch():
         z = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
         if z.real < 0.5 and abs(z.imag) < 0.05:
             continue  # hugging the branch cut
-        assert abs(lngamma_complex(z) - complex(scipy_loggamma(z))) <= 1e-12
+        assert abs(lngamma(z) - complex(scipy_loggamma(z))) <= 1e-12
         checked += 1
-    # on the negative real axis, the limit from above: Im = -pi ceil(-x)
-    # (+pi ceil(-x) at Im z = -0); the imaginary part read 0, -pi and 0 at
-    # -1.5, -2.5 and -5.509
-    for x in (-0.3, -1.5, -2.5, -5.509):
-        for z in (complex(x, 0.0), complex(x, -0.0)):
-            assert abs(lngamma_complex(z) - complex(scipy_loggamma(z))) <= 1e-12
+    # on the negative real axis, either side of it (Im z = 0 or -0), scipy
+    # takes the limit from above or below and _lngamma another branch: the
+    # real parts agree, and the imaginary parts mod 2 pi
     axis = np.array([-0.3, -1.5, -2.5, -5.509])
-    assert np.all(np.abs(lngamma_complex(axis) - scipy_loggamma(axis + 0j)) <= 1e-12)
+    for z in (axis + 0j, np.conjugate(axis + 0j)):
+        branch_turns(hyp2f1._lngamma(z), scipy_loggamma(z))
 
 
 def test_lngamma_recurrence():
@@ -253,7 +270,7 @@ def test_lngamma_recurrence():
         z = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
         if abs(z.imag) < 0.05:
             continue
-        ratio = cmath.exp(lngamma_complex(z + 1) - lngamma_complex(z))
+        ratio = cmath.exp(lngamma(z + 1) - lngamma(z))
         assert ratio == pytest.approx(z, rel=1e-12)
 
 
@@ -285,17 +302,8 @@ def test_lngamma_fig4_chunk_equals_one_argument_calls(monkeypatch):
     assert out.tobytes() == np.concatenate([lngamma(z[i:i + 1]) for i in range(z.size)]).tobytes()
     # the row of s = c - a - b lies on the negative real axis, where scipy
     # takes another branch: there the imaginary parts differ by 6 pi
-    diff = out - scipy_loggamma(z)
-    turns = np.rint(diff.imag / (2 * np.pi))
-    assert np.abs(diff.real).max() <= 1e-12
-    assert np.abs(diff.imag - 2 * np.pi * turns).max() <= 1e-12
+    turns = branch_turns(out, scipy_loggamma(z))
     assert not turns[z.imag != 0].any() and turns.any()
-
-
-@pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
-def test_lngamma_poles(z):
-    with pytest.raises(GammaPoleError):
-        lngamma_complex(z)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +398,6 @@ def test_failed_connection_attempt_names_the_lane():
 def test_argument_outside_unit_disk_rejected(z):
     with pytest.raises(ValueError):
         f21(1, 1, 2.5, z)
-
-
-def test_request_validation():
-    with pytest.raises(ValueError):
-        Hyp2F1Request(a=math.nan, b=1, c=2, z=0.1)
-    with pytest.raises(ValueError):
-        Hyp2F1Request(a=1, b=complex(1, math.inf), c=2, z=0.1)
 
 
 def test_polynomial_termination():

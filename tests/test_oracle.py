@@ -12,9 +12,8 @@ import pytest
 import dengfan.oracle as oracle
 from dengfan import (BarrierParams, BoundaryNotDecayedError, DEFAULT_PARAMS,
                      IntegrationConfig, StepTooCoarseError, TABLE1, compute_rt,
-                     default_config, integrate_scatter, plane_wave_decompose,
-                     potential, scan)
-from dengfan.oracle import _CHUNK, _GAUSS, _LANES, _nodes
+                     default_config, integrate_scatter, potential, scan)
+from dengfan.oracle import _CHUNK, _GAUSS, _LANES, _nodes, plane_wave_decompose
 
 from helpers import magnus_loop_rt, reference_transmission
 
