@@ -73,6 +73,9 @@ class RunConfig:
     log_grid: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("e_min", "e_max"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
             raise ValueError("e_min and e_max must be finite")
         if not 0.0 < self.e_min < self.e_max:
@@ -466,7 +469,11 @@ def _write_tables(args, tables) -> int:
             for piece in pieces:
                 sys.stdout.write(piece)
         else:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
+            try:
+                fh = open(out, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise _UsageError(f"cannot write {out}: {exc.strerror}") from exc
+            with fh:
                 fh.writelines(pieces)
         if preset.survey:
             survey.append(_survey_line(tag or "run", v_max, columns))
@@ -478,9 +485,14 @@ def _write_tables(args, tables) -> int:
 def _report(args, tables) -> int:
     e_ref, t_ref, r_ref = np.array(TABLE1).T
     table = scan(e_ref, DEFAULT_PARAMS)
-    worst = max(np.max(np.abs(table.T - t_ref)), np.max(np.abs(table.R - r_ref)))
-    print(f"corrected matching reproduces Table 1: max deviation {worst:.3g}")
+    dev = np.abs([table.T - t_ref, table.R - r_ref])
+    print(f"corrected matching reproduces Table 1: max deviation {dev.max():.3g}")
     print()
+    # the table prints 6 significant digits: a row whose T or R is off by
+    # more than half a unit of the sixth offends (as does a failed one, nan)
+    missed = ~(dev <= 5.0 * 10.0 ** (np.floor(np.log10([t_ref, r_ref])) - 6))
+    offenders = [(e, f"Table 1: |dT|={dt:.3g}, |dR|={dr:.3g}") for e, (dt, dr), miss
+                 in zip(e_ref.tolist(), dev.T.tolist(), missed.any(axis=0).tolist()) if miss]
 
     [(_, (columns, failures, _))] = tables
     E, T, dT, uni = (columns[key] for key in ("E", "T", "delta_T", "unitarity_residual"))
@@ -491,7 +503,6 @@ def _report(args, tables) -> int:
         max_dt, max_rel_dt, max_dr, max_err = (np.fmax.reduce(a, initial=math.nan)
                                                for a in (dT, dT / T, dR, columns["T_err"]))
     max_uni = np.fmax.reduce(uni, initial=0.0)
-    offenders: list[tuple[float, str]] = []
     for i, (e, dt, dr, u) in enumerate(zip(E.tolist(), dT.tolist(), dR.tolist(), uni.tolist())):
         if i in failures:
             offenders.append((e, "{}: {}".format(*failures[i])))

@@ -156,14 +156,14 @@ _LOG_HALF_I = complex(math.log(0.5), 0.5 * math.pi)  # log(i/2)
 
 
 def _lngamma(z):
-    """log-gamma of the 1-D complex array z, which holds no poles, in slices
-    of _BLOCK_CELLS / 8 arguments: a slice's 8 Lanczos terms an argument
-    fill at most _BLOCK_CELLS cells, and its temporaries are small enough
-    that the allocator hands the same memory back from slice to slice.  Off
-    the negative real axis it is the principal branch (that of
+    """log-gamma of the 1-D complex array z, +inf at a pole of Gamma (z real,
+    zero or a negative integer) so that exp(-lngamma) = 1/Gamma = 0 there,
+    in slices of _BLOCK_CELLS / 8 arguments: a slice's 8 Lanczos terms an
+    argument fill at most _BLOCK_CELLS cells, and its temporaries are small
+    enough that the allocator hands the same memory back from slice to
+    slice.  Off the negative real axis it is the principal branch (that of
     scipy.special.loggamma); on it the imaginary part may be another
-    branch's, a multiple of 2 pi away, which exp (all the closed form takes
-    of it) does not see."""
+    branch's, a multiple of 2 pi away, which exp does not see."""
     step = _BLOCK_CELLS // len(_LANCZOS_C)
     if z.size <= step:
         return _lngamma_slice(z)
@@ -179,6 +179,11 @@ lngamma_complex = _lngamma
 
 
 def _lngamma_slice(z):
+    # a pole takes the argument 1 and then +inf
+    pole = _nonpositive_integer(z)
+    poles = np.count_nonzero(pole)
+    if poles:
+        z = np.where(pole, 1.0, z)
     # Re(z) < 1/2 reflects to 1 - w, where w is z or, for Im(z) < 0, its
     # conjugate (and the result is conjugated back)
     left = z.real < 0.5
@@ -207,23 +212,8 @@ def _lngamma_slice(z):
         out[left] = math.log(math.pi) - log_sin - out[left]
         if w is not z:
             np.conjugate(out, out=out, where=flip)
-    return out
-
-
-def _lngammas(*rows, poles: int):
-    """log-gamma of the 1-D arrays ``rows`` in one call, as one flat array in
-    row order.  The first ``poles`` rows, all of one length, are
-    denominators, +inf at a pole of Gamma (so that exp(-lngamma) = 1/Gamma
-    = 0 there); the other rows hold no poles."""
-    args = np.concatenate(rows)
-    den = args[:poles * rows[0].size]
-    pole = den.imag == 0.0
-    if np.count_nonzero(pole):
-        pole = _nonpositive_integer(den)
-        den[pole] = 1.0
-    out = _lngamma(args)
-    if np.count_nonzero(pole):
-        out[:den.size][pole] = np.inf
+    if poles:
+        out[pole] = np.inf
     return out
 
 
@@ -393,18 +383,21 @@ def _series_group(a, b, c, z):
         size = max(size, n)
 
 
-def _connection(a, b, c, s, ca, cb, u, f, peak):
-    """1-z connection values F and F' and the larger of their relative
-    rounding-error estimates, from the series sums and peak terms f, peak
-    of (F(a, b; 1-s; u), F(c-a, c-b; 1+s; u)), each with u times its
-    derivative, where s = c - a - b, ca = c - a, cb = c - b and u = 1 - z.
-    Its log-gammas are one ``_lngammas`` call.  From ``_DISTINCT_LANES``
-    lanes on, those of s and -s are taken once per distinct bit pattern of s
-    and indexed back to the lanes; a shorter batch, a lane of one included,
-    takes every lane's.  Each value is the one a lane alone gets."""
-    m, su = a.size, s * np.log(u)
+def _connection(a, b, c, s, u):
+    """1-z connection values F and F', the larger of their relative
+    rounding-error estimates, and the failures of the one ``_series`` call
+    over F(a, b; 1-s; u) and F(c-a, c-b; 1+s; u) (lane j % a.size's at j),
+    where s = c - a - b and u = 1 - z.  Its log-gammas are one ``_lngamma``
+    call.  From ``_DISTINCT_LANES`` lanes on, those of s and -s are taken
+    once per distinct bit pattern of s and indexed back to the lanes; a
+    shorter batch, a lane of one included, takes every lane's.  Each value
+    is the one a lane alone gets."""
+    m, ca, cb = a.size, c - a, c - b
+    f, peak, failed = _series(*(np.concatenate(row) for row in (
+        (a, ca), (b, cb), (1.0 - s, 1.0 + s), (u, u))))
+    su = s * np.log(u)
     ds, lane = (s, None) if m < _DISTINCT_LANES else _distinct(s)
-    lg = _lngammas(ca, cb, a, b, c, ds, -ds, poles=4)
+    lg = _lngamma(np.concatenate((ca, cb, a, b, c, ds, -ds)))
     # rows c - a, c - b, a, b, c of every lane; s and -s of each ds
     lg, ls = lg[:5 * m].reshape(5, m), lg[5 * m:].reshape(2, ds.size)
     if lane is not None:
@@ -425,7 +418,7 @@ def _connection(a, b, c, s, ca, cb, u, f, peak):
     err = np.abs(g) * (peak.reshape(2, m, 2) + np.abs(f).reshape(2, m, 2) * pen[:, None])
     err[1, :, 1] += np.abs(s) * err[1, :, 0]
     est = (err[0] + err[1]) / np.abs(out)
-    return out[:, 0], out[:, 1] / -u, np.maximum(est[:, 0], est[:, 1]) * _EPS
+    return out[:, 0], out[:, 1] / -u, np.maximum(est[:, 0], est[:, 1]) * _EPS, failed
 
 
 def gauss_2f1_lanes(a, b, c, z):
@@ -469,14 +462,9 @@ def gauss_2f1_lanes(a, b, c, z):
         ic = attempt.nonzero()[0]
         fallback = {}  # lane -> (F, F') of a rejected connection attempt
         if ic.size:
-            # first stage: both series of every attempt, F(a, b; 1-s; 1-z)
-            # and F(c-a, c-b; 1+s; 1-z), in one call
-            ac, bc, cc, sc, uc = ((a, b, c, s, u) if ic.size == a.size
-                                  else (a[ic], b[ic], c[ic], s[ic], u[ic]))
-            ca, cb = cc - ac, cc - bc
-            f, peak, failed = _series(*(np.concatenate(row) for row in (
-                (ac, ca), (bc, cb), (1.0 - sc, 1.0 + sc), (uc, uc))))
-            value, deriv, est = _connection(ac, bc, cc, sc, ca, cb, uc, f, peak)
+            # first stage: the connection formula on every attempt at once
+            value, deriv, est, failed = _connection(*(
+                (a, b, c, s, u) if ic.size == a.size else (a[ic], b[ic], c[ic], s[ic], u[ic])))
             ok = np.isfinite(value) & np.isfinite(deriv) & (est <= _CONNECTION_GATE)
             retry = ~ok
             # a series failure inside the attempt fails the lane

@@ -71,6 +71,8 @@ class BarrierParams:
     def __post_init__(self) -> None:
         for name in ("v0", "a", "x_e", "q", "q_tilde", "m"):
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.v0 < 0:

@@ -164,7 +164,7 @@ def _nodes(potential: Potential, m: float, cfg: IntegrationConfig, e_top: float)
     # an interval's rho^2, its wave term taken at the larger end so that a
     # peak inside it (x = 0 on tall barriers) still gets short steps
     wave = (2.0 * m) * (np.abs(v - e_top) + e_top) * np.clip(
-        np.abs(v) / e_top, _STRETCH ** -7, 1.0) ** (2.0 / 7.0)
+        np.minimum(np.abs(v), e_top) / e_top, _STRETCH ** -7, 1.0) ** (2.0 / 7.0)
     slope = np.where(jump, 0.0, (2.0 * m * _PILOT / cfg.x_max) * d) ** (2.0 / 3.0)
     rho = np.sqrt(np.maximum(wave[:, :-1], wave[:, 1:]) + slope)
     cum = np.pad(np.cumsum(rho * (cfg.x_max / _PILOT), axis=1), ((0, 0), (1, 0)))
@@ -253,7 +253,8 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
     grid graded for the highest of them; T, R and T_err are those of the
     nested pair (module docstring).  An energy fails with
     BoundaryNotDecayedError when V has not decayed at the edges, and with
-    StepTooCoarseError when T_err exceeds 1e-6 or it or R is not finite.
+    StepTooCoarseError when T_err exceeds 1e-6, it or R is not finite, or
+    |A|^2 overflows on either grid.
     One energy returns floats and raises its error; an array returns
     arrays, nan at a failed energy, and ``errors`` maps its index to its
     error.  ``potential`` must return an array of its argument's shape."""
@@ -286,7 +287,9 @@ def integrate_scatter(E: float | np.ndarray, potential: Potential, m: float,
             A, B = plane_wave_decompose(*state, k, -L)  # R = |B/A|^2 holds where |A|^2 overflows
             tr += [1.0 / (A.real * A.real + A.imag * A.imag), np.abs(B / A) ** 2]
         tf, rf, tc, rc = tr or np.empty((4, 0))
-        err = np.where(np.isfinite(rf + rc), np.abs(tf - tc) / 63.0, math.nan)
+        # T = 0 where |A|^2 overflows on a grid: T is below float range there
+        err = np.where(np.isfinite(rf + rc) & (tf > 0.0) & (tc > 0.0),
+                       np.abs(tf - tc) / 63.0, math.nan)
         ok = err <= _ERR_TOL
         i = lanes[ok]
         T[i], R[i] = (tf + (tf - tc) / 63.0)[ok], (rf + (rf - rc) / 63.0)[ok]

@@ -128,8 +128,8 @@ def _connection_values(monkeypatch):
     keyed by ({a, b}, c, 1 - z)."""
     seen, connection = {}, hyp2f1._connection
 
-    def recording(a, b, c, s, ca, cb, u, f, peak):
-        out = connection(a, b, c, s, ca, cb, u, f, peak)
+    def recording(a, b, c, s, u):
+        out = connection(a, b, c, s, u)
         for lane in zip(a.tolist(), b.tolist(), c.tolist(), u.tolist(), out[0].tolist()):
             seen[frozenset(lane[:2]), lane[2], lane[3]] = lane[4]
         return out

@@ -530,8 +530,13 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     (["scatter", "--config", "{cfg}"], '{"params": [1]}', "config 'params' must be a JSON object"),
     (["potential", "--n", "0"], None, "--n must be >= 1, got 0"),
     (["potential", "--xmin", "1", "--xmax", "0"], None, "--xmin 1.0 exceeds --xmax 0.0"),
+    (["scatter", "--config", "{cfg}"],
+     '{"params": {"v0": true}, "e_min": true, "e_max": 2, "n_points": 3}',
+     "invalid params: v0 must be a number, got True"),
+    (["scatter", "--config", "{cfg}"], '{"e_min": true, "e_max": 2, "n_points": 3}',
+     "invalid config: e_min must be a number, got True"),
 ], ids=["emin-nan", "output-format", "unreadable", "not-json", "not-object", "params-not-object",
-        "potential-n", "potential-x-range"])
+        "potential-n", "potential-x-range", "params-bool", "config-bool"])
 def test_settings_errors_exit_1_with_one_line(argv, contents, message, tmp_path, capsys):
     # a config file at "{cfg}", missing when contents is None
     cfg = tmp_path / "run.json"
@@ -540,6 +545,17 @@ def test_settings_errors_exit_1_with_one_line(argv, contents, message, tmp_path,
     code, out, err = run([arg.replace("{cfg}", str(cfg)) for arg in argv], capsys)
     assert (code, out) == (1, "")
     assert err == f"dengfan {argv[0]}: error: {message.replace('{cfg}', str(cfg))}\n"
+
+
+@pytest.mark.parametrize("argv, path, reason", [
+    (["scatter", "--table1"], "missing/t1.csv", "No such file or directory"),
+    (["potential", "--n", "3"], ".", "Is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_unwritable_output_exits_1_with_one_line(argv, path, reason, tmp_path, capsys):
+    out_path = str(tmp_path / path)
+    code, out, err = run(argv + ["--out", out_path], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"dengfan {argv[0]}: error: cannot write {out_path}: {reason}\n"
 
 
 def test_matching_mode_is_not_a_setting(tmp_path, capsys):
@@ -668,6 +684,19 @@ def test_verify_small_grid_passes(capsys):
     assert t_err.startswith("  max oracle T_err            = ")
     assert 0.0 < float(t_err.split("= ")[1]) <= 1e-10
     assert out.endswith("PASS\n")
+
+
+def test_verify_checks_table1_to_its_digits(monkeypatch, capsys):
+    # today every value is within half a unit of its 6th digit (at most
+    # |dR| = 4.63e-7 against 5e-7): one unit off in one row offends
+    rows = list(TABLE1)
+    E, T, R = rows[7]
+    rows[7] = (E, T, R + 1e-6)
+    monkeypatch.setattr(dengfan.cli, "TABLE1", tuple(rows))
+    code, out, _ = run(["verify", "--emin", "0.05", "--emax", "0.1", "--n", "2"], capsys)
+    assert code == 2
+    assert "\noffending energies:\n  E = 0.04: Table 1: |dT|=" in out
+    assert out.count("\n  E = ") == 1 and out.endswith("FAIL\n")
 
 
 def test_verify_coarse_oracle_step_fails(capsys):

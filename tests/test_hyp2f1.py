@@ -201,8 +201,8 @@ def test_against_bruteforce_reference(monkeypatch):
         got = f21(a, b, c, z)
         ref = hyp2f1_bruteforce(a, b, c, z)
         assert got == pytest.approx(ref, rel=5e-13)
-    # c - b = -1 exactly: the connection's 1/Gamma(c - b) is a denominator
-    # pole of _lngammas, so that term is 0.  F and F' come out 1.9e-15 and
+    # c - b = -1 exactly: the connection's 1/Gamma(c - b) is a pole of
+    # _lngamma, +inf, so that term is 0.  F and F' come out 1.9e-15 and
     # 1.7e-15 off
     calls = connection_calls(monkeypatch)
     a, b, c, z = 0.25, 2.5, 1.5, 0.85

@@ -179,6 +179,13 @@ def test_deformation_per_side():
     # (a q)^2 underflows to 0, and at 1e-160 the well term overflows
     dict(q=1e-200, q_tilde=1e-200),
     dict(q_tilde=1e-160),
+    # a boolean is not a number, though it is an int
+    dict(v0=True),
+    dict(a=True),
+    dict(x_e=True),
+    dict(q=True),
+    dict(q_tilde=True),
+    dict(m=True),
 ])
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):

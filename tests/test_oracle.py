@@ -245,10 +245,19 @@ _T_ERR_CASES = {
     "high-600": (DEFAULT_PARAMS, [600.0], 50.0),
     "tall-0.999-3e3": (BarrierParams(q=0.999, q_tilde=0.999), [3e3], None),
     "tall-0.999-3e4": (BarrierParams(q=0.999, q_tilde=0.999), [3e4], None),
+    "low-edge": (DEFAULT_PARAMS, [1.25e-6, 2.5e-6], None),
 }
+# at E/v0 = 1e-6 and 2e-6, the box's lower edge, the mpmath reference gives T
+# = 0.04165850355206981 and 0.08158641321270635, the closed form within 2e-14
+_LOW_EDGE = pytest.mark.xfail(strict=True, reason=(
+    "at E/v0 = 1e-6 and 2e-6 the oracle, on 966 fine steps, is 2.20e-6 and 2.15e-6 "
+    "off while T_err/T reads 2.69e-7 and 2.63e-7, 8.2x too low; at step 0.01 the "
+    "error falls 38x, not 2^6 = 64x, so the default pair is pre-asymptotic "
+    "(CHANGES.md, FOUND: oracle.py T_err at the low edge)"))
 
 
-@pytest.mark.parametrize("case", list(_T_ERR_CASES))
+@pytest.mark.parametrize("case", [pytest.param(case, marks=_LOW_EDGE if case == "low-edge" else ())
+                                  for case in _T_ERR_CASES])
 def test_t_err_bounds_the_error(case):
     params, energies, seed = _T_ERR_CASES[case]
     pot = lambda x: potential(x, params)
@@ -399,6 +408,22 @@ def test_overflowing_march_raises_cleanly(step):
         with pytest.raises(StepTooCoarseError,
                            match="^T error estimate nan .*, or T is below float range$"):
             integrate_scatter(50.0, lambda x: 1e5 * barrier(x), 1.0, cfg)
+
+
+def test_subnormal_energies_fail_below_float_range():
+    # at E = 1e-320 the closed form gives T = 3.404e-316 (T/E = 3.40414e4
+    # from 1e-30 down), but |A|^2 = 1/T overflows: the lane fails rather
+    # than read T = 0.  The second call's highest energy lies below 1e-309,
+    # where |V| / E_top overflows, and grades its grid with no RuntimeWarning
+    cfg = default_config(np.array([1e-320, 1e-310, 1e-300]), barrier, x_max_seed=50.0)
+    for energies in ([1e-320, 1e-310, 1e-300], [1e-320, 1e-310]):
+        res = integrate_scatter(np.array(energies), barrier, 1.0, cfg)
+        assert list(res.errors) == [0] and isinstance(res.errors[0], StepTooCoarseError)
+        assert str(res.errors[0]).endswith(", or T is below float range")
+        assert np.isnan(res.T[0]) and np.isnan(res.T_err[0])
+        assert res.T[1:] / np.array(energies[1:]) == pytest.approx(3.40414e4, rel=1e-4)
+    with pytest.raises(StepTooCoarseError, match="or T is below float range$"):
+        integrate_scatter(1e-320, barrier, 1.0, cfg)
 
 
 def test_boundary_not_decayed_raises():
