@@ -327,12 +327,38 @@ _JSON_BATCH = 256
 _DISTINCT_ROWS = 64
 
 
+def _json_echo(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=True,
+    default=vars) for a dict or dataclass of scalars and of such objects,
+    byte for byte, with pad (a newline and spaces) for each newline.  Each
+    run of scalar items is one call of the C encoder, whose item separator
+    carries the indent; any indent would select the pure-Python encoder."""
+    items = sorted((obj if isinstance(obj, dict) else vars(obj)).items())
+    if not items:
+        return "{}"
+    inner = pad + "  "
+    flat = json.JSONEncoder(allow_nan=True, separators=("," + inner, ": "))
+    texts, run = [], {}
+    for key, value in items:
+        if isinstance(value, (str, int, float)) or value is None:
+            run[key] = value
+            continue
+        if run:
+            texts.append(flat.encode(run)[1:-1])
+            run = {}
+        texts.append(flat.encode(key) + ": " + _json_echo(value, inner))
+    if run:
+        texts.append(flat.encode(run)[1:-1])
+    return "{" + inner + ("," + inner).join(texts) + pad + "}"
+
+
 def _json_pieces(config, columns: dict[str, np.ndarray]) -> Iterator[str]:
     """json.dumps({"config": config, "rows": [dict(zip(columns, row)) for row
     in zip(*columns.values())]}, indent=2, sort_keys=True, allow_nan=True)
     plus a newline, byte for byte, in pieces of at most ``_JSON_BATCH`` rows;
-    a dataclass in ``config`` is written as the dict of its fields, as
-    ``dataclasses.asdict`` gives it, without its deep copy.
+    ``config`` goes out by ``_json_echo``, which writes a dataclass in it as
+    the dict of its fields, as ``dataclasses.asdict`` gives it, without its
+    deep copy.
     The columns are float64 arrays of one length.  A piece's values, row by
     row in sorted-key order, are formatted by one encoder call, whose output
     splits on commas and fills one %-template of the rows' indented layout.
@@ -340,8 +366,7 @@ def _json_pieces(config, columns: dict[str, np.ndarray]) -> Iterator[str]:
     pattern of the piece once (-0.0 and 0.0 stay apart), and the values
     take their texts by index: a fig4 curve's 8 pieces format 8,046 of its
     10,000 values.  Only one piece's texts are held at a time."""
-    head = json.dumps(config, indent=2, sort_keys=True, allow_nan=True, default=vars)
-    yield '{\n  "config": ' + head.replace("\n", "\n  ") + ',\n  "rows": '
+    yield '{\n  "config": ' + _json_echo(config, "\n  ") + ',\n  "rows": '
     keys = sorted(columns)
     n = len(columns[keys[0]]) if keys else 0
     if not n:

@@ -10,20 +10,23 @@ call each:
   Hyp2F1Error, and a lane whose c is zero or a negative integer with
   PoleAtCError;
 * the first stage: for 0.7 <= |z| and |1-z| < 1, when c - a - b is not
-  within 1e-6 of an integer, the lane tries the 1-z connection formula,
+  within 1e-6 of an integer, the lane may try the 1-z connection formula,
   differentiated term by term for F', whose two series in 1-z are summed
-  for every such lane together.  Its two terms can lose precision
-  (internal term growth, outer cancellation), so the lane keeps it only
-  when the error estimates of F and F' both stay within
-  ``_CONNECTION_GATE`` (5e-14); a lane whose series fails there fails;
-* the second stage: every other lane, a rejected attempt included, sums
-  the power series F = sum t_n, t_n = (a)_n (b)_n / ((c)_n n!) z^n, and
-  z F' = sum n t_n together in blocks of terms until two consecutive terms
-  of both drop below ``_REL_TOL`` (1e-15) of their sums, within
-  ``_MAX_TERMS`` (20,000).  Where a rejected attempt's series fails too
-  (near z = 1 it needs more than ``_MAX_TERMS`` terms), the lane keeps the
-  connection values if their estimate is within ``_FALLBACK_GATE`` (1e-12)
-  rather than fail;
+  for every attempt together.  Its two terms can lose precision (internal
+  term growth, outer cancellation), so the lane keeps it only when the
+  error estimates of F and F' both stay within ``_CONNECTION_GATE``
+  (5e-14); a lane whose series fails there fails.  The estimate is at
+  least eps * pen, pen from the parameters alone (``_penalty``): a lane
+  skips the attempt where that floor is past the gate, or past half of it
+  at |z| <= 0.85, where the series below stops within about 250 terms;
+* the second stage: every other lane, a rejected or skipped attempt
+  included, sums the power series F = sum t_n, t_n = (a)_n (b)_n / ((c)_n
+  n!) z^n, and z F' = sum n t_n together in blocks of terms until two
+  consecutive terms of both drop below ``_REL_TOL`` (1e-15) of their sums,
+  within ``_MAX_TERMS`` (20,000).  Where that fails too (near z = 1 it
+  needs more), a lane that may try the connection formula makes the
+  attempt (again) and keeps its values if their estimate is within
+  ``_FALLBACK_GATE`` (1e-12) rather than fail;
 * log-gamma via the Lanczos approximation (g = 7, 9 coefficients) with a
   branch-tracked reflection formula for Re(z) < 1/2, element by element.
   The connection formula's log-gammas of a batch are one call, which from
@@ -65,6 +68,9 @@ _CONNECTION_GATE = 5e-14
 # values below this estimate: the accuracy those users need, and better
 # than no value
 _FALLBACK_GATE = 1e-12
+# ``_connection``'s estimate is at least eps * ``_penalty``, less its own
+# rounding (about 11 ulps at most): from this penalty on it misses the gate
+_HOPELESS_PEN = _CONNECTION_GATE / _EPS * (1.0 + 16 * _EPS)
 
 # a connection batch of at least this many lanes takes the log-gammas of s
 # and -s once per distinct s; on a shorter one the sort costs more than it
@@ -383,15 +389,23 @@ def _series_group(a, b, c, z):
         size = max(size, n)
 
 
-def _connection(a, b, c, s, u):
+def _penalty(a, b, c, s, u):
+    """The gamma-argument penalty of ``_connection``'s error model, where
+    s = c - a - b and u = 1 - z.  The model's estimate is at least eps times
+    it, since the outer cancellation that amplifies it is at least 1."""
+    return 2.0 + 1.2 * np.add.accumulate(np.abs(np.concatenate(
+        (c, s, c - a, c - b, a, b, s * np.log(u)))).reshape(7, a.size), axis=0)[-1]
+
+
+def _connection(a, b, c, s, u, pen):
     """1-z connection values F and F', the larger of their relative
     rounding-error estimates, and the failures of the one ``_series`` call
     over F(a, b; 1-s; u) and F(c-a, c-b; 1+s; u) (lane j % a.size's at j),
-    where s = c - a - b and u = 1 - z.  Its log-gammas are one ``_lngamma``
-    call.  From ``_DISTINCT_LANES`` lanes on, those of s and -s are taken
-    once per distinct bit pattern of s and indexed back to the lanes; a
-    shorter batch, a lane of one included, takes every lane's.  Each value
-    is the one a lane alone gets."""
+    where s = c - a - b, u = 1 - z and pen is ``_penalty``'s.  Its
+    log-gammas are one ``_lngamma`` call.  From ``_DISTINCT_LANES`` lanes
+    on, those of s and -s are taken once per distinct bit pattern of s and
+    indexed back to the lanes; a shorter batch, a lane of one included,
+    takes every lane's.  Each value is the one a lane alone gets."""
     m, ca, cb = a.size, c - a, c - b
     f, peak, failed = _series(*(np.concatenate(row) for row in (
         (a, ca), (b, cb), (1.0 - s, 1.0 + s), (u, u))))
@@ -413,8 +427,6 @@ def _connection(a, b, c, s, u):
     # plus 2 eps of itself, each term by the gamma-argument penalty (log-gamma
     # loses about eps * |argument|, which exp makes relative); relative to
     # |F| and |u F'|, outer cancellation of the two terms amplifies it all
-    pen = 2.0 + 1.2 * np.add.accumulate(np.abs(np.concatenate((c, s, ca, cb, a, b, su)))
-                                        .reshape(7, m), axis=0)[-1]
     err = np.abs(g) * (peak.reshape(2, m, 2) + np.abs(f).reshape(2, m, 2) * pen[:, None])
     err[1, :, 1] += np.abs(s) * err[1, :, 0]
     est = (err[0] + err[1]) / np.abs(out)
@@ -457,17 +469,17 @@ def gauss_2f1_lanes(a, b, c, z):
                           for i in pole.nonzero()[0].tolist())
             series &= ~pole
         s = c - a - b
-        attempt = (series & (az >= 0.7) & (np.abs(u) < 1.0)
-                   & ~(np.abs(s - np.rint(s.real)) < 1e-6))
-        ic = attempt.nonzero()[0]
-        fallback = {}  # lane -> (F, F') of a rejected connection attempt
-        if ic.size:
-            # first stage: the connection formula on every attempt at once
+        near = (series & (az >= 0.7) & (np.abs(u) < 1.0)
+                & ~(np.abs(s - np.rint(s.real)) < 1e-6))
+
+        def attempt(ic, gate):
+            # lanes ic try the connection formula, keep it within gate and
+            # fail where its series fails; returns the rejected ones' mask
             value, deriv, est, failed = _connection(*(
-                (a, b, c, s, u) if ic.size == a.size else (a[ic], b[ic], c[ic], s[ic], u[ic])))
-            ok = np.isfinite(value) & np.isfinite(deriv) & (est <= _CONNECTION_GATE)
+                (a, b, c, s, u, pen) if ic.size == a.size
+                else (a[ic], b[ic], c[ic], s[ic], u[ic], pen[ic])))
+            ok = np.isfinite(value) & np.isfinite(deriv) & (est <= gate)
             retry = ~ok
-            # a series failure inside the attempt fails the lane
             for j in sorted(failed):
                 i = int(ic[j % ic.size])
                 errors.setdefault(i, _lane_error(
@@ -475,13 +487,20 @@ def gauss_2f1_lanes(a, b, c, z):
                 ok[j % ic.size] = retry[j % ic.size] = False
             done = ic[ok]
             values[done], derivs[done] = value[ok], deriv[ok]
-            # a rejected attempt sums the plain series after all, and keeps
-            # the connection values within _FALLBACK_GATE if that fails too
-            series[ic[~retry]] = False
-            spare = retry & np.isfinite(value) & np.isfinite(deriv) & (est <= _FALLBACK_GATE)
-            fallback = dict(zip(ic[spare].tolist(), zip(value[spare], deriv[spare])))
-        # second stage: the plain series of every other lane and of the
-        # rejected attempts, in one call
+            return retry
+
+        if np.count_nonzero(near):
+            # first stage: the connection formula on every lane near z = 1
+            # but those whose floor eps * pen skips it; a rejected attempt
+            # sums the plain series after all
+            pen = _penalty(a, b, c, s, u)
+            hopeful = near if pen.max() <= 0.5 * _HOPELESS_PEN else near & (
+                pen <= np.where(az > 0.85, _HOPELESS_PEN, 0.5 * _HOPELESS_PEN))
+            first = hopeful.nonzero()[0]
+            if first.size:
+                series[first[~attempt(first, _CONNECTION_GATE)]] = False
+        # second stage: the plain series of every other lane, the rejected
+        # and skipped attempts among them, in one call
         idx = series.nonzero()[0]
         if idx.size:
             f, _, failed = _series(a[idx], b[idx], c[idx], z[idx])
@@ -490,11 +509,17 @@ def gauss_2f1_lanes(a, b, c, z):
             zero = idx[z[idx] == 0]
             if zero.size:
                 derivs[zero] = a[zero] * b[zero] / c[zero]
-            for i, what in zip(idx[list(failed)].tolist(), failed.values()):
-                if i in fallback:
-                    values[i], derivs[i] = fallback[i]
-                else:
-                    errors[i] = _lane_error(NoConvergenceError, f"series {what}", *given, i)
+            if failed:
+                # where that fails too, a lane the connection formula can
+                # take makes the attempt (again), kept within _FALLBACK_GATE
+                lost = idx[list(failed)]
+                late = near[lost]
+                if np.count_nonzero(late):
+                    late[late] = ~attempt(lost[late], _FALLBACK_GATE)
+                for i, what, kept in zip(lost.tolist(), failed.values(), late.tolist()):
+                    if not kept:
+                        errors.setdefault(i, _lane_error(NoConvergenceError, f"series {what}",
+                                                         *given, i))
     if errors:
         values[list(errors)] = derivs[list(errors)] = np.nan
     return values, derivs, errors

@@ -56,9 +56,10 @@ class BarrierParams:
     The package is checked on the box v0 in [0.05, 2.5], a in [0.5, 1.6],
     x_e in [0, 1.2], m in [0.5, 1.5], 1 - q and 1 - q_tilde in [1e-3, 0.7]
     and E/v0 in [1e-6, 1e2].  Energies have an upper edge, which moves with
-    q (``compute_rt``): at the defaults a 2F1 series overflows from E/V_max
-    = 4.01e4 (E/v0 = 7.7e5) on, and at q = q_tilde = 0.999 one does not
-    converge from E/V_max = 0.09 (E/v0 = 7.2e4) on; both lie above the box.
+    q (``compute_rt``): at the defaults T is right up to E/V_max = 1e20
+    and fails at some energies from 5.5e34 (E/v0 = 1e36) on, and at q =
+    q_tilde = 0.999 a 2F1 series does not converge from E/V_max = 0.0895
+    (E/v0 = 7.2e4) on; both lie above the box.
     """
 
     v0: float = 1.25

@@ -187,14 +187,18 @@ def compute_rt(E: float, params: BarrierParams) -> ScatteringResult:
     ``Hyp2F1Error`` is raised.
 
     The energy range has an upper edge, and it moves with q.  At the
-    default parameters, E/V_max = 4e4 still returns T = 0.9999999999999976
-    (about 2 ms), while from E/V_max = 4.01e4 on (1e5 included) a 2F1
-    series overflows and ``NoConvergenceError``, a ``Hyp2F1Error``, is
-    raised; there is no asymptotic T -> 1 branch.  At q = q_tilde = 0.999,
+    default parameters, E/V_max = 4e4, 1e5 and 1e6 return T within 2.2e-16
+    of the 40-digit reference (about 1.5 ms each), and every E/V_max up to
+    1e20 returns T within 9e-16 of 1.  From E/V_max = 5.5e34 (E/v0 = 1e36)
+    on, where the side coefficients have lost their digits, some energies
+    raise ``NoConvergenceError`` (a 2F1 series overflows) and some return T
+    = nan; there is no asymptotic T -> 1 branch.  At q = q_tilde = 0.999,
     the other parameters at their defaults (V_max = 1.0046e6), E/V_max =
-    0.089 returns T = 0.00147, while from E/V_max = 0.09 (E = 9.0e4, E/v0 =
-    7.2e4) on a 2F1 series does not converge in its 20,000 terms.  Both
-    edges lie above the checked box's E/v0 <= 1e2 (``BarrierParams``).
+    0.089 returns T = 0.00147, while from E/V_max = 0.0895 (E = 9.0e4, E/v0
+    = 7.2e4) on a 2F1 series does not converge in its 20,000 terms and the
+    1-z connection formula misses its fallback gate, so
+    ``NoConvergenceError``, a ``Hyp2F1Error``, is raised.  Both edges lie
+    above the checked box's E/v0 <= 1e2 (``BarrierParams``).
     """
     if np.ndim(E) != 0:
         raise ValueError(f"E must be one energy, got shape {np.shape(E)}; scan takes a grid")

@@ -5,6 +5,7 @@ its batch alone, neither the series' block size, layout or lane groups nor
 a second thread changes a value, and the kernels bound a scan's memory and
 keep it mapped from scan to scan."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,8 +24,14 @@ from dengfan import (BarrierParams, DEFAULT_PARAMS, Hyp2F1Error, NoConvergenceEr
                      match_coefficients, scan, side_coefficients, solve_amplitudes)
 
 from helpers import hyp2f1_bruteforce
+from test_manifest import MANIFEST, _grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# q = q_tilde = 0.999, the other parameters at their defaults: from E/V_max
+# = 0.0895 on a 2F1 series does not converge in its 20,000 terms, nor does
+# the connection formula meet _FALLBACK_GATE
+EDGE = BarrierParams(q=0.999, q_tilde=0.999)
 
 
 def _outcome(E, params):
@@ -51,8 +58,7 @@ def _group_energies():
 
 def _grids():
     chunk = _group_energies()
-    v = barrier_top(DEFAULT_PARAMS)
-    # up to E/V_max = 1e5, where the series overflows: the top energies fail
+    v, v_edge = barrier_top(DEFAULT_PARAMS), barrier_top(EDGE)
     wide = np.geomspace(1e-6 * v, 1e5 * v, chunk + 1)
     rng = np.random.default_rng(41)
     sub = np.sort(rng.choice(wide, size=97, replace=False))
@@ -61,7 +67,8 @@ def _grids():
     cases = [
         ("chunk-1", DEFAULT_PARAMS, np.geomspace(1e-6 * v, 0.5 * v, chunk - 1)),
         ("chunk", DEFAULT_PARAMS, np.linspace(0.025 * v, 5 * v, chunk)),
-        ("chunk+1", DEFAULT_PARAMS, wide),
+        # up to E/V_max = 1, past the edge: the top energies fail
+        ("chunk+1", EDGE, np.geomspace(1e-6 * v_edge, v_edge, chunk + 1)),
         ("shuffled-sub-grid", DEFAULT_PARAMS, sub),
         ("asymmetric", asym, np.geomspace(1e-4, 50.0, 120)),
         ("q-0.99", near_one, np.geomspace(1e-4, 50.0, 120)),
@@ -82,14 +89,14 @@ def test_scan_equals_compute_rt_bit_for_bit(name, params, grid):
 
 
 def test_scan_keys_failures_past_the_first_chunk_by_grid_index():
-    # the energies above E/V_max = 4e4, all past index 512, fail with
-    # NoConvergenceError: a connection series overflows, the second series
-    # of each energy in the second series group
+    # the energies past EDGE's edge, all past index 512, fail with
+    # NoConvergenceError: a plain series does not converge, the second
+    # series of each energy in the second series group
     chunk = _group_energies()
-    v = barrier_top(DEFAULT_PARAMS)
-    grid = np.geomspace(1e-3 * v, 1e5 * v, chunk + 44)
-    res = scan(grid, DEFAULT_PARAMS)
-    outcomes = [_outcome(float(E), DEFAULT_PARAMS) for E in grid]
+    v = barrier_top(EDGE)
+    grid = np.geomspace(1e-3 * v, 0.12 * v, chunk + 44)
+    res = scan(grid, EDGE)
+    outcomes = [_outcome(float(E), EDGE) for E in grid]
     want = {i: kind for i, kind in enumerate(outcomes) if isinstance(kind, str)}
     assert {i: type(exc).__name__ for i, exc in res.errors.items()} == want
     assert set(want.values()) == {"NoConvergenceError"}
@@ -105,14 +112,14 @@ def test_scan_keys_failures_past_the_first_chunk_by_grid_index():
 
 
 def test_scan_joins_its_batches_in_grid_order():
-    # one batch and 44 energies, whose last 64 fail (above E/V_max = 4e4):
-    # 20 in the first batch, 44 in the second
+    # one batch and 44 energies, whose last 64 fail (past EDGE's edge): 20
+    # in the first batch, 44 in the second
     chunk = scatter._CHUNK
-    v = barrier_top(DEFAULT_PARAMS)
-    grid = np.concatenate([np.geomspace(1e-3 * v, 0.5 * v, chunk - 20),
-                           np.geomspace(5e4 * v, 1e5 * v, 64)])
-    res = scan(grid, DEFAULT_PARAMS)
-    parts = [solve_amplitudes(match_coefficients(grid[lo:lo + chunk], DEFAULT_PARAMS))
+    v = barrier_top(EDGE)
+    grid = np.concatenate([np.geomspace(1e-6 * v, 1e-3 * v, chunk - 20),
+                           np.geomspace(0.1 * v, 0.3 * v, 64)])
+    res = scan(grid, EDGE)
+    parts = [solve_amplitudes(match_coefficients(grid[lo:lo + chunk], EDGE))
              for lo in (0, chunk)]
     for name in ("E", "r_amp", "t_amp", "R", "T", "unitarity_residual"):
         want = np.concatenate([getattr(part, name) for part in parts])
@@ -128,8 +135,8 @@ def _connection_values(monkeypatch):
     keyed by ({a, b}, c, 1 - z)."""
     seen, connection = {}, hyp2f1._connection
 
-    def recording(a, b, c, s, u):
-        out = connection(a, b, c, s, u)
+    def recording(a, b, c, s, u, pen):
+        out = connection(a, b, c, s, u, pen)
         for lane in zip(a.tolist(), b.tolist(), c.tolist(), u.tolist(), out[0].tolist()):
             seen[frozenset(lane[:2]), lane[2], lane[3]] = lane[4]
         return out
@@ -142,8 +149,9 @@ def _lane_errors(monkeypatch, energies_over_vmax, zs):
     """The matching step's parameter families (zeta1 and zeta2 at default
     parameters) at the given E/V_max and z, evaluated as one batch: each
     lane's path and the relative errors of F and F' against the 40-digit
-    series, F' = (ab/c) F(a+1, b+1; c+1; z).  A lane took the connection
-    formula when its value is the one ``_connection`` returned for it."""
+    series, F' = (ab/c) F(a+1, b+1; c+1; z).  A lane at |z| >= 0.7 skipped
+    the connection formula when ``_connection`` never saw it, and took it
+    when its value is the one ``_connection`` returned for it."""
     v = barrier_top(DEFAULT_PARAMS)
     sc, _ = side_coefficients(np.asarray(energies_over_vmax) * v, DEFAULT_PARAMS)
     lanes = []
@@ -160,6 +168,8 @@ def _lane_errors(monkeypatch, energies_over_vmax, zs):
         if abs(zi) < 0.7:
             path = "series |z| < 0.7"
             assert tried not in seen
+        elif tried not in seen:
+            path = "connection skipped -> series"
         elif value == seen[tried]:
             path = "connection accepted"
         else:
@@ -172,15 +182,17 @@ def _lane_errors(monkeypatch, energies_over_vmax, zs):
 
 def test_lane_paths_against_bruteforce(monkeypatch):
     # at z = 0.8 on fig3 energies the connection is accepted below
-    # E/V_max = 3.3 and rejected above; z = 0.45 takes the series.  The
-    # accepted lanes between E/V_max = 1 and 3.3 are the next test's.
-    lanes = _lane_errors(monkeypatch, np.concatenate([np.linspace(0.05, 0.9, 5),
+    # E/V_max = 1.42, rejected up to 2 and skipped above, where its
+    # estimate's floor passes half the gate; z = 0.45 takes the series.
+    # The accepted lanes between E/V_max = 1 and 1.42 are the next test's.
+    lanes = _lane_errors(monkeypatch, np.concatenate([np.linspace(0.05, 0.9, 5), [1.6, 1.9],
                                                       np.linspace(3.6, 5.0, 5)]), (0.8, 0.45))
     for path, err, derr in lanes:
         assert err <= 1e-13, path
         assert derr <= 1e-13, path
     assert {path for path, _, _ in lanes} == {
-        "series |z| < 0.7", "connection accepted", "connection rejected -> series"}
+        "series |z| < 0.7", "connection accepted", "connection rejected -> series",
+        "connection skipped -> series"}
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -193,9 +205,94 @@ def test_accepted_connection_between_1_and_3_3_vmax(monkeypatch):
     assert max(accepted) <= 1e-13
 
 
+def test_attempted_lanes_meet_both_skip_conditions(monkeypatch):
+    # over fig3, fig4 and the 192 q-sweep sets, every lane that makes the
+    # connection attempt before its plain series has an estimate floor
+    # eps * pen within the gate, and within half of it where |z| <= 0.85.
+    # Without errors, a plain series that fails is followed by the late
+    # attempt of its failed lanes, which the recorder leaves out
+    seen, late, series, connection = [], [False], hyp2f1._series, hyp2f1._connection
+
+    def recording_series(*args):
+        out = series(*args)
+        late[0] |= bool(out[2])
+        return out
+
+    def recording(a, b, c, s, u, pen):
+        assert pen.tobytes() == hyp2f1._penalty(a, b, c, s, u).tobytes()
+        if not late[0]:
+            seen.append((pen * hyp2f1._EPS, np.abs(1.0 - u)))
+        out = connection(a, b, c, s, u, pen)
+        late[0] = False
+        return out
+
+    monkeypatch.setattr(hyp2f1, "_series", recording_series)
+    monkeypatch.setattr(hyp2f1, "_connection", recording)
+    curves = json.loads(MANIFEST.read_text())["scan"]
+    names = [name for name in curves if name.startswith(("paper/fig", "q-sweep/"))]
+    assert len(names) == 4 + 192
+    for name in names:
+        assert not scan(_grid(curves[name]), BarrierParams(**curves[name]["params"])).errors
+    floor, az = (np.concatenate(col) for col in zip(*seen))
+    assert floor.size > 10_000
+    assert floor.max() <= hyp2f1._CONNECTION_GATE
+    assert floor[az <= 0.85].max() <= hyp2f1._CONNECTION_GATE / 2
+
+
+def test_skipped_lane_is_its_plain_series_bit_for_bit(monkeypatch):
+    # floors past half the gate at z = 0.8 (E/V_max = 3) and past the gate
+    # (10 and 1e5), and past the gate at z = 0.9 (q = 0.9, E/V_max = 100):
+    # no lane makes the attempt, and each is the plain series' sums
+    v, wide = barrier_top(DEFAULT_PARAMS), BarrierParams(q=0.9, q_tilde=0.9)
+    lanes = [lane for r in (3.0, 10.0, 1e5) for lane in _path_lanes(r * v, DEFAULT_PARAMS)]
+    lanes += _path_lanes(100.0 * barrier_top(wide), wide)
+    a, b, c, z = (np.array(col, dtype=complex) for col in zip(*lanes))
+    seen = _connection_values(monkeypatch)
+    values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
+    assert not errors and not seen
+    # gauss_2f1_lanes sums each lane in its canonical (a, b) order
+    swap = b < a
+    sums, _, failed = hyp2f1._series(np.where(swap, b, a), np.where(swap, a, b), c, z)
+    assert not failed
+    assert values.tobytes() == sums[:, 0].tobytes()
+    assert derivs.tobytes() == (sums[:, 1] / z).tobytes()
+
+
+def test_skipped_lane_whose_series_fails_keeps_the_fallback(monkeypatch):
+    # at q = 0.9985 (E/V_max = 1e-3 and 1e-2) the floor is past the gate,
+    # so the lanes skip the attempt; their plain series run out of terms,
+    # and only then do they make it and keep its values (within
+    # _FALLBACK_GATE)
+    near = BarrierParams(q=0.9985, q_tilde=0.9985)
+    lanes = [lane for r in (1e-3, 1e-2) for lane in _path_lanes(r * barrier_top(near), near)]
+    a, b, c, z = (np.array(col, dtype=complex) for col in zip(*lanes))
+    calls, series, connection = [], hyp2f1._series, hyp2f1._connection
+
+    def recording_series(*args):
+        out = series(*args)
+        calls.append(("series", args[0].size, len(out[2])))
+        return out
+
+    def recording(*args):
+        out = connection(*args)
+        calls.append(("connection", args[0].size, out))
+        return out
+
+    monkeypatch.setattr(hyp2f1, "_series", recording_series)
+    monkeypatch.setattr(hyp2f1, "_connection", recording)
+    values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
+    assert not errors
+    # the plain series of all 4 lanes fail; then the attempt's two series
+    assert calls[:2] == [("series", 4, 4), ("series", 8, 0)]
+    (kind, size, (value, deriv, est, failed)), = calls[2:]
+    assert (kind, size, failed) == ("connection", 4, {})
+    assert (est <= hyp2f1._FALLBACK_GATE).all() and (est > hyp2f1._CONNECTION_GATE).all()
+    assert values.tobytes() == value.tobytes() and derivs.tobytes() == deriv.tobytes()
+
+
 def test_failing_lane_leaves_batch_unchanged(monkeypatch):
-    # BarrierParams(a=20) at E = 0.05 overflows a gamma ratio of the
-    # connection and then the series: its lanes fail, the others must not
+    # BarrierParams(a=20) at E = 0.05 overflows the series and then a
+    # gamma ratio of the connection: its lanes fail, the others must not
     # move.  Beside them: a pole in c, a degenerate c - a - b = 1 at
     # |z| >= 0.7 (never handed to the connection formula) and |z| < 0.7.
     def family_lanes(E, params):
@@ -215,7 +312,8 @@ def test_failing_lane_leaves_batch_unchanged(monkeypatch):
                   for i in range(4))
     seen = _connection_values(monkeypatch)
     values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
-    # the 20 lanes at z = q = 0.8 try the connection formula, and no other
+    # the 20 lanes at z = q = 0.8 try the connection formula (the a = 20
+    # lanes after their series failed), and no other
     assert len(seen) == 20 and (frozenset((1.0, 1.0)), 3.0, 1.0 - 0.85) not in seen
     assert isinstance(errors[12], PoleAtCError)
     failed_lanes = set(errors) - {12}
@@ -257,14 +355,15 @@ def test_mixed_barrier_batch_equals_lanes_alone(monkeypatch):
     monkeypatch.setattr(hyp2f1, "_connection", recording)
     values, derivs, errors = gauss_2f1_lanes(a, b, c, z)
     assert not errors and a.size == 100
-    # the 80 lanes at z >= 0.7 try the connection, with 4 rows' s among them
+    # 78 of the 80 lanes at z >= 0.7 try the connection, with 4 rows' s
+    # among them; the other 2 skip it
     (s,) = calls
-    assert s.size == 80 >= hyp2f1._DISTINCT_LANES and len({x.tobytes() for x in s}) >= 4
+    assert s.size == 78 >= hyp2f1._DISTINCT_LANES and len({x.tobytes() for x in s}) >= 4
     for i in range(a.size):
         alone = gauss_2f1_lanes(a[i:i + 1], b[i:i + 1], c[i:i + 1], z[i:i + 1])
         assert alone[0].tobytes() == values[i:i + 1].tobytes(), i
         assert alone[1].tobytes() == derivs[i:i + 1].tobytes(), i
-    assert len(calls) == 1 + 80
+    assert len(calls) == 1 + 78
 
 
 def test_scan_memory_is_bounded_by_chunking():
@@ -332,14 +431,16 @@ def _path_lanes(E, params, z=None):
 
 
 def _every_series_path():
-    """One batch over every way a lane is summed: accepted (E/V_max = 0.1)
-    and rejected (2) connection attempts at q = 0.8; |z| = 0.45; q = 0.9985,
-    where a rejected attempt's series takes thousands of terms (E/V_max =
-    1e-3) or fails, keeping the attempt's values (1e-2); two lanes that
-    overflow (a = 20) and one that runs out of terms."""
+    """One batch over every way a lane is summed: accepted (E/V_max = 0.05
+    to 1) and rejected (1.6) connection attempts at q = 0.8, and a skipped
+    one (3); |z| = 0.45; q = 0.9985, where a skipped attempt's series fails
+    after 20,000 terms and the lane then keeps the attempt's values (E/V_max
+    = 1e-3 and 1e-2); two lanes that overflow (a = 20) and one that runs
+    out of terms."""
     v = barrier_top(DEFAULT_PARAMS)
     near = BarrierParams(q=0.9985, q_tilde=0.9985)
-    lanes = (_path_lanes(0.1 * v, DEFAULT_PARAMS) + _path_lanes(2.0 * v, DEFAULT_PARAMS)
+    lanes = (sum((_path_lanes(r * v, DEFAULT_PARAMS) for r in (0.05, 0.1, 0.5, 1.0)), [])
+             + _path_lanes(1.6 * v, DEFAULT_PARAMS) + _path_lanes(3.0 * v, DEFAULT_PARAMS)
              + _path_lanes(0.5 * v, DEFAULT_PARAMS, 0.45)
              + _path_lanes(1e-3 * barrier_top(near), near)
              + _path_lanes(1e-2 * barrier_top(near), near)
@@ -372,10 +473,11 @@ def _block_layouts(monkeypatch):
 # attempts: at 64 cells they go in groups of 8, whose first blocks of 8
 # terms lie lanes first; in one group they lie terms first (wide) in blocks
 # of 19 terms and, at the switch of 4 lanes a term, of 20; from 25 terms on
-# they lie lanes first
+# they lie lanes first, and from 3,600 cells on they take the 45 terms of
+# the group's first block size
 _FIRST_BLOCKS = {64: (8, 8, False), 1520: (80, 19, True), 1600: (80, 20, True),
-                 2048: (80, 25, False), 2116: (80, 26, False), 8192: (80, 102, False),
-                 8464: (80, 105, False), 65536: (80, 819, False)}
+                 2048: (80, 25, False), 2116: (80, 26, False), 8192: (80, 45, False),
+                 8464: (80, 45, False), 65536: (80, 45, False)}
 
 
 @pytest.mark.parametrize("cells", [64, 1520, 1600, 2048, 2116, 8192, 8464, 65536])
@@ -385,7 +487,7 @@ def test_block_size_never_changes_a_value(monkeypatch, cells):
     # another block shape
     batch = tuple(np.tile(col, 4) for col in _every_series_path())
     want = _bits(gauss_2f1_lanes(*batch))
-    assert [i % 13 for i, _, _ in want[2]] == [10, 11, 12] * 4
+    assert [i % 21 for i, _, _ in want[2]] == [18, 19, 20] * 4
     layouts = _block_layouts(monkeypatch)
     monkeypatch.setattr(hyp2f1, "_BLOCK_CELLS", cells)
     assert _bits(gauss_2f1_lanes(*batch)) == want
@@ -414,9 +516,9 @@ def test_series_blocks_stay_within_block_cells(monkeypatch):
 
 def _fig4_batch():
     """512 lanes of the fig4 v0 = 1.25 curve's first energies, each a 1-z
-    connection attempt at u = 0.2 that is kept; 24 attempts above E/V_max
-    = 1.4 that are rejected, whose connection series run on after the fig4
-    lanes stop; an a = 20 lane that overflows (E = 0.05) and a pole in c."""
+    connection attempt at u = 0.2 that is kept; 24 lanes above E/V_max =
+    1.4, whose attempts the first two make and have rejected and the other
+    22 skip; an a = 20 lane that overflows (E = 0.05) and a pole in c."""
     params = replace(DEFAULT_PARAMS, v0=1.25)
     v = barrier_top(params)
     sc, _ = side_coefficients(np.concatenate([np.geomspace(1e-6 * v, 0.5 * v, 2000)[:512],
@@ -438,13 +540,14 @@ def test_wide_blocks_equal_lanes_alone(monkeypatch):
     monkeypatch.setattr(hyp2f1, "_series", recording)
     layouts = _block_layouts(monkeypatch)
     values, derivs, errors = gauss_2f1_lanes(*batch)
-    # both connection series of every lane but the pole, then the plain
-    # series of the rejected attempts and of the overflowing lane; the
-    # first call sums a group of 1024 lanes, whose blocks lie terms first
-    # until its long lanes are left, and then one of the other 50
-    assert [args[0].size for args in calls] == [1074, 25]
-    assert layouts[:4] == [(1024, 8, True)] * 3 + [(512, 16, True)] and not layouts[-1][2]
-    assert layouts[5] == (50, 163, False)
+    # both connection series of the 514 attempts, then the plain series of
+    # the 24 lanes above E/V_max = 1.4 and of the overflowing lane, whose
+    # connection series come last, after its plain series failed.  The
+    # first call sums a group of 1024 lanes, whose blocks lie terms first,
+    # and then one of the other 4
+    assert [args[0].size for args in calls] == [1028, 25, 2]
+    assert layouts == [(1024, 8, True)] * 3 + [(512, 16, True), (4, 46, False),
+                                                (25, 327, False), (2, 4096, False)]
     assert isinstance(errors[537], PoleAtCError)
     assert isinstance(errors[536], NoConvergenceError) and len(errors) == 2
     for i in range(batch[0].size):

@@ -15,9 +15,10 @@ import pytest
 import dengfan.cli
 import dengfan.hyp2f1
 import dengfan.scatter
-from dengfan import (DEFAULT_PARAMS, TABLE1, BoundaryNotDecayedError, IntegrationConfig,
-                     barrier_top, default_config, integrate_scatter, potential, scan)
-from dengfan.cli import RunConfig, _json_pieces, build_parser, main
+from dengfan import (DEFAULT_PARAMS, TABLE1, BarrierParams, BoundaryNotDecayedError,
+                     IntegrationConfig, barrier_top, default_config, integrate_scatter,
+                     potential, scan)
+from dengfan.cli import RunConfig, _json_echo, _json_pieces, build_parser, main
 
 from helpers import load_benchmark_module
 
@@ -124,6 +125,18 @@ def float_columns(header, *columns) -> dict:
 def test_json_writer_matches_indented_dumps(columns, monkeypatch):
     config = asdict(RunConfig(params=DEFAULT_PARAMS))
     assert "".join(joined_pieces(monkeypatch, config, columns)) == indented_dumps(config, columns)
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(params=DEFAULT_PARAMS, e_min=1e-6, output_format="json", log_grid=True),
+    {"params": BarrierParams(q=0.9, q_tilde=0.55), "x_min": -5.0, "x_max": 5.0, "n": 3},
+    {}, {"b": {}, "a": 'x,\n  "}{\u00e9', "d": math.nan, "e": -math.inf, "f": None,
+         "g": True, "h": {"z": {"y": 1}, "x": 0.1, "w": ""}},
+], ids=["run-config", "potential", "empty", "nested"])
+def test_json_echo_matches_indented_dumps(config):
+    # the echo's runs of scalar items go through the C encoder
+    want = json.dumps(config, indent=2, sort_keys=True, allow_nan=True, default=vars)
+    assert _json_echo(config, "\n  ") == want.replace("\n", "\n  ")
 
 
 NAN_BITS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
@@ -283,9 +296,10 @@ def test_benchmark_tracer_aliases_stay_uncalled(tmp_path, monkeypatch, capsys):
 # failures, by stage
 # ---------------------------------------------------------------------------
 
-# past the upper energy edge every 2F1 lane fails with NoConvergenceError
-PAST_EDGE = ["--emin", "3e6", "--emax", "6e6", "--n", "3"]
-PAST_EDGE_E = ("3e+06", "4.5e+06", "6e+06")
+# past the upper energy edge of q = q_tilde = 0.999 (E/V_max = 0.0895)
+# every energy fails with NoConvergenceError
+PAST_EDGE = ["--q", "0.999", "--emin", "1e5", "--emax", "3e5", "--n", "3"]
+PAST_EDGE_E = ("100000", "200000", "300000")
 
 
 def test_scatter_failures_exit_2_with_nan_rows(capsys):

@@ -328,8 +328,9 @@ def test_no_convergence_when_terms_exhausted():
         f21(1, 1, 2, 0.999)
 
 
-# a q -> 1 lane whose 1-z connection estimate (6.6e-14) misses the gate and
-# whose series at z = 0.99873 needs about 33,000 terms
+# a q -> 1 lane whose 1-z connection estimate (6.6e-14, its floor 5.8e-14)
+# misses the gate, so that it skips the attempt until its series at z =
+# 0.99873, which needs about 33,000 terms, has failed
 NEAR_ONE_LANE = (1.0047843945774284 + 0.00700419825355425j,
                  1.0047843945774284 + 68.64407222877412j,
                  1 + 68.65107642702768j, 0.9987341064168742)
@@ -384,8 +385,9 @@ def test_non_finite_lane_fails_alone():
 
 
 def test_failed_connection_attempt_names_the_lane():
-    # the attempt's series F(c-a, c-b; 1+s; 1-z) overflows; the error names
-    # the requested lane, not that internal series (c = 1 - s, z = 1 - z)
+    # the lane's series fails, and then the attempt's series F(c-a, c-b;
+    # 1+s; 1-z) overflows, whose error the lane keeps: it names the
+    # requested lane, not that internal series (c = 1 - s, z = 1 - z)
     _, _, errors = gauss_2f1_lanes([2384.953221128557 + 0.125j], [-10777.136615123705 + 0.125j],
                                    [1 + 0.25j], [0.8])
     assert isinstance(errors[0], NoConvergenceError)

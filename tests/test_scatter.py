@@ -138,6 +138,16 @@ def test_near_one_connection_fallback_against_reference(params, E):
     assert T == pytest.approx(reference_transmission(E, params), rel=1e-11, abs=0)
 
 
+# far above the default barrier's top every lane skips its 1-z connection
+# attempt, whose estimate could never pass the gate, and the plain series
+# give T within 2.2e-16 of the reference
+@pytest.mark.parametrize("E_over_vmax", [1e5, 1e6])
+def test_far_above_the_barrier_against_reference(E_over_vmax):
+    E = E_over_vmax * barrier_top(DEFAULT_PARAMS)
+    T = float(compute_rt(E, DEFAULT_PARAMS).T)
+    assert T == pytest.approx(reference_transmission(E, DEFAULT_PARAMS), rel=1e-15, abs=0)
+
+
 def test_printed_derivative_row_singular_for_symmetric_barrier():
     # the derivative row as the closed form is widely printed equates
     # dpsi/dy, c4 + r*c5 - t*c6 = 0; with the value row its determinant is
@@ -251,9 +261,11 @@ def test_energy_past_float_range_fails_alone():
 
 
 def test_scan_records_errors_inline():
-    # past E/V_max = 4.01e4 a 2F1 series overflows
-    v = barrier_top(DEFAULT_PARAMS)
-    res = scan([1e5 * v, 2e5 * v], DEFAULT_PARAMS)
+    # at q = q_tilde = 0.999, past E/V_max = 0.0895, a 2F1 series does not
+    # converge
+    params = BarrierParams(q=0.999, q_tilde=0.999)
+    v = barrier_top(params)
+    res = scan([0.1 * v, 0.2 * v], params)
     assert sorted(res.errors) == [0, 1]
     assert all(isinstance(exc, NoConvergenceError) for exc in res.errors.values())
     for name in ("r_amp", "t_amp", "R", "T", "unitarity_residual"):
@@ -295,7 +307,7 @@ def test_amplitudes_reconstruct_rt():
 
 @pytest.mark.parametrize("E", [0.05, 1.0, 50.0])
 def test_connection_overflow_raises_typed_error(E):
-    # a = 20 drives a gamma ratio of the 1-z connection past float range;
-    # the attempt is rejected and the series fails with a typed error
+    # a = 20 makes the series fail, and then drives a gamma ratio of the
+    # 1-z connection past float range: a typed error
     with pytest.raises(Hyp2F1Error):
         compute_rt(E, BarrierParams(a=20.0))
